@@ -70,7 +70,8 @@
 use bench::json::Json;
 use bench::{fmt_tput, Args};
 use kvserve::{
-    MapOp, MigrateSpec, NetClient, NetConfig, Ring, ServeError, Service, ServiceConfig, Ticket,
+    MapOp, MigrateSpec, NetClient, NetConfig, Ring, RoutingTable, ServeError, Service,
+    ServiceConfig, Ticket,
 };
 use pmem::LatencyModel;
 use std::collections::HashMap;
@@ -420,7 +421,8 @@ fn run_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize) -> Json {
         // every primary pool is lost and the followers take over. The
         // reported duration covers log recovery, the receive-log tail
         // apply, the durable promotion, and the 2PC decision replay.
-        let (promoted, report) = Service::promote(svc.fail_over());
+        let (promoted, report) =
+            Service::promote(svc.fail_over(), None).expect("no probe installed");
         println!(
             "  failover: promoted in {:.3?} (tail_applied={} replayed={})",
             report.duration, report.tail_applied, report.replayed
@@ -548,9 +550,9 @@ impl KeyGen {
 }
 
 /// One request's ops for `mix` — same shapes as the closed-loop client
-/// but built from the free routing function, so the sequential baseline
-/// can generate identical streams without a service.
-fn gen_ops(mix: Mix, keys: u64, shards: usize, rng: &mut Rng, kg: &KeyGen) -> Vec<MapOp> {
+/// but routed through a fresh (epoch-0) `RoutingTable`, so the
+/// sequential baseline can generate identical streams without a service.
+fn gen_ops(mix: Mix, keys: u64, table: &RoutingTable, rng: &mut Rng, kg: &KeyGen) -> Vec<MapOp> {
     let k = kg.draw(rng);
     let r = rng.next();
     match mix {
@@ -559,20 +561,19 @@ fn gen_ops(mix: Mix, keys: u64, shards: usize, rng: &mut Rng, kg: &KeyGen) -> Ve
         Mix::UpdateHeavy if r.is_multiple_of(2) => vec![MapOp::Get(k)],
         Mix::UpdateHeavy => vec![MapOp::Insert(k, r)],
         Mix::Scan => {
-            let shard = kvserve::shard_of_key(k, shards);
+            let shard = table.route(k);
             (k..k + SCAN_SPAN)
-                .filter(|&x| x < keys && kvserve::shard_of_key(x, shards) == shard)
+                .filter(|&x| x < keys && table.route(x) == shard)
                 .take(SCAN_WINDOW)
                 .map(MapOp::Get)
                 .collect()
         }
         Mix::CrossShard => {
+            let shards = table.shards();
             let span = shards.min(XSHARD_SPAN);
             let mut seen = vec![false; shards];
             (k..k + SCAN_SPAN)
-                .filter(|&x| {
-                    !std::mem::replace(&mut seen[kvserve::shard_of_key(x % keys, shards)], true)
-                })
+                .filter(|&x| !std::mem::replace(&mut seen[table.route(x % keys)], true))
                 .take(span)
                 .map(|x| MapOp::Insert(x % keys, r))
                 .collect()
@@ -637,7 +638,7 @@ fn run_migrate_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize) -> Jso
         // The split, live under the clients' load.
         let t1 = Instant::now();
         let spec = MigrateSpec::split(&svc.routing(), 0);
-        let (svc, report) = svc.migrate(spec);
+        let (svc, report) = svc.migrate(spec).expect("no probe installed");
         let mig_secs = t1.elapsed().as_secs_f64();
         let mig_rate = (oks.load(Ordering::Relaxed) - pre_ok) as f64 / mig_secs;
 
@@ -712,9 +713,10 @@ fn migrate_client_loop(
     client: u64,
 ) {
     let kg = KeyGen::new(keys, 0.0);
+    let table = RoutingTable::fresh(shards);
     let mut rng = Rng(0xbe7c_5eed ^ (client + 1).wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
     while !stop.load(Ordering::Relaxed) {
-        let ops = gen_ops(mix, keys, shards, &mut rng, &kg);
+        let ops = gen_ops(mix, keys, &table, &mut rng, &kg);
         if ops.is_empty() {
             continue;
         }
@@ -795,6 +797,7 @@ fn run_open_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64
 
     let ring = svc.ring();
     let kg = KeyGen::new(sweep.keys, sweep.zipf_theta);
+    let table = RoutingTable::fresh(shards);
     let mut rng = Rng(0x0be7_ca11 ^ (rate as u64) | 1);
     let period = 1.0 / rate;
     // Submitted tickets still awaiting their completion, with the op
@@ -816,7 +819,7 @@ fn run_open_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64
         }
         if elapsed >= next {
             offered += 1;
-            let ops = gen_ops(mix, sweep.keys, shards, &mut rng, &kg);
+            let ops = gen_ops(mix, sweep.keys, &table, &mut rng, &kg);
             let nops = ops.len();
             match ring.submit_batch(ops) {
                 Ok(t) => {
@@ -1033,6 +1036,7 @@ fn run_net_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64)
     let mut client = NetClient::connect(server.local_addr()).expect("connect loopback");
 
     let kg = KeyGen::new(sweep.keys, sweep.zipf_theta);
+    let table = RoutingTable::fresh(shards);
     let mut rng = Rng(0x6e7_ca11 ^ (rate as u64) | 1);
     let period = 1.0 / rate;
     // corr → (op count, send instant) for requests still on the wire.
@@ -1050,7 +1054,7 @@ fn run_net_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64)
         }
         if elapsed >= next {
             offered += 1;
-            let ops = gen_ops(mix, sweep.keys, shards, &mut rng, &kg);
+            let ops = gen_ops(mix, sweep.keys, &table, &mut rng, &kg);
             let nops = ops.len();
             let corr = client.send_batch(&ops).expect("send over loopback");
             inflight.insert(corr, (nops, Instant::now()));
@@ -1203,7 +1207,7 @@ fn run_net_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64)
 /// queues. The upper bound batching amortizes the durable service
 /// toward, recorded alongside every artifact.
 fn sequential_baseline(sweep: &Sweep, mix: Mix) -> f64 {
-    let shards = sweep.shard_counts.first().copied().unwrap_or(1);
+    let table = RoutingTable::fresh(sweep.shard_counts.first().copied().unwrap_or(1));
     let kg = KeyGen::new(sweep.keys, sweep.zipf_theta);
     let mut rng = Rng(0xba5e_11e5);
     let mut map: HashMap<u64, u64> = HashMap::new();
@@ -1217,7 +1221,7 @@ fn sequential_baseline(sweep: &Sweep, mix: Mix) -> f64 {
     let mut ops = 0u64;
     while start.elapsed().as_secs_f64() < dur {
         for _ in 0..64 {
-            for op in gen_ops(mix, sweep.keys, shards, &mut rng, &kg) {
+            for op in gen_ops(mix, sweep.keys, &table, &mut rng, &kg) {
                 let out = match op {
                     MapOp::Get(k) => map.get(&k).copied(),
                     MapOp::Insert(k, v) => map.insert(k, v),

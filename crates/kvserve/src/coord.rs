@@ -37,9 +37,11 @@
 //! retries, up to `max_retries`.
 
 use crate::metrics::CoordinatorMetrics;
+use crate::probe::Point;
 use crate::repl::{self, LogKind};
 use crate::{
-    op_key, Engine, Reply, RoutingTable, ServeError, ServiceConfig, XRequest, ROUTE_SLOTS,
+    partition_by_table, Engine, Reply, RoutingTable, ServeError, ServiceConfig, XRequest,
+    ROUTE_SLOTS,
 };
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use nvhalt::NvHalt;
@@ -80,51 +82,6 @@ const R_ASSIGN: u64 = 2;
 /// Words in the routing-root block.
 pub(crate) const ROUTE_WORDS: usize = 2 + ROUTE_SLOTS;
 
-/// The 2PC steps a crash-injection hook can observe (and crash at).
-/// Steps strictly before [`TwoPcStep::DecisionLogged`] must roll the
-/// batch back on recovery; that step and later ones must complete it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TwoPcStep {
-    /// Before any participant prepared.
-    BeforePrepare,
-    /// Between two participants' prepares (some prepared, some not).
-    BetweenPrepares,
-    /// All participants prepared, decision not yet logged.
-    Prepared,
-    /// The commit decision is durably logged.
-    DecisionLogged,
-    /// Between two participants' commits (some visible, some still
-    /// prepared).
-    MidCommit,
-    /// All participants committed, entry not yet resolved.
-    Committed,
-}
-
-impl TwoPcStep {
-    /// All steps, in protocol order (for exhaustive crash injection).
-    pub const ALL: [TwoPcStep; 6] = [
-        TwoPcStep::BeforePrepare,
-        TwoPcStep::BetweenPrepares,
-        TwoPcStep::Prepared,
-        TwoPcStep::DecisionLogged,
-        TwoPcStep::MidCommit,
-        TwoPcStep::Committed,
-    ];
-
-    /// True if a crash at this step must leave the batch fully applied
-    /// after recovery (the decision was durably logged).
-    pub fn is_decided(self) -> bool {
-        matches!(
-            self,
-            TwoPcStep::DecisionLogged | TwoPcStep::MidCommit | TwoPcStep::Committed
-        )
-    }
-}
-
-/// Crash-injection hook: called at every [`TwoPcStep`]; returning `true`
-/// poisons all pools and unwinds the calling thread right there.
-pub(crate) type CrashHook = Arc<dyn Fn(TwoPcStep) -> bool + Send + Sync>;
-
 /// The cross-shard commit coordinator: the decision log shared by the
 /// 2PC driver threads. Driver `c` exclusively owns coordinator slot `c`,
 /// which grants TM thread id `workers_per_shard + c` on every shard and
@@ -147,7 +104,6 @@ pub(crate) struct Coordinator {
     group: Mutex<DecisionGroup>,
     group_cv: Condvar,
     pub metrics: Arc<CoordinatorMetrics>,
-    pub hook: Mutex<Option<CrashHook>>,
 }
 
 /// Shared state of the decision-log group commit: decisions queued for
@@ -207,11 +163,9 @@ impl Coordinator {
             group: Mutex::new(DecisionGroup::default()),
             group_cv: Condvar::new(),
             metrics: Arc::new(CoordinatorMetrics::new()),
-            hook: Mutex::new(None),
         };
         co.free.locksan_label("coord::free", false);
         co.group.locksan_label("coord::group", false);
-        co.hook.locksan_label("coord::hook", false);
         co
     }
 
@@ -446,17 +400,6 @@ pub(crate) fn walk_log(log: &NvHalt, head: Addr) -> Vec<DecisionEntry> {
     entries
 }
 
-/// Fire the crash-injection hook, if any: poison every pool and unwind.
-fn crash_check(eng: &Engine, step: TwoPcStep) {
-    let hook = eng.coord.hook.lock().clone();
-    if let Some(h) = hook {
-        if h(step) {
-            eng.poison();
-            tm::crash::crash_unwind();
-        }
-    }
-}
-
 /// 2PC driver loop: drains the cross-shard queue, sheds requests whose
 /// deadline passed while queued (queue wait is charged against the
 /// deadline — execution never starts for an expired batch), and runs
@@ -507,15 +450,7 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
     // batch mid-protocol, and a batch re-routed across a flip is simply
     // re-partitioned here under the new table (it may even collapse to
     // one group — still a correct, if degenerate, 2PC round).
-    let table = eng.router.table();
-    let mut groups: Vec<(usize, Vec<(usize, MapOp)>)> = Vec::new();
-    for (i, &op) in ops.iter().enumerate() {
-        let s = table.route(op_key(op));
-        match groups.iter_mut().find(|g| g.0 == s) {
-            Some(g) => g.1.push((i, op)),
-            None => groups.push((s, vec![(i, op)])),
-        }
-    }
+    let groups = partition_by_table(ops, &eng.router.table());
     let c = &*co.metrics.counters;
     c.cross_batches.fetch_add(1, Ordering::Relaxed);
     c.cross_ops.fetch_add(ops.len() as u64, Ordering::Relaxed);
@@ -525,7 +460,10 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
 
     let txid = co.next_txid.fetch_add(1, Ordering::Relaxed);
     let fuel = cfg.attempt_fuel;
-    crash_check(eng, TwoPcStep::BeforePrepare);
+    if eng.probe.fires(Point::BeforePrepare) {
+        eng.poison();
+        tm::crash::crash_unwind();
+    }
 
     // Phase 1: prepare every participant. Any cancelled prepare aborts
     // the whole round; the deadline is only honoured here — once the
@@ -544,15 +482,16 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
         }
         let prep_start = Instant::now();
         let mut prepared: Vec<usize> = Vec::with_capacity(groups.len());
-        for (gi, (s, gops)) in groups.iter().enumerate() {
-            if gi > 0 {
-                crash_check(eng, TwoPcStep::BetweenPrepares);
+        for (gi, (s, idxs)) in groups.iter().enumerate() {
+            if gi > 0 && eng.probe.fires(Point::BetweenPrepares) {
+                eng.poison();
+                tm::crash::crash_unwind();
             }
             let sh = &eng.parts[*s];
             let (map, meta) = (sh.map, sh.meta);
             let log_hdr = sh.log_hdr;
-            let muts: Vec<MapOp> =
-                repl::mutations(&gops.iter().map(|&(_, op)| op).collect::<Vec<MapOp>>());
+            let gops: Vec<MapOp> = idxs.iter().map(|&i| ops[i]).collect();
+            let muts = repl::mutations(&gops);
             let _psan = sh
                 .tm
                 .pmem()
@@ -563,7 +502,7 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
                     return Err(Abort::Cancel);
                 }
                 let mut out = Vec::with_capacity(gops.len());
-                for &(_, op) in gops.iter() {
+                for &op in &gops {
                     out.push(map.apply_in(tx, op)?);
                 }
                 // The marker commits or rolls back atomically with the
@@ -579,7 +518,7 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
             });
             match res {
                 Ok((vals, lsn)) => {
-                    for (&(oi, _), v) in gops.iter().zip(vals) {
+                    for (&oi, v) in idxs.iter().zip(vals) {
                         results[oi] = v;
                     }
                     prep_lsns[gi] = lsn;
@@ -607,18 +546,25 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
         co.metrics.prepare_latency.record(prep_start.elapsed());
         break;
     }
-    crash_check(eng, TwoPcStep::Prepared);
+    if eng.probe.fires(Point::Prepared) {
+        eng.poison();
+        tm::crash::crash_unwind();
+    }
 
     // Commit point.
     let (entry, cap) = co.log_decision(ltid, txid, ops);
-    crash_check(eng, TwoPcStep::DecisionLogged);
+    if eng.probe.fires(Point::DecisionLogged) {
+        eng.poison();
+        tm::crash::crash_unwind();
+    }
 
     // Phase 2: fan out the commit. Crashes from here on are repaired by
     // log replay at recovery.
     let commit_start = Instant::now();
     for (gi, (s, _)) in groups.iter().enumerate() {
-        if gi > 0 {
-            crash_check(eng, TwoPcStep::MidCommit);
+        if gi > 0 && eng.probe.fires(Point::MidCommit) {
+            eng.poison();
+            tm::crash::crash_unwind();
         }
         let sh = &eng.parts[*s];
         let _psan = sh
@@ -638,7 +584,10 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
             }
         }
     }
-    crash_check(eng, TwoPcStep::Committed);
+    if eng.probe.fires(Point::Committed) {
+        eng.poison();
+        tm::crash::crash_unwind();
+    }
 
     // Resolve, then drop the markers (in that order: a marker may only
     // disappear once the log no longer needs it to dedupe replay), and
@@ -698,16 +647,9 @@ pub(crate) fn replay(
 ) -> u64 {
     let mut replayed = 0u64;
     for e in entries {
-        let mut by_shard: Vec<(usize, Vec<MapOp>)> = Vec::new();
-        for &op in &e.ops {
-            let s = table.route(op_key(op));
-            match by_shard.iter_mut().find(|g| g.0 == s) {
-                Some(g) => g.1.push(op),
-                None => by_shard.push((s, vec![op])),
-            }
-        }
+        let by_shard = partition_by_table(&e.ops, table);
         if e.state == STATE_COMMITTED {
-            for (s, sops) in &by_shard {
+            for (s, idxs) in &by_shard {
                 let (tm, map, meta) = &shards[*s];
                 // A surviving marker means this shard committed its part
                 // before the crash; re-applying would clobber later writes.
@@ -718,8 +660,9 @@ pub(crate) fn replay(
                 if done {
                     continue;
                 }
+                let sops: Vec<MapOp> = idxs.iter().map(|&i| e.ops[i]).collect();
                 tm::txn(&**tm, 0, |tx| {
-                    for &op in sops.iter() {
+                    for &op in &sops {
                         map.apply_in(tx, op)?;
                     }
                     meta.insert_in(tx, e.txid, 1)?;
@@ -728,7 +671,7 @@ pub(crate) fn replay(
                         logs[*s],
                         LogKind::Prepare,
                         e.txid,
-                        &repl::mutations(sops),
+                        &repl::mutations(&sops),
                     )?;
                     Ok(())
                 })

@@ -40,18 +40,19 @@ mod coord;
 pub mod metrics;
 pub mod migrate;
 pub mod net;
+pub mod probe;
 pub mod repl;
 mod ring;
 mod shard;
 
-pub use coord::TwoPcStep;
 pub use metrics::{
     CoordinatorSnapshot, HistogramSnapshot, NetSnapshot, ReplShardSnapshot, ReplSnapshot,
     RingSnapshot, ServiceSnapshot, ShardSnapshot,
 };
-pub use migrate::{MigrateCrash, MigrateReport, MigrateSpec, MigrateStep};
-pub use net::{FrameError, NetClient, NetConfig, NetError, NetHook, NetKill, NetServer, NetStep};
-pub use repl::{FailoverStep, Follower, LogEntry, LogKind, ReplStep};
+pub use migrate::{MigrateCrash, MigrateReport, MigrateSpec};
+pub use net::{FrameError, NetClient, NetConfig, NetError, NetKill, NetServer};
+pub use probe::{Point, Probe};
+pub use repl::{Follower, LogEntry, LogKind};
 pub use ring::{Completion, Drain, Ring, Ticket};
 pub use txstructs::MapOp;
 
@@ -60,6 +61,7 @@ use crossbeam::channel::{self, Receiver, Sender};
 use metrics::RingMetrics;
 use nvhalt::{NvHalt, NvHaltConfig};
 use pmem::pool::DurableImage;
+use probe::ProbeCell;
 use repl::{PrimaryLog, ReplRuntime};
 use ring::{RingCompletion, RingLane};
 use shard::Shard;
@@ -94,10 +96,6 @@ pub enum ServeError {
     /// The service (or its shard workers) stopped — e.g. a simulated
     /// power failure tore the worker down before it could ack.
     Stopped,
-    /// A multi-op request mixed keys from different shards. No longer
-    /// produced — such requests now run under two-phase commit — but kept
-    /// so clients written against the pre-2PC service still compile.
-    CrossShard,
     /// Every slot of the submission ring is occupied (in flight or
     /// completed but not yet reaped). Reap completions, then resubmit.
     RingFull,
@@ -117,7 +115,6 @@ impl fmt::Display for ServeError {
             }
             ServeError::Aborted => write!(f, "transaction retry budget exhausted"),
             ServeError::Stopped => write!(f, "service stopped"),
-            ServeError::CrossShard => write!(f, "multi-op request spans shards"),
             ServeError::RingFull => write!(f, "submission ring full, reap completions"),
             ServeError::Rerouted => {
                 write!(f, "routing table flipped under the request, resubmit")
@@ -256,18 +253,6 @@ impl ServiceConfig {
     }
 }
 
-/// The raw routing hash: which of `shards` cells `key` falls into.
-/// This is both the legacy fixed-topology router and the slot hash of
-/// the versioned [`RoutingTable`] (with `shards = ROUTE_SLOTS`). A
-/// *fresh* table routes identically to `shard_of_key(key, n)` whenever
-/// `n` divides [`ROUTE_SLOTS`], which keeps pre-migration deployments
-/// bit-compatible with the old router. Exposed so tests and load
-/// generators can construct same-shard (atomic) multi-op requests.
-#[inline]
-pub fn shard_of_key(key: u64, shards: usize) -> usize {
-    ((key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % shards as u64) as usize
-}
-
 /// Fixed number of virtual routing slots. Keys hash to a slot; the
 /// [`RoutingTable`] assigns each slot to a shard. Migrations move whole
 /// slots, so the unit of elasticity is `1/64` of the key space.
@@ -305,10 +290,11 @@ impl RoutingTable {
         self.epoch
     }
 
-    /// The slot `key` hashes into (table-independent).
+    /// The slot `key` hashes into (table-independent): a Fibonacci mix,
+    /// distinct from the hashmap's bucket hash.
     #[inline]
     pub fn slot_of(key: u64) -> usize {
-        shard_of_key(key, ROUTE_SLOTS)
+        ((key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % ROUTE_SLOTS as u64) as usize
     }
 
     /// Which shard serves `key` under this table.
@@ -351,16 +337,9 @@ impl RoutingTable {
     }
 }
 
-/// The versioned routing accessor every submission path goes through:
-/// one lock-guarded cell holding the current table **and** the matched
-/// shard lanes and cross-shard queue. Reading all three together is
-/// what makes a submission race-free against a concurrent flip — a
-/// request stamped with epoch E always lands in an epoch-E queue, and
-/// the migration drains those queues after installing epoch E+1, so
-/// every in-ring request submitted under the old table is re-routed (or
-/// answered [`ServeError::Rerouted`]) deterministically.
-/// (held-lock high-water mark, contended blocking acquisitions) from
-/// the lock-discipline sanitizer, for the observability snapshot.
+/// The lock counters (held-lock high-water mark, contended blocking
+/// acquisitions) from the lock-discipline sanitizer, for the
+/// observability snapshot.
 #[cfg(feature = "locksan")]
 fn lock_counters() -> (u64, u64) {
     (locksan::held_hwm(), locksan::contended_acquires())
@@ -372,6 +351,14 @@ fn lock_counters() -> (u64, u64) {
     (0, 0)
 }
 
+/// The versioned routing accessor every submission path goes through:
+/// one lock-guarded cell holding the current table **and** the matched
+/// shard lanes and cross-shard queue. Reading all three together is
+/// what makes a submission race-free against a concurrent flip — a
+/// request stamped with epoch E always lands in an epoch-E queue, and
+/// the migration drains those queues after installing epoch E+1, so
+/// every in-ring request submitted under the old table is re-routed (or
+/// answered [`ServeError::Rerouted`]) deterministically.
 pub(crate) struct Router {
     inner: parking_lot::Mutex<RouterInner>,
 }
@@ -503,6 +490,12 @@ pub struct PromotionCrash {
     pub dump: FailoverDump,
 }
 
+impl fmt::Debug for PromotionCrash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PromotionCrash").finish_non_exhaustive()
+    }
+}
+
 /// The execution context the 2PC driver threads share with the service:
 /// per-shard transactional state, the coordinator, the config, and the
 /// replication runtime. `Arc`-held, so the drivers stay sound while a
@@ -516,6 +509,8 @@ pub(crate) struct Engine {
     pub repl: Option<Arc<ReplRuntime>>,
     /// The versioned routing accessor (shared with every ring).
     pub router: Arc<Router>,
+    /// The deployment's probe cell (shared with every layer that asks).
+    pub probe: Arc<ProbeCell>,
 }
 
 /// Prepared per-shard state handed to [`Service::assemble`]: TM, data
@@ -598,6 +593,7 @@ impl Service {
             })
             .collect();
         let coord = Arc::new(Coordinator::new(&cfg, &table));
+        let probe = Arc::new(ProbeCell::new(None));
         let rt = cfg.replication.then(|| {
             let primaries = parts
                 .iter()
@@ -606,29 +602,36 @@ impl Service {
                     hdr: *hdr,
                 })
                 .collect();
-            Arc::new(ReplRuntime::new(&cfg, primaries, coord.log.clone()))
+            Arc::new(ReplRuntime::new(
+                &cfg,
+                primaries,
+                coord.log.clone(),
+                probe.clone(),
+            ))
         });
         let parts = parts
             .into_iter()
             .map(|(tm, map, meta, hdr)| (tm, map, meta, hdr, Vec::new()))
             .collect();
-        Service::assemble(cfg, parts, coord, rt, table, None, None)
+        Service::assemble(cfg, parts, coord, rt, table, probe, None)
     }
 
     /// Wire a service over prepared per-shard state (fresh, recovered,
     /// promoted, or migrated): spawn the shard workers, the 2PC drivers,
     /// and the shippers, install the topology into the (new or carried)
     /// router, and build the internal ring. A migration passes the old
-    /// service's `router`/`ring_metrics` so every ring handed out before
-    /// the flip atomically re-targets the new topology.
+    /// service's router and ring metrics as `carried`, so every ring
+    /// handed out before the flip atomically re-targets the new
+    /// topology, and its `probe` cell, so an installed probe keeps
+    /// watching.
     fn assemble(
         cfg: ServiceConfig,
         parts: Vec<ShardParts>,
         coord: Arc<Coordinator>,
         rt: Option<Arc<ReplRuntime>>,
         table: Arc<RoutingTable>,
-        router: Option<Arc<Router>>,
-        ring_metrics: Option<Arc<RingMetrics>>,
+        probe: Arc<ProbeCell>,
+        carried: Option<(Arc<Router>, Arc<RingMetrics>)>,
     ) -> Service {
         let (xqueue, xqueue_rx) = channel::bounded::<XRequest>(cfg.queue_depth);
         let engine_parts: Vec<EnginePart> = parts
@@ -642,18 +645,20 @@ impl Service {
             .collect();
         // The router must exist before the workers: they read it to
         // validate stale-epoch requests.
-        let router = router.unwrap_or_else(|| {
-            Arc::new(Router::new(RouterInner {
+        let (router, ring_metrics) = carried.unwrap_or_else(|| {
+            let router = Router::new(RouterInner {
                 table: table.clone(),
                 lanes: Arc::new(Vec::new()),
                 xqueue: xqueue.clone(),
-            }))
+            });
+            (Arc::new(router), Arc::new(RingMetrics::new()))
         });
         let engine = Arc::new(Engine {
             parts: engine_parts,
             coord,
             repl: rt.clone(),
             router: router.clone(),
+            probe,
             cfg: cfg.clone(),
         });
         let shards: Vec<Shard> = parts
@@ -702,7 +707,6 @@ impl Service {
             lanes,
             xqueue,
         });
-        let ring_metrics = ring_metrics.unwrap_or_else(|| Arc::new(RingMetrics::new()));
         let front = Ring::attach(
             cfg.ring_slots,
             router.clone(),
@@ -803,27 +807,20 @@ impl Service {
         Vec::new()
     }
 
-    /// Install (or clear) the replication crash-injection hook: called at
-    /// every [`ReplStep`]. At the worker steps a `true` poisons the
-    /// *primary* pools (the failure failover exists for); at the shipper
-    /// steps it poisons that shard's *follower* pool (repaired in place by
-    /// [`Service::recover_follower`]).
-    pub fn set_repl_crash_hook(&self, hook: Option<Arc<dyn Fn(ReplStep) -> bool + Send + Sync>>) {
-        let rt = self
-            .engine
-            .repl
-            .as_ref()
-            .expect("set_repl_crash_hook requires cfg.replication");
-        *rt.hook.lock() = hook;
-    }
-
-    /// Install (or clear) the 2PC crash-injection hook: called at every
-    /// [`TwoPcStep`] of every cross-shard batch; returning `true` poisons
-    /// all pools and unwinds the submitting thread right there, exactly
-    /// as a power failure at that protocol step would. Test-only plumbing
-    /// for deterministic crash injection.
-    pub fn set_twopc_crash_hook(&self, hook: Option<Arc<dyn Fn(TwoPcStep) -> bool + Send + Sync>>) {
-        *self.engine.coord.hook.lock() = hook;
+    /// Install (or clear) the deployment's [`Probe`], asked at every
+    /// [`Point`] this service reaches: the 2PC steps of every
+    /// cross-shard batch, the replication worker and shipper steps, the
+    /// wire steps of every [`NetServer`] over this service, and the
+    /// steps of [`Service::migrate`]. A `true` crashes right there, as a
+    /// power failure at that point would: a 2PC step poisons every pool,
+    /// a replication worker step the *primary* pools (the failure
+    /// failover exists for), a shipper step that shard's *follower* pool
+    /// (repaired in place by [`Service::recover_follower`]), a wire step
+    /// shuts the server's sockets, and a migration step returns the
+    /// durable remains. Test-only plumbing for deterministic crash
+    /// injection.
+    pub fn set_probe(&self, probe: Option<Probe>) {
+        self.engine.probe.set(probe);
     }
 
     /// Look up `key` under the default deadline.
@@ -1106,21 +1103,15 @@ impl Service {
     /// the promotion, replay the 2PC decision log over the promoted
     /// shards, and start workers over the followers' pools. The promoted
     /// service runs with replication off (it *is* the surviving replica).
-    pub fn promote(dump: FailoverDump) -> (Service, FailoverReport) {
-        match Service::promote_hooked(dump, None) {
-            Ok(r) => r,
-            Err(_) => unreachable!("promotion without a hook cannot crash"),
-        }
-    }
-
-    /// [`Service::promote`] with a crash-injection hook fired between the
-    /// promotion phases. A `true` from the hook crashes the promotion and
-    /// returns a fresh [`FailoverDump`] inside [`PromotionCrash`]; every
-    /// phase is idempotent, so promoting that dump again completes the
-    /// failover.
-    pub fn promote_hooked(
+    ///
+    /// Dumps never carry a probe, so `probe` is asked between the
+    /// promotion phases ([`Point::FAILOVER`]) and stays installed on the
+    /// promoted service. A `true` crashes the promotion and returns a
+    /// fresh [`FailoverDump`] inside [`PromotionCrash`]; every phase is
+    /// idempotent, so promoting that dump again completes the failover.
+    pub fn promote(
         dump: FailoverDump,
-        hook: Option<repl::FailoverHook>,
+        probe: Option<Probe>,
     ) -> Result<(Service, FailoverReport), Box<PromotionCrash>> {
         let start = Instant::now();
         let FailoverDump {
@@ -1160,8 +1151,8 @@ impl Service {
                 },
             })
         };
-        let check = |step: FailoverStep| hook.as_ref().is_some_and(|h| h(step));
-        if check(FailoverStep::Recovered) {
+        let probe = Arc::new(ProbeCell::new(probe));
+        if probe.fires(Point::Recovered) {
             return Err(crash(&fs, &coord));
         }
 
@@ -1171,14 +1162,14 @@ impl Service {
         for f in &fs {
             tail_applied += f.apply_batch(&f.pending()) as u64;
         }
-        if check(FailoverStep::TailApplied) {
+        if probe.fires(Point::TailApplied) {
             return Err(crash(&fs, &coord));
         }
 
         for f in &fs {
             f.commit_promotion();
         }
-        if check(FailoverStep::Promoted) {
+        if probe.fires(Point::Promoted) {
             return Err(crash(&fs, &coord));
         }
 
@@ -1204,7 +1195,7 @@ impl Service {
         for e in &entries {
             coord.release_entry(e.addr, e.cap);
         }
-        if check(FailoverStep::Replayed) {
+        if probe.fires(Point::Replayed) {
             return Err(crash(&fs, &coord));
         }
 
@@ -1232,13 +1223,13 @@ impl Service {
             replayed,
         };
         Ok((
-            Service::assemble(cfg2, parts, coord, None, table, None, None),
+            Service::assemble(cfg2, parts, coord, None, table, probe, None),
             report,
         ))
     }
 
     /// Recover any crashed follower pools in place — the follower-only
-    /// failure shape, injected at the shipper's [`ReplStep`]s. The
+    /// failure shape, injected at the shipper's [`Point::REPL`] steps. The
     /// primary keeps serving throughout (replicated writes time out while
     /// the follower is down); this re-runs TM recovery over the crashed
     /// follower, rebuilds its allocator, restores the ship watermarks
@@ -1353,6 +1344,7 @@ impl Service {
 
         // Followers last (after replay, so the ship states see the final
         // appended watermarks).
+        let probe = Arc::new(ProbeCell::new(None));
         let rt = cfg.replication.then(|| {
             let fs: Vec<Follower> = followers
                 .iter()
@@ -1371,6 +1363,7 @@ impl Service {
                 primaries,
                 coord.log.clone(),
                 fs,
+                probe.clone(),
             ))
         });
 
@@ -1379,7 +1372,7 @@ impl Service {
             .zip(shards)
             .map(|((tm, map, meta), si)| (tm, map, meta, si.repl_hdr, si.keep))
             .collect();
-        Service::assemble(cfg, parts, coord, rt, table, None, None)
+        Service::assemble(cfg, parts, coord, rt, table, probe, None)
     }
 }
 
@@ -1436,12 +1429,6 @@ pub fn partition_by_table(ops: &[MapOp], table: &RoutingTable) -> Vec<(usize, Ve
     groups
 }
 
-/// [`partition_by_table`] under the fresh (epoch-0) table for `shards`
-/// shards — the pre-migration grouping.
-pub fn partition_by_shard(ops: &[MapOp], shards: usize) -> Vec<(usize, Vec<usize>)> {
-    partition_by_table(ops, &RoutingTable::fresh(shards))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1470,7 +1457,7 @@ mod tests {
         let mut hit = [false; 4];
         for k in 0..256u64 {
             let s = svc.shard_of(k);
-            assert_eq!(s, shard_of_key(k, 4));
+            assert_eq!(s, RoutingTable::fresh(4).route(k));
             hit[s] = true;
             assert_eq!(svc.put(k, k + 1), Ok(None));
         }
@@ -1575,11 +1562,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_hook_tears_down_before_ack() {
+    fn probe_tears_down_before_ack() {
         let svc = Service::new(test_cfg(4));
         let a = 1u64;
         let b = (2..).find(|&k| svc.shard_of(k) != svc.shard_of(a)).unwrap();
-        svc.set_twopc_crash_hook(Some(Arc::new(|step| step == TwoPcStep::Prepared)));
+        svc.set_probe(Some(Arc::new(|point| point == Point::Prepared)));
         assert_eq!(
             svc.batch(vec![MapOp::Insert(a, 1), MapOp::Insert(b, 2)]),
             Err(ServeError::Stopped)
@@ -1729,7 +1716,7 @@ mod tests {
         let b = (2..).find(|&k| svc.shard_of(k) != svc.shard_of(a)).unwrap();
         svc.batch(vec![MapOp::Insert(a, 1000), MapOp::Insert(b, 2000)])
             .unwrap();
-        let (svc, report) = Service::promote(svc.fail_over());
+        let (svc, report) = Service::promote(svc.fail_over(), None).expect("no probe installed");
         assert!(report.duration > Duration::ZERO);
         for k in 0..48u64 {
             let want = if k == a {
@@ -1765,7 +1752,7 @@ mod tests {
         let repl = svc.snapshot().replication.expect("replication on");
         assert!(repl.shards.iter().all(|s| s.ship_lag() == 0));
         // And the restarted deployment can still fail over.
-        let (svc, _) = Service::promote(svc.fail_over());
+        let (svc, _) = Service::promote(svc.fail_over(), None).expect("no probe installed");
         for k in 0..32u64 {
             assert_eq!(svc.get(k), Ok(Some(k + 9)));
         }

@@ -36,12 +36,13 @@
 //!    replicating source's follower converges too).
 //!
 //! Every step is idempotent from the outside: a crash at any
-//! [`MigrateStep`] recovers (via the ordinary [`Service::recover`])
+//! [`Point::MIGRATE`] step recovers (via the ordinary [`Service::recover`])
 //! to a consistent topology, and re-issuing the same [`MigrateSpec`]
 //! against the recovered service either re-runs the migration from
 //! scratch (pre-flip crash) or detects it already applied and only
 //! re-runs the scavenge (post-flip crash).
 
+use crate::probe::Point;
 use crate::repl::{self, Follower, LogEntry, LogKind, PrimaryLog, ReplRuntime};
 use crate::shard::ShardRequest;
 use crate::{
@@ -54,46 +55,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txstructs::{HashMapTx, MapOp};
-
-/// The migration protocol steps a crash-injection hook can observe, in
-/// protocol order. Steps strictly before [`MigrateStep::FlipLogged`]
-/// recover to the **old** topology (the target is forgotten); from
-/// `FlipLogged` on, recovery lands on the **new** one.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MigrateStep {
-    /// Target TM, maps, log header (and follower) created; volatile.
-    Provisioned,
-    /// Source log armed and the base snapshot copied into the target.
-    BaseCopied,
-    /// Live catch-up converged (source still serving).
-    CaughtUp,
-    /// Traffic paused, final tail replayed, target follower synced.
-    Drained,
-    /// The new routing table is durably rooted — the point of no return.
-    FlipLogged,
-    /// The post-flip service is serving under the new table.
-    Resumed,
-}
-
-impl MigrateStep {
-    /// All steps, in protocol order (for exhaustive crash injection).
-    pub const ALL: [MigrateStep; 6] = [
-        MigrateStep::Provisioned,
-        MigrateStep::BaseCopied,
-        MigrateStep::CaughtUp,
-        MigrateStep::Drained,
-        MigrateStep::FlipLogged,
-        MigrateStep::Resumed,
-    ];
-
-    /// Whether a crash at this step recovers to the new topology.
-    pub fn flipped(self) -> bool {
-        matches!(self, MigrateStep::FlipLogged | MigrateStep::Resumed)
-    }
-}
-
-/// Crash-injection hook over [`MigrateStep`].
-pub type MigrateHook = Arc<dyn Fn(MigrateStep) -> bool + Send + Sync>;
 
 /// What to migrate: `slots` (currently owned by shard `source`) move to
 /// a newly provisioned shard. Moving a strict subset splits the shard;
@@ -144,6 +105,12 @@ pub struct MigrateCrash {
     pub dump: CrashDump,
 }
 
+impl std::fmt::Debug for MigrateCrash {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MigrateCrash").finish_non_exhaustive()
+    }
+}
+
 /// The target shard under construction: everything volatile until the
 /// flip logs it into the topology.
 struct Target {
@@ -159,23 +126,17 @@ impl Service {
     /// its moving slots onto a newly provisioned shard and atomically
     /// flip the versioned routing table, pausing writes only for the
     /// final drain-and-flip. Consumes the service and returns the
-    /// post-flip one; rings handed out before the call keep working —
-    /// they re-target through the shared router. See the module docs
-    /// for the protocol.
-    pub fn migrate(self, spec: MigrateSpec) -> (Service, MigrateReport) {
-        match self.migrate_hooked(spec, None) {
-            Ok(r) => r,
-            Err(_) => unreachable!("migration without a hook cannot crash"),
-        }
-    }
-
-    /// [`Service::migrate`] with a crash-injection hook fired at every
-    /// [`MigrateStep`]. A `true` from the hook poisons every pool right
-    /// there and returns the durable remains in [`MigrateCrash`].
-    pub fn migrate_hooked(
+    /// post-flip one; rings, net servers and the installed probe carry
+    /// over — they share the router and the probe cell. See the module
+    /// docs for the protocol.
+    ///
+    /// The installed probe is asked at every [`Point::MIGRATE`] step. A
+    /// `true` poisons every pool right there and returns the durable
+    /// remains in [`MigrateCrash`]; with no probe installed the
+    /// migration cannot crash.
+    pub fn migrate(
         mut self,
         spec: MigrateSpec,
-        hook: Option<MigrateHook>,
     ) -> Result<(Service, MigrateReport), Box<MigrateCrash>> {
         let start = Instant::now();
         let cfg = self.engine.cfg.clone();
@@ -217,7 +178,7 @@ impl Service {
         );
         let new_table = Arc::new(old_table.reassign(&spec.slots, target_idx));
         let mig_tid = cfg.workers_per_shard + cfg.coordinators + 1;
-        let check = |step: MigrateStep| hook.as_ref().is_some_and(|h| h(step));
+        let probe = self.engine.probe.clone();
 
         // Plain handles to the source shard (HashMapTx is Copy) so the
         // service itself stays un-borrowed across the crash points.
@@ -246,7 +207,7 @@ impl Service {
             hdr: thdr,
             follower: tfollower,
         };
-        if check(MigrateStep::Provisioned) {
+        if probe.fires(Point::Provisioned) {
             return Err(Box::new(MigrateCrash { dump: self.crash() }));
         }
 
@@ -290,7 +251,7 @@ impl Service {
             .expect("target-side migration transactions never cancel");
             base_keys += moving.len() as u64;
         }
-        if check(MigrateStep::BaseCopied) {
+        if probe.fires(Point::BaseCopied) {
             return Err(Box::new(MigrateCrash { dump: self.crash() }));
         }
 
@@ -325,7 +286,7 @@ impl Service {
                 break;
             }
         }
-        if check(MigrateStep::CaughtUp) {
+        if probe.fires(Point::CaughtUp) {
             return Err(Box::new(MigrateCrash { dump: self.crash() }));
         }
 
@@ -345,7 +306,7 @@ impl Service {
                 .expect("a quiescent log read cannot lose its race");
             f.ingest(&all);
         }
-        if check(MigrateStep::Drained) {
+        if probe.fires(Point::Drained) {
             return Err(Box::new(MigrateCrash { dump: self.crash() }));
         }
 
@@ -353,7 +314,7 @@ impl Service {
         // The single durability point: one committed transaction on the
         // decision log's pool rewrites the routing root.
         self.engine.coord.write_route(0, &new_table);
-        if check(MigrateStep::FlipLogged) {
+        if probe.fires(Point::FlipLogged) {
             return Err(Box::new(MigrateCrash {
                 dump: self.crash_with_target(target),
             }));
@@ -403,6 +364,7 @@ impl Service {
                 primaries,
                 self.engine.coord.log.clone(),
                 followers,
+                probe.clone(),
             ))
         });
         let svc = Service::assemble(
@@ -411,8 +373,8 @@ impl Service {
             self.engine.coord.clone(),
             rt2,
             new_table.clone(),
-            Some(self.engine.router.clone()),
-            Some(self.ring_metrics.clone()),
+            probe.clone(),
+            Some((self.engine.router.clone(), self.ring_metrics.clone())),
         );
         // Stragglers that grabbed a pre-flip router snapshot may have
         // landed in the husk's queues between our drain and the router
@@ -447,7 +409,7 @@ impl Service {
         }
         svc.scavenge(source);
         let flip_pause = pause_start.elapsed();
-        if check(MigrateStep::Resumed) {
+        if probe.fires(Point::Resumed) {
             return Err(Box::new(MigrateCrash { dump: svc.crash() }));
         }
         let report = MigrateReport {

@@ -29,18 +29,19 @@
 //! either committed in its entirety or not at all (the service's
 //! torn-batch guarantee), but which one must be learned by reading.
 //! `tests/kvserve_net.rs` drives a crash sweep through every
-//! [`NetStep`] to hold the layer to exactly this contract.
+//! [`Point::NET`] step to hold the layer to exactly this contract.
 //!
 //! **Determinism.** Like the 2PC/replication/migration layers, the
-//! server carries crash hooks: [`NetServer::set_net_crash_hook`]
-//! installs a predicate over [`NetStep`], and the step where it first
-//! answers `true` tears the whole network layer down abruptly
-//! (sockets shut, no further bytes) — `MidWrite` additionally flushes
-//! a *partial* response frame first, so clients must treat a truncated
-//! tail frame as no-ack. The same hook points double as client-kill
-//! points for the disconnect sweep.
+//! server asks the service's probe (installed with
+//! [`Service::set_probe`]) at every [`Point::NET`] step, and the step
+//! where it first answers `true` tears the whole network layer down
+//! abruptly (sockets shut, no further bytes) — `MidWrite` additionally
+//! flushes a *partial* response frame first, so clients must treat a
+//! truncated tail frame as no-ack. The same points double as
+//! client-kill points for the disconnect sweep.
 
 use crate::metrics::{NetMetrics, NetSnapshot, RingMetrics};
+use crate::probe::{Point, ProbeCell};
 use crate::{MapOp, Reply, Ring, Router, ServeError, Service, Ticket};
 use std::collections::HashMap;
 use std::io::{self, Read};
@@ -71,7 +72,6 @@ const STATUS_ABORTED: u8 = 2;
 const STATUS_STOPPED: u8 = 3;
 const STATUS_REROUTED: u8 = 4;
 const STATUS_BUSY: u8 = 5;
-const STATUS_CROSS_SHARD: u8 = 6;
 
 const TAG_GET: u8 = 0;
 const TAG_INSERT: u8 = 1;
@@ -233,7 +233,6 @@ pub fn encode_response(buf: &mut Vec<u8>, corr: u64, reply: &Reply) {
         Err(ServeError::Aborted) => buf.push(STATUS_ABORTED),
         Err(ServeError::Stopped) => buf.push(STATUS_STOPPED),
         Err(ServeError::Rerouted) => buf.push(STATUS_REROUTED),
-        Err(ServeError::CrossShard) => buf.push(STATUS_CROSS_SHARD),
         // Both structural-backpressure rejections cross the wire as
         // Busy; RingFull's hint is "reap then resubmit", rendered as a
         // zero retry delay.
@@ -330,7 +329,6 @@ fn decode_response_body(body: &[u8]) -> Result<ResponseFrame, FrameError> {
         STATUS_ABORTED => Err(ServeError::Aborted),
         STATUS_STOPPED => Err(ServeError::Stopped),
         STATUS_REROUTED => Err(ServeError::Rerouted),
-        STATUS_CROSS_SHARD => Err(ServeError::CrossShard),
         STATUS_BUSY => {
             if rest.len() != 8 {
                 return Err(FrameError::SizeMismatch);
@@ -343,7 +341,7 @@ fn decode_response_body(body: &[u8]) -> Result<ResponseFrame, FrameError> {
     };
     if matches!(
         status,
-        STATUS_TIMEOUT | STATUS_ABORTED | STATUS_STOPPED | STATUS_REROUTED | STATUS_CROSS_SHARD
+        STATUS_TIMEOUT | STATUS_ABORTED | STATUS_STOPPED | STATUS_REROUTED
     ) && !rest.is_empty()
     {
         return Err(FrameError::SizeMismatch);
@@ -443,43 +441,6 @@ impl FramedWriter {
     }
 }
 
-/// The network layer's deterministic crash points, in wire order. The
-/// sweep in `tests/kvserve_net.rs` fires each one and proves the ack
-/// contract holds at every point: steps before `AfterComplete` leave
-/// the request unacked and unexecuted-or-torn-checked; the three steps
-/// after completion leave it *executed but unacked* — durable without
-/// an ack, never the reverse.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NetStep {
-    /// A request frame was read off the socket, before decode/submit.
-    AfterReadFrame,
-    /// The request decoded and passed the in-flight cap, about to enter
-    /// the ring.
-    BeforeSubmit,
-    /// The ring delivered the request's completion (the transaction is
-    /// durable if it was `Ok`), before any response work.
-    AfterComplete,
-    /// The response frame is encoded and about to be written.
-    BeforeWriteResponse,
-    /// A strict prefix of the response frame was flushed to the wire.
-    MidWrite,
-}
-
-impl NetStep {
-    /// Every step, in wire order, for sweep rotations.
-    pub const ALL: [NetStep; 5] = [
-        NetStep::AfterReadFrame,
-        NetStep::BeforeSubmit,
-        NetStep::AfterComplete,
-        NetStep::BeforeWriteResponse,
-        NetStep::MidWrite,
-    ];
-}
-
-/// Crash-hook shape shared with the other injected layers: return
-/// `true` at a step to tear the network layer down right there.
-pub type NetHook = Arc<dyn Fn(NetStep) -> bool + Send + Sync>;
-
 /// Tuning for a [`NetServer`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
@@ -544,7 +505,8 @@ impl ConnShared {
 struct NetShared {
     stop: AtomicBool,
     crashed: AtomicBool,
-    hook: parking_lot::Mutex<Option<NetHook>>,
+    /// The service's probe cell, asked at every [`Point::NET`] step.
+    probe: Arc<ProbeCell>,
     conns: parking_lot::Mutex<Vec<Arc<ConnShared>>>,
     live: AtomicUsize,
     metrics: Arc<NetMetrics>,
@@ -553,19 +515,6 @@ struct NetShared {
 }
 
 impl NetShared {
-    /// Evaluate the crash hook at `step` (outside the hook lock — a
-    /// hook may shut sockets down, which must not nest under it).
-    fn fire(&self, step: NetStep) -> bool {
-        let hook = self.hook.lock().clone();
-        match hook {
-            Some(h) if h(step) => {
-                self.crash();
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// The network layer's power-failure instant: every socket is shut
     /// both ways, nothing further is read or written. Ring slots the
     /// connections still hold resolve through the ring's own crash
@@ -603,7 +552,7 @@ impl NetServer {
         let shared = Arc::new(NetShared {
             stop: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
-            hook: parking_lot::Mutex::new(None),
+            probe: svc.engine.probe.clone(),
             conns: parking_lot::Mutex::new(Vec::new()),
             live: AtomicUsize::new(0),
             metrics: Arc::new(NetMetrics::new()),
@@ -616,7 +565,6 @@ impl NetServer {
                 retry_hint: svc.engine.cfg.backoff_base,
             },
         });
-        shared.hook.locksan_label("net::hook", false);
         shared.conns.locksan_label("net::conns", false);
         let workers = Arc::new(parking_lot::Mutex::new(Vec::new()));
         workers.locksan_label("net::workers", false);
@@ -641,11 +589,6 @@ impl NetServer {
         self.addr
     }
 
-    /// Install (or clear) the crash hook driving the [`NetStep`] sweeps.
-    pub fn set_net_crash_hook(&self, hook: Option<NetHook>) {
-        *self.shared.hook.lock() = hook;
-    }
-
     /// Whether an injected crash has torn the layer down.
     pub fn crashed(&self) -> bool {
         self.shared.crashed.load(Ordering::Acquire)
@@ -663,7 +606,7 @@ impl NetServer {
     }
 
     /// Tear the layer down as a crash would (abrupt socket shutdown, no
-    /// further bytes), without needing the hook to fire. The service
+    /// further bytes), without needing the probe to fire. The service
     /// underneath is untouched.
     pub fn crash_net(&self) {
         self.shared.crash();
@@ -698,8 +641,9 @@ impl Drop for NetServer {
 /// Start a [`NetServer`] over this service with the given tuning.
 impl Service {
     /// Serve this service's rings over loopback TCP. The server holds
-    /// no reference to the service itself (only `Arc`s to its router
-    /// and metrics), so [`Service::crash`] composes with a live server:
+    /// no reference to the service itself (only `Arc`s to its router,
+    /// ring metrics and probe cell), so [`Service::crash`] composes with
+    /// a live server:
     /// in-flight wire requests resolve through the ring's `Stopped`
     /// verdicts.
     pub fn serve_net(&self, cfg: NetConfig) -> io::Result<NetServer> {
@@ -834,7 +778,8 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>) {
             }
         };
         net.metrics.frame_in((HEADER_LEN + scratch.len()) as u64);
-        if net.fire(NetStep::AfterReadFrame) {
+        if net.probe.fires(Point::AfterReadFrame) {
+            net.crash();
             break;
         }
         let req = match frame {
@@ -858,7 +803,8 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>) {
             conn.respond(&busy);
             continue;
         }
-        if net.fire(NetStep::BeforeSubmit) {
+        if net.probe.fires(Point::BeforeSubmit) {
+            net.crash();
             break;
         }
         let deadline = if req.deadline_micros == 0 {
@@ -928,15 +874,18 @@ fn writer_loop(conn: Arc<Conn>) {
             // the submit), but never write an uncorrelatable response.
             continue;
         };
-        if net.fire(NetStep::AfterComplete) {
+        if net.probe.fires(Point::AfterComplete) {
+            net.crash();
             break;
         }
-        if net.fire(NetStep::BeforeWriteResponse) {
+        if net.probe.fires(Point::BeforeWriteResponse) {
+            net.crash();
             break;
         }
         frame.clear();
         encode_response(&mut frame, corr, &completion.result);
-        if net.fire(NetStep::MidWrite) {
+        if net.probe.fires(Point::MidWrite) {
+            net.crash();
             // The injected torn write: flush a strict prefix of the
             // response, then die. The client must read this as no-ack.
             let upto = HEADER_LEN + (frame.len() - HEADER_LEN) / 2;
@@ -1206,7 +1155,6 @@ mod tests {
             Err(ServeError::Aborted),
             Err(ServeError::Stopped),
             Err(ServeError::Rerouted),
-            Err(ServeError::CrossShard),
             Err(ServeError::Overloaded {
                 retry_after: Duration::from_micros(250),
             }),
@@ -1218,6 +1166,11 @@ mod tests {
             assert_eq!(used, buf.len());
             assert_eq!(frame, Frame::Response(ResponseFrame { corr: 42, reply }));
         }
+        // Status 6 (a retired rejection) is no longer a status at all.
+        let mut buf = Vec::new();
+        encode_response(&mut buf, 42, &Err(ServeError::Timeout));
+        buf[HEADER_LEN + 8] = 6;
+        assert_eq!(decode_frame(&buf).unwrap_err(), FrameError::BadStatus(6));
     }
 
     #[test]

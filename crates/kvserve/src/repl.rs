@@ -58,12 +58,13 @@
 //!
 //! ## Crash injection
 //!
-//! [`ReplStep`] hooks poison the primary pools (worker steps — the
-//! failure failover exists for) or the follower pool (shipper steps) at
-//! every protocol point; [`FailoverStep`] hooks crash a promotion
-//! between its phases. The top-level `kvserve_replication` suite sweeps
-//! all of them.
+//! A probe that fires at a [`Point::REPL`] step poisons the primary
+//! pools (worker steps — the failure failover exists for) or the
+//! follower pool (shipper steps); one that fires at a
+//! [`Point::FAILOVER`] step crashes a promotion between its phases. The
+//! top-level `kvserve_replication` suite sweeps all of them.
 
+use crate::probe::{Point, ProbeCell};
 use crate::ServiceConfig;
 use nvhalt::{NvHalt, NvHaltConfig};
 use parking_lot::{Condvar, Mutex};
@@ -720,78 +721,6 @@ impl Follower {
 }
 
 // ---------------------------------------------------------------------
-// Crash-injection steps
-// ---------------------------------------------------------------------
-
-/// The replication protocol steps a crash-injection hook can observe.
-/// Worker steps (`BeforeAppend`, `AfterAppend`) poison the *primary*
-/// pools — the failure shape failover exists for; shipper steps poison
-/// only the *follower* pool.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReplStep {
-    /// Worker, before the batch transaction (nothing durable anywhere).
-    BeforeAppend,
-    /// Worker, after the batch + log entry committed on the primary but
-    /// before the follower ack.
-    AfterAppend,
-    /// Shipper, new primary entries read but nothing received yet.
-    BeforeReceive,
-    /// Shipper, entries durably in the receive log, none applied.
-    Received,
-    /// Shipper, first pending entry applied, the rest maybe not.
-    MidApply,
-    /// Shipper, every pending entry applied and both logs trimmed.
-    Applied,
-}
-
-impl ReplStep {
-    /// All steps, in protocol order (for exhaustive crash injection).
-    pub const ALL: [ReplStep; 6] = [
-        ReplStep::BeforeAppend,
-        ReplStep::AfterAppend,
-        ReplStep::BeforeReceive,
-        ReplStep::Received,
-        ReplStep::MidApply,
-        ReplStep::Applied,
-    ];
-
-    /// True for the steps injected on the worker (primary-crash) side.
-    pub fn is_primary(self) -> bool {
-        matches!(self, ReplStep::BeforeAppend | ReplStep::AfterAppend)
-    }
-}
-
-/// The phases of a promotion a crash-injection hook can crash between.
-/// A crashed promotion returns a fresh [`FailoverDump`](crate::FailoverDump)
-/// and promotion is simply run again — every phase is idempotent.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FailoverStep {
-    /// Follower TMs and the decision log recovered, tail not applied.
-    Recovered,
-    /// The receive-log tail fully applied.
-    TailApplied,
-    /// The promotion durably committed (role word flipped).
-    Promoted,
-    /// Decision-log replay over the promoted shards finished.
-    Replayed,
-}
-
-impl FailoverStep {
-    /// All phases, in order.
-    pub const ALL: [FailoverStep; 4] = [
-        FailoverStep::Recovered,
-        FailoverStep::TailApplied,
-        FailoverStep::Promoted,
-        FailoverStep::Replayed,
-    ];
-}
-
-/// Crash-injection hook over [`ReplStep`].
-pub(crate) type ReplHook = Arc<dyn Fn(ReplStep) -> bool + Send + Sync>;
-/// Crash-injection hook over [`FailoverStep`].
-pub type FailoverHook = Arc<dyn Fn(FailoverStep) -> bool + Send + Sync>;
-
-// ---------------------------------------------------------------------
 // Ship state and runtime
 // ---------------------------------------------------------------------
 
@@ -917,7 +846,9 @@ pub(crate) struct ReplRuntime {
     pub decision_log: Arc<NvHalt>,
     pub followers: Vec<Mutex<Option<Follower>>>,
     pub states: Vec<Arc<ShipState>>,
-    pub hook: Mutex<Option<ReplHook>>,
+    /// The deployment's probe cell, asked at the worker and shipper
+    /// steps.
+    pub probe: Arc<ProbeCell>,
     pub stop: AtomicBool,
     pub ship_interval: Duration,
     /// Shipper group-commit window (see `ServiceConfig::ship_coalesce`).
@@ -932,6 +863,7 @@ impl ReplRuntime {
         cfg: &ServiceConfig,
         primaries: Vec<PrimaryLog>,
         decision_log: Arc<NvHalt>,
+        probe: Arc<ProbeCell>,
     ) -> ReplRuntime {
         let followers = (0..primaries.len())
             .map(|_| {
@@ -942,7 +874,7 @@ impl ReplRuntime {
                 )
             })
             .collect();
-        ReplRuntime::assemble(cfg, primaries, decision_log, followers)
+        ReplRuntime::assemble(cfg, primaries, decision_log, followers, probe)
     }
 
     /// Assemble over existing (fresh or recovered) followers, seeding
@@ -953,6 +885,7 @@ impl ReplRuntime {
         primaries: Vec<PrimaryLog>,
         decision_log: Arc<NvHalt>,
         followers: Vec<Follower>,
+        probe: Arc<ProbeCell>,
     ) -> ReplRuntime {
         let states = primaries
             .iter()
@@ -971,7 +904,7 @@ impl ReplRuntime {
             decision_log,
             followers: followers.into_iter().map(|f| Mutex::new(Some(f))).collect(),
             states,
-            hook: Mutex::new(None),
+            probe,
             stop: AtomicBool::new(false),
             ship_interval: cfg.ship_interval,
             ship_coalesce: cfg.ship_coalesce,
@@ -983,7 +916,6 @@ impl ReplRuntime {
             // from the lock-across-persist rule.
             f.locksan_label("repl::follower_cell", true);
         }
-        rt.hook.locksan_label("repl::hook", false);
         rt
     }
 
@@ -1006,32 +938,6 @@ impl ReplRuntime {
     pub fn poison_follower(&self, s: usize) {
         if let Some(f) = &*self.followers[s].lock() {
             f.tm.crash();
-        }
-    }
-}
-
-/// Worker-side crash check: fires the hook at primary steps, poisoning
-/// the primary pools and unwinding the worker before it can ack.
-pub(crate) fn crash_check(rt: &ReplRuntime, step: ReplStep) {
-    let hook = rt.hook.lock().clone();
-    if let Some(h) = hook {
-        if h(step) {
-            rt.poison_primary();
-            tm::crash::crash_unwind();
-        }
-    }
-}
-
-/// Shipper-side crash check: poisons the follower pool and unwinds the
-/// shipper's round. Takes the follower by reference — the round already
-/// holds the cell lock, so going through [`ReplRuntime::poison_follower`]
-/// here would self-deadlock.
-fn ship_crash_check(rt: &ReplRuntime, f: &Follower, step: ReplStep) {
-    let hook = rt.hook.lock().clone();
-    if let Some(h) = hook {
-        if h(step) {
-            f.tm.crash();
-            tm::crash::crash_unwind();
         }
     }
 }
@@ -1106,7 +1012,10 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
         f.apply_batch(&pending);
         let last = pending.last().expect("non-empty").lsn;
         state.applied.fetch_max(last, Ordering::AcqRel);
-        ship_crash_check(rt, f, ReplStep::MidApply);
+        if rt.probe.fires(Point::MidApply) {
+            f.tm.crash();
+            tm::crash::crash_unwind();
+        }
         f.trim_applied(state.applied.load(Ordering::Acquire));
     }
     let received = state.received.load(Ordering::Acquire);
@@ -1118,18 +1027,27 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
     };
     let mut processed = !pending.is_empty();
     if !fresh.is_empty() {
-        ship_crash_check(rt, f, ReplStep::BeforeReceive);
+        if rt.probe.fires(Point::BeforeReceive) {
+            f.tm.crash();
+            tm::crash::crash_unwind();
+        }
         // The round's group commit: received and applied in one
         // transaction. Acks unblock at the round's granularity.
         let (recv, appl) = f.receive_apply_batch(&fresh);
         state.received.fetch_max(recv, Ordering::AcqRel);
         state.applied.fetch_max(appl, Ordering::AcqRel);
         state.notify_all();
-        ship_crash_check(rt, f, ReplStep::Received);
+        if rt.probe.fires(Point::Received) {
+            f.tm.crash();
+            tm::crash::crash_unwind();
+        }
         // Receive and apply commit together, so "mid-apply" is no
-        // longer a distinct durable state; the hook stays a live crash
+        // longer a distinct durable state; the point stays a live crash
         // point at the same protocol position.
-        ship_crash_check(rt, f, ReplStep::MidApply);
+        if rt.probe.fires(Point::MidApply) {
+            f.tm.crash();
+            tm::crash::crash_unwind();
+        }
         processed = true;
     }
     if processed {
@@ -1141,7 +1059,10 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
             trim_through(&p.tm, rt.ship_tid, p.hdr.offset(P_HEAD), upto);
             state.trimmed.store(upto, Ordering::Release);
         }
-        ship_crash_check(rt, f, ReplStep::Applied);
+        if rt.probe.fires(Point::Applied) {
+            f.tm.crash();
+            tm::crash::crash_unwind();
+        }
     }
 }
 

@@ -14,7 +14,8 @@
 //! [`ServeError::Stopped`] into their ring slots — never an ack.
 
 use crate::metrics::ShardMetrics;
-use crate::repl::{self, LogKind, ReplRuntime, ReplStep};
+use crate::probe::Point;
+use crate::repl::{self, LogKind, ReplRuntime};
 use crate::ring::RingCompletion;
 use crate::{op_key, Router, ServeError, ServiceConfig};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
@@ -227,9 +228,10 @@ fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
         // or roll back atomically. Read-only batches skip the log (and
         // the follower ack) entirely.
         let muts = repl::mutations(&ops);
-        if !muts.is_empty() {
-            if let Some(rt) = ctx.repl.as_deref() {
-                repl::crash_check(rt, ReplStep::BeforeAppend);
+        if let Some(rt) = ctx.repl.as_deref() {
+            if !muts.is_empty() && rt.probe.fires(Point::BeforeAppend) {
+                rt.poison_primary();
+                tm::crash::crash_unwind();
             }
         }
         let fuel = ctx.attempt_fuel;
@@ -296,7 +298,10 @@ fn await_replication(ctx: &WorkerCtx, batch: &[ShardRequest], lsn: u64) -> bool 
     let state = &rt.states[ctx.shard];
     state.appended.fetch_max(lsn, Ordering::AcqRel);
     state.signal_work();
-    repl::crash_check(rt, ReplStep::AfterAppend);
+    if rt.probe.fires(Point::AfterAppend) {
+        rt.poison_primary();
+        tm::crash::crash_unwind();
+    }
     if let Some(p) = ctx.tm.pmem().pool().psan() {
         // The batch and its log entry must be fully fenced before the
         // follower can be told about them.

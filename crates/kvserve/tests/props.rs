@@ -1,8 +1,9 @@
 //! Property tests for request routing and the single/cross-shard split.
 //!
 //! Over random op batches, shard counts and slot moves:
-//! - `partition_by_shard` is a true partition (every op exactly once, in
-//!   its key's shard, groups ordered by first appearance);
+//! - `partition_by_table`, the grouping 2PC runs, is a true partition
+//!   (every op exactly once, in its key's shard, groups ordered by first
+//!   appearance);
 //! - the versioned routing table routes every key to exactly one live
 //!   shard before, during and after any sequence of slot reassignments,
 //!   and a reassignment changes the routing of exactly the moved slots;
@@ -19,7 +20,7 @@ use proptest::proptest;
 use std::collections::HashMap;
 
 use kvserve::{
-    op_key, partition_by_shard, Follower, LogEntry, LogKind, MapOp, MigrateSpec, RoutingTable,
+    op_key, partition_by_table, Follower, LogEntry, LogKind, MapOp, MigrateSpec, RoutingTable,
     Service, ServiceConfig, ROUTE_SLOTS,
 };
 
@@ -62,7 +63,8 @@ proptest! {
         shards in 1usize..9,
         ops in proptest::collection::vec(op_strategy(), 0..32),
     ) {
-        let groups = partition_by_shard(&ops, shards);
+        let table = RoutingTable::fresh(shards);
+        let groups = partition_by_table(&ops, &table);
         let mut seen = vec![false; ops.len()];
         let mut first_seen_order = Vec::new();
         for (s, idxs) in &groups {
@@ -71,7 +73,7 @@ proptest! {
             for &i in idxs {
                 prop_assert!(!seen[i], "op {} in two groups", i);
                 seen[i] = true;
-                prop_assert_eq!(RoutingTable::fresh(shards).route(op_key(ops[i])), *s);
+                prop_assert_eq!(table.route(op_key(ops[i])), *s);
             }
             first_seen_order.push(idxs[0]);
         }
@@ -143,9 +145,10 @@ proptest! {
     ) {
         let svc = Service::new(small_cfg(shards));
         let mut model: HashMap<u64, u64> = HashMap::new();
+        let table = RoutingTable::fresh(shards);
         let mut expect_cross = 0u64;
         for ops in &batches {
-            if partition_by_shard(ops, shards).len() > 1 {
+            if partition_by_table(ops, &table).len() > 1 {
                 expect_cross += 1;
             }
             let expected: Vec<Option<u64>> =
@@ -184,7 +187,7 @@ proptest! {
         }
         let spec = MigrateSpec::split(&svc.routing(), 0);
         let moved = spec.slots.clone();
-        let (svc, report) = svc.migrate(spec);
+        let (svc, report) = svc.migrate(spec).expect("no probe installed");
         prop_assert!(!report.already_applied);
         prop_assert_eq!(report.epoch, 1);
         let table = svc.routing();
@@ -205,7 +208,9 @@ proptest! {
         // loaded with the same model is indistinguishable through the
         // API: same assignment, same answer for every key.
         let fresh = Service::new(small_cfg(2));
-        let (fresh, _) = fresh.migrate(MigrateSpec { source: 0, slots: moved });
+        let (fresh, _) = fresh
+            .migrate(MigrateSpec { source: 0, slots: moved })
+            .expect("no probe installed");
         for (k, v) in &model {
             fresh.put(*k, *v).unwrap();
         }
@@ -237,7 +242,6 @@ fn reply_strategy() -> impl Strategy<Value = Reply> {
         Just(Err(ServeError::Aborted)),
         Just(Err(ServeError::Stopped)),
         Just(Err(ServeError::Rerouted)),
-        Just(Err(ServeError::CrossShard)),
         (0u64..1_000_000).prop_map(|us| Err(ServeError::Overloaded {
             retry_after: Duration::from_micros(us),
         })),

@@ -866,6 +866,8 @@ mod tests {
 
     #[test]
     fn mode_parses_env_conventions() {
+        // The mode is global: serialize with the fixtures that set it.
+        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         // from_env reads the real environment; only exercise the parse
         // table indirectly via set_mode/mode roundtrips.
         for m in [LocksanMode::Off, LocksanMode::Record, LocksanMode::Panic] {

@@ -114,7 +114,10 @@ mod tests {
     #[test]
     fn spin_scales_roughly_with_ns() {
         // Calibration on a noisy shared box is coarse; just check that a
-        // long spin takes measurably longer than a short one.
+        // long spin takes measurably longer than a short one. Calibrate
+        // first, so the once-per-process calibration is not timed as
+        // part of the short spins.
+        iters_per_ns();
         let t = Instant::now();
         for _ in 0..100 {
             spin_ns(50);

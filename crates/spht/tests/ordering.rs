@@ -218,7 +218,10 @@ fn truncation_survives_reordered_writebacks_and_wraps() {
                 s.spawn(move || {
                     tm::crash::run_crashable(|| {
                         for i in 1..u64::MAX {
-                            let slot = 1 + t as u64;
+                            // One cache line per thread: psan tracks
+                            // lines, so slots sharing a line would read
+                            // as a cross-thread race under `PSAN=1`.
+                            let slot = 1 + (t * pmem::pool::LINE_WORDS) as u64;
                             if txn(tm, t, |tx| tx.write(Addr(slot), i)).is_ok() {
                                 committed.lock().unwrap().push((slot, i));
                             } else {

@@ -1,8 +1,8 @@
 //! `cargo xtask lint` — static workspace invariant checks.
 //!
 //! A deliberately dumb, dependency-free token scanner over the workspace's
-//! Rust sources. It does not parse Rust; it enforces four *textual*
-//! discipline rules that the dynamic persist-order sanitizer (`psan`)
+//! Rust sources. It does not parse Rust; it enforces seven *textual*
+//! discipline rules that the dynamic sanitizers (`psan`, `locksan`)
 //! cannot check because they are about what the source is allowed to say,
 //! not what an execution did:
 //!
@@ -24,21 +24,7 @@
 //!    `.execute(` anywhere else must be too.
 //! 4. **Every `unsafe` needs a `SAFETY:` comment** on the same line or
 //!    within the three lines above it.
-//! 5. **No blocking `recv` on reply channels inside kvserve's service
-//!    sources.** The service front end is completion-based: submission
-//!    paths hand a `RingCompletion` sink to the workers and reap
-//!    results through the ring (`complete`/`wait`/`drain`). A
-//!    `reply...recv()` reintroduces per-request thread parking, the
-//!    exact pattern the ring replaced.
-//! 6. **No raw `shard_of_key` in kvserve's routing-dependent modules.**
-//!    Since live migration, shard ownership is the *versioned routing
-//!    table's* call (`RoutingTable::route` via `Router::load`), not a
-//!    pure function of the key and the shard count. A raw
-//!    `shard_of_key(key, shards)` in `ring`/`shard`/`coord`/`repl`/
-//!    `migrate` silently routes with the epoch-0 assignment and
-//!    misdirects every key whose slot has moved. Only `lib.rs` (which
-//!    defines it and uses it as the slot hash) may name it.
-//! 7. **No direct `std::sync::{Mutex,RwLock,Condvar}` outside the shim.**
+//! 5. **No direct `std::sync::{Mutex,RwLock,Condvar}` outside the shim.**
 //!    The `parking_lot` shim is where the lock-discipline sanitizer
 //!    (`locksan`) hooks acquire/release; a raw `std::sync` lock is
 //!    invisible to deadlock-cycle detection and to the held-lock
@@ -46,14 +32,14 @@
 //!    `psan` — they must not instrument their own internals), `pmem`
 //!    (which sits *below* the persist layer the sanitizer watches),
 //!    `tm::check`'s test-support recorder, and tests/examples.
-//! 8. **No `.lock()` inside a transaction closure body.** Blocking on a
+//! 6. **No `.lock()` inside a transaction closure body.** Blocking on a
 //!    service lock while a `tm::txn(` speculation is open inverts the
 //!    lock hierarchy (stripe locks are acquired at commit, below every
 //!    service lock) and can deadlock against a holder waiting for the
 //!    stripes — and the closure may rerun on abort, re-acquiring
 //!    arbitrarily often. Take the lock before entering the
 //!    transaction, or hand the data in by value.
-//! 9. **No raw socket writes in kvserve outside the framed writer.**
+//! 7. **No raw socket writes in kvserve outside the framed writer.**
 //!    The wire contract — a response on the socket IS the durability
 //!    ack — holds only if every byte crosses through `net.rs`'s
 //!    `FramedWriter`, where the dead-connection check and the crash
@@ -105,10 +91,10 @@ const POOL_WRITE_TOKENS: &[&str] = &["pmem.write(", "pool.write(", "pool().write
 /// File-path substrings allowed to issue raw pool stores (rule 2).
 const POOL_WRITE_ALLOWLIST: &[&str] = &["crates/pmem/", "crates/spht/"];
 
-/// Lock-type names that must come from the shim, not `std::sync` (rule 7).
+/// Lock-type names that must come from the shim, not `std::sync` (rule 5).
 const STD_SYNC_LOCK_TOKENS: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
-/// File-path prefixes allowed to name `std::sync` locks directly (rule 7).
+/// File-path prefixes allowed to name `std::sync` locks directly (rule 5).
 /// The shim wraps std; locksan must not instrument its own internals;
 /// `tm::check` is a test-support recorder deliberately outside the
 /// tracked hierarchy; integration tests and examples are harness code.
@@ -138,14 +124,6 @@ const RULES: &[(&str, &str)] = &[
     (
         "safety-comment",
         "every `unsafe` needs a `SAFETY:` comment within 3 lines above",
-    ),
-    (
-        "reply-channel-recv",
-        "no blocking `recv` on reply channels in kvserve; reap via the completion ring",
-    ),
-    (
-        "raw-shard-of-key",
-        "no raw `shard_of_key` in kvserve's routing-dependent modules; use the `RoutingTable`",
     ),
     (
         "std-sync-lock",
@@ -202,7 +180,7 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
     let pool_writes_allowed = POOL_WRITE_ALLOWLIST.iter().any(|p| file.starts_with(p));
     // Harness code (top-level and per-crate test dirs, examples) may
     // record results under std locks inside txn closures; the hierarchy
-    // rules 7-8 enforce are about production lock discipline.
+    // rules 5-6 enforce are about production lock discipline.
     let harness =
         STD_SYNC_ALLOWLIST.iter().any(|p| file.starts_with(p)) || file.contains("/tests/");
     let mut in_test = false;
@@ -210,7 +188,7 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
     let mut execute_depth: Option<i64> = None;
     // Brace depth of an open `tm::txn(` closure region; None outside.
     let mut txn_depth: Option<i64> = None;
-    // Brace depth of the open `impl FramedWriter` block (rule 9's one
+    // Brace depth of the open `impl FramedWriter` block (rule 7's one
     // sanctioned home for raw socket writes); None outside.
     let mut framed_depth: Option<i64> = None;
     for (i, &line) in lines.iter().enumerate() {
@@ -272,35 +250,7 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
                 message: "flush/fence in the htm crate (aborts real hardware txns)".into(),
             });
         }
-        // Rule 5: blocking recv on a reply channel in kvserve's service
-        // sources — submission paths must use RingCompletion sinks.
-        if file.starts_with("crates/kvserve/src/")
-            && line.contains("reply")
-            && (line.contains(".recv(") || line.contains(".recv_timeout("))
-        {
-            findings.push(Finding {
-                file: file.to_string(),
-                line: lineno,
-                rule: "reply-channel-recv",
-                message: "blocking `recv` on a reply channel; reap via the completion ring".into(),
-            });
-        }
-
-        // Rule 6: raw shard_of_key in routing-dependent kvserve modules —
-        // ownership must come from the versioned routing table.
-        if file.starts_with("crates/kvserve/src/")
-            && file != "crates/kvserve/src/lib.rs"
-            && line.contains("shard_of_key(")
-        {
-            findings.push(Finding {
-                file: file.to_string(),
-                line: lineno,
-                rule: "raw-shard-of-key",
-                message: "raw `shard_of_key`; route through the versioned `RoutingTable`".into(),
-            });
-        }
-
-        // Rule 7: std::sync locks outside the instrumented shim.
+        // Rule 5: std::sync locks outside the instrumented shim.
         if !harness
             && line.contains("std::sync::")
             && STD_SYNC_LOCK_TOKENS.iter().any(|t| line.contains(t))
@@ -315,7 +265,7 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
             });
         }
 
-        // Rule 9: raw socket writes in kvserve must live inside the
+        // Rule 7: raw socket writes in kvserve must live inside the
         // framed writer, where ack suppression and crash injection sit.
         if file.starts_with("crates/kvserve/src/") {
             match framed_depth {
@@ -340,7 +290,7 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
             }
         }
 
-        // Rule 8: blocking lock acquisition inside a transaction closure.
+        // Rule 6: blocking lock acquisition inside a transaction closure.
         match txn_depth {
             Some(depth) => {
                 if line.contains(".lock(") || line.contains(".try_lock(") {
@@ -573,71 +523,6 @@ mod tests {
     fn unsafe_substring_of_identifier_not_flagged() {
         let src = "let not_unsafe_here = 1;\n";
         assert!(rules("crates/core/src/engine.rs", src).is_empty());
-    }
-
-    #[test]
-    fn reply_channel_recv_in_kvserve_flagged() {
-        let src = "let r = reply_rx.recv().unwrap();\n";
-        assert_eq!(
-            rules("crates/kvserve/src/lib.rs", src),
-            ["reply-channel-recv"]
-        );
-        let src = "match req.reply_rx.recv_timeout(grace) {\n";
-        assert_eq!(
-            rules("crates/kvserve/src/shard.rs", src),
-            ["reply-channel-recv"]
-        );
-    }
-
-    #[test]
-    fn request_queue_recv_in_kvserve_not_flagged() {
-        // The worker's request-queue poll is fine — it is not a reply channel.
-        let src = "match ctx.rx.recv_timeout(POLL) {\n";
-        assert!(rules("crates/kvserve/src/shard.rs", src).is_empty());
-    }
-
-    #[test]
-    fn reply_recv_outside_kvserve_src_not_flagged() {
-        let src = "let r = reply_rx.recv().unwrap();\n";
-        assert!(rules("crates/bench/src/bin/service.rs", src).is_empty());
-        assert!(rules("tests/kvserve_ring.rs", src).is_empty());
-        // Test regions inside kvserve are exempt like rules 1-3.
-        let test_src = "#[cfg(test)]\nmod tests {\n let r = reply_rx.recv().unwrap();\n}\n";
-        assert!(rules("crates/kvserve/src/lib.rs", test_src).is_empty());
-    }
-
-    #[test]
-    fn raw_shard_of_key_in_kvserve_modules_flagged() {
-        let src = "let s = shard_of_key(key, self.shards);\n";
-        assert_eq!(
-            rules("crates/kvserve/src/ring.rs", src),
-            ["raw-shard-of-key"]
-        );
-        assert_eq!(
-            rules("crates/kvserve/src/shard.rs", src),
-            ["raw-shard-of-key"]
-        );
-        assert_eq!(
-            rules("crates/kvserve/src/coord.rs", src),
-            ["raw-shard-of-key"]
-        );
-        assert_eq!(
-            rules("crates/kvserve/src/migrate.rs", src),
-            ["raw-shard-of-key"]
-        );
-    }
-
-    #[test]
-    fn shard_of_key_allowed_in_lib_bench_and_tests() {
-        let src = "let s = shard_of_key(key, self.shards);\n";
-        // lib.rs defines it and uses it as the slot hash.
-        assert!(rules("crates/kvserve/src/lib.rs", src).is_empty());
-        // Outside kvserve's sources it is a legitimate free function.
-        assert!(rules("crates/bench/src/bin/service.rs", src).is_empty());
-        assert!(rules("tests/kvserve_crash.rs", src).is_empty());
-        // Test regions inside the modules are exempt like rules 1-3 and 5.
-        let test_src = "#[cfg(test)]\nmod tests {\n let s = shard_of_key(k, 4);\n}\n";
-        assert!(rules("crates/kvserve/src/ring.rs", test_src).is_empty());
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() {
         for t in 0..THREADS {
             let tm = &tm;
             s.spawn(move || {
-                let mut rng = (t as u64 + 1) * 0x9e37_79b9_7f4a_7c15;
+                let mut rng = (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 for _ in 0..10_000 {
                     rng ^= rng << 13;
                     rng ^= rng >> 7;

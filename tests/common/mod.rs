@@ -1,50 +1,47 @@
 //! Shared harness for the kvserve crash-step sweep suites.
 //!
 //! Every kvserve suite follows the same deterministic shape: pick a
-//! protocol step from a `Step::ALL` rotation, install a crash hook that
-//! fires exactly at that step, drive one request into the hook, recover
-//! the dump, and hold the store to an acked-write ledger. The pieces
-//! here — the step rotation, the single-step hook, the seeded PRNG, the
-//! sequential model, the pre-xor-post torn-batch check, key-placement
-//! helpers and the psan cleanliness assertion — are that shape, shared
-//! so the suites (`kvserve_crash`, `kvserve_cross_shard`,
-//! `kvserve_replication`, `kvserve_ring`, `kvserve_migrate`) state only
-//! their protocol-specific expectations.
+//! protocol point from a layer's sweep list (`Point::TWO_PC`,
+//! `Point::REPL`, `Point::FAILOVER`, `Point::MIGRATE`, `Point::NET`),
+//! install a probe that fires exactly at that point, drive one request
+//! into it, recover the dump, and hold the store to an acked-write
+//! ledger. The pieces here — the point rotation, the single-point probe,
+//! the seeded PRNG, the sequential model, the pre-xor-post torn-batch
+//! check, key-placement helpers and the psan cleanliness assertion — are
+//! that shape, shared so the suites (`kvserve_crash`,
+//! `kvserve_cross_shard`, `kvserve_replication`, `kvserve_ring`,
+//! `kvserve_migrate`, `kvserve_net`) state only their protocol-specific
+//! expectations.
 
 // Each test binary compiles its own copy of this module and uses a
 // different subset of it.
 #![allow(dead_code)]
 
-use kvserve::{MapOp, Service};
+use kvserve::{MapOp, Point, Probe, Service};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The deterministic crash-step rotation every sweep runs on:
-/// `(cycle, step)` pairs walking `steps` in order, wrapping for
-/// `cycles` total iterations so every step is hit `cycles / len` times.
-pub fn step_rotation<S: Copy>(steps: &[S], cycles: usize) -> impl Iterator<Item = (u64, S)> + '_ {
-    (0..cycles as u64).map(move |c| (c, steps[c as usize % steps.len()]))
+/// The deterministic crash-point rotation every sweep runs on:
+/// `(cycle, point)` pairs walking `points` in order, wrapping for
+/// `cycles` total iterations so every point is hit `cycles / len` times.
+pub fn step_rotation(points: &[Point], cycles: usize) -> impl Iterator<Item = (u64, Point)> + '_ {
+    (0..cycles as u64).map(move |c| (c, points[c as usize % points.len()]))
 }
 
-/// A crash hook that fires exactly at `step` (the only hook shape the
+/// A probe that fires exactly at `point` (the only probe shape the
 /// deterministic sweeps use).
-pub fn fire_at<S: Copy + PartialEq + Send + Sync + 'static>(
-    step: S,
-) -> Arc<dyn Fn(S) -> bool + Send + Sync> {
-    Arc::new(move |s| s == step)
+pub fn fire_at(point: Point) -> Probe {
+    Arc::new(move |p| p == point)
 }
 
-/// A crash hook that fires at the `n`-th occurrence of `step` (1-based)
-/// and every occurrence after it. The net sweep uses this to place the
+/// A probe that fires at the `n`-th occurrence of `point` (1-based) and
+/// every occurrence after it. The net sweep uses this to place the
 /// crash mid-pipeline — the plain [`fire_at`] always hits the first
 /// frame/completion, which would leave deeper pipeline states unswept.
-pub fn fire_at_nth<S: Copy + PartialEq + Send + Sync + 'static>(
-    step: S,
-    n: usize,
-) -> Arc<dyn Fn(S) -> bool + Send + Sync> {
+pub fn fire_at_nth(point: Point, n: usize) -> Probe {
     let seen = std::sync::atomic::AtomicUsize::new(0);
-    Arc::new(move |s| s == step && seen.fetch_add(1, std::sync::atomic::Ordering::AcqRel) + 1 >= n)
+    Arc::new(move |p| p == point && seen.fetch_add(1, std::sync::atomic::Ordering::AcqRel) + 1 >= n)
 }
 
 /// The suites' seeded PRNG (64-bit LCG, high bits): deterministic by
@@ -104,8 +101,8 @@ pub fn cross_shard_keys(svc: &Service) -> (u64, u64) {
 }
 
 /// Wait until every shipped entry has been applied, so an installed
-/// crash hook deterministically fires on the *next* write's entry and
-/// not on some straggler from the previous cycle.
+/// probe deterministically fires on the *next* write's entry and not on
+/// some straggler from the previous cycle.
 pub fn drain(svc: &Service) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

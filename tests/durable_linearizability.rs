@@ -272,7 +272,7 @@ fn migration_spanning_histories_stay_durably_linearizable() {
         // Mid-history: split shard 0 live, under the clients' traffic.
         std::thread::sleep(std::time::Duration::from_millis(2));
         let spec = MigrateSpec::split(&svc.routing(), 0);
-        svc.migrate(spec).0
+        svc.migrate(spec).expect("no probe installed").0
     });
 
     assert_eq!(svc.routing().epoch(), 1, "migration must have flipped");
@@ -641,7 +641,9 @@ fn service_history_round(failover: bool) {
 
     // Quiescent crash: every submitted batch is acked and recorded.
     let svc = if failover {
-        Service::promote(svc.fail_over()).0
+        Service::promote(svc.fail_over(), None)
+            .expect("no probe installed")
+            .0
     } else {
         Service::recover(svc.crash())
     };

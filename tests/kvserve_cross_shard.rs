@@ -3,8 +3,8 @@
 //! ever partially visible.
 //!
 //! Two harnesses:
-//! - a fully deterministic sweep that crashes at each [`TwoPcStep`] in
-//!   rotation for 120 cycles, with an acked-write ledger carried across
+//! - a fully deterministic sweep that crashes at each 2PC point
+//!   ([`Point::TWO_PC`]) in rotation for 120 cycles, with an acked-write ledger carried across
 //!   recoveries;
 //! - a seeded random fuzz (seed overridable via `KVSERVE_CROSS_SEED`, so
 //!   CI runs are reproducible) over random batch shapes and crash steps,
@@ -14,7 +14,7 @@
 mod common;
 
 use common::{fire_at, keys_per_shard, model_apply, resync, step_rotation, Lcg};
-use kvserve::{MapOp, ServeError, Service, ServiceConfig, TwoPcStep};
+use kvserve::{MapOp, Point, ServeError, Service, ServiceConfig};
 use std::collections::HashMap;
 
 fn cfg() -> ServiceConfig {
@@ -40,7 +40,7 @@ fn crash_at_every_twopc_step_never_tears_a_batch() {
         .collect();
     svc.batch(seed_ops).expect("seeding batch must commit");
 
-    for (cycle, step) in step_rotation(&TwoPcStep::ALL, 120) {
+    for (cycle, step) in step_rotation(&Point::TWO_PC, 120) {
         // A batch that will crash at `step`. The client must never see
         // an ack for it.
         let new_vals: Vec<u64> = keys.iter().map(|&k| cycle * 1_000 + k).collect();
@@ -49,7 +49,7 @@ fn crash_at_every_twopc_step_never_tears_a_batch() {
             .zip(&new_vals)
             .map(|(&k, &v)| MapOp::Insert(k, v))
             .collect();
-        svc.set_twopc_crash_hook(Some(fire_at(step)));
+        svc.set_probe(Some(fire_at(step)));
         assert_eq!(
             svc.batch(ops),
             Err(ServeError::Stopped),
@@ -97,7 +97,7 @@ fn seeded_random_crash_cycles_match_a_model() {
     for cycle in 0..110u64 {
         // Random batch: 2..=6 ops over a small key space, any mix of
         // shards (single-shard batches exercise the fast path and simply
-        // ack — the hook only fires on the 2PC path).
+        // ack — the probe only fires on the 2PC path).
         let nops = 2 + (rng.next() % 5) as usize;
         let ops: Vec<MapOp> = (0..nops)
             .map(|_| {
@@ -109,8 +109,8 @@ fn seeded_random_crash_cycles_match_a_model() {
                 }
             })
             .collect();
-        let step = TwoPcStep::ALL[(rng.next() % TwoPcStep::ALL.len() as u64) as usize];
-        svc.set_twopc_crash_hook(Some(fire_at(step)));
+        let step = Point::TWO_PC[(rng.next() % Point::TWO_PC.len() as u64) as usize];
+        svc.set_probe(Some(fire_at(step)));
 
         match svc.batch(ops.clone()) {
             Ok(vals) => {
@@ -140,12 +140,12 @@ fn twopc_crash_steps_are_psan_clean() {
     let seed: Vec<MapOp> = keys.iter().map(|&k| MapOp::Insert(k, k)).collect();
     svc.batch(seed).expect("seeding batch must commit");
 
-    for (i, &step) in TwoPcStep::ALL.iter().enumerate() {
+    for (i, &step) in Point::TWO_PC.iter().enumerate() {
         let ops: Vec<MapOp> = keys
             .iter()
             .map(|&k| MapOp::Insert(k, i as u64 * 100 + k))
             .collect();
-        svc.set_twopc_crash_hook(Some(fire_at(step)));
+        svc.set_probe(Some(fire_at(step)));
         assert_eq!(svc.batch(ops), Err(ServeError::Stopped));
         common::assert_psan_clean(&svc, &format!("step {step:?} pre-crash"));
         svc = Service::recover(svc.crash());

@@ -6,7 +6,8 @@
 //! against the recovered deployment completes it idempotently.
 //!
 //! Harnesses, in the house style of the other kvserve sweeps:
-//! - a fully deterministic sweep crashing at each [`MigrateStep`], with
+//! - a fully deterministic sweep crashing at each migration point
+//!   ([`Point::MIGRATE`]), with
 //!   an acked-write ledger carried through recovery and the re-issued
 //!   migration — replication off and on (the replicated passes also
 //!   fail over the *migrated* deployment, proving the target's follower
@@ -28,9 +29,7 @@
 mod common;
 
 use common::{assert_psan_clean, fire_at, model_apply, step_rotation, Lcg};
-use kvserve::{
-    MapOp, MigrateSpec, MigrateStep, ReplStep, ServeError, Service, ServiceConfig, ROUTE_SLOTS,
-};
+use kvserve::{MapOp, MigrateSpec, Point, ServeError, Service, ServiceConfig, ROUTE_SLOTS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -78,20 +77,17 @@ fn verify_all(svc: &Service, expected: &HashMap<u64, u64>, ctx: &str) {
 /// replication-on passes: crash at `step`, recover, check the topology
 /// is exactly old or exactly new, check every acked write, re-issue the
 /// migration, and hand back the completed deployment.
-fn sweep_cycle(
-    base_cfg: ServiceConfig,
-    step: MigrateStep,
-    cycle: u64,
-) -> (Service, HashMap<u64, u64>) {
+fn sweep_cycle(base_cfg: ServiceConfig, step: Point, cycle: u64) -> (Service, HashMap<u64, u64>) {
     let svc = Service::new(base_cfg);
     let mut expected = load(&svc, cycle * 100);
     let old_table = svc.routing();
     let spec = MigrateSpec::split(&old_table, 0);
 
+    svc.set_probe(Some(fire_at(step)));
     let crash = svc
-        .migrate_hooked(spec.clone(), Some(fire_at(step)))
+        .migrate(spec.clone())
         .err()
-        .unwrap_or_else(|| panic!("cycle {cycle}: hook at {step:?} did not fire"));
+        .unwrap_or_else(|| panic!("cycle {cycle}: probe at {step:?} did not fire"));
     let svc = Service::recover(crash.dump);
 
     // Atomic flip: the recovered routing table is entirely the old one
@@ -112,7 +108,7 @@ fn sweep_cycle(
     // Re-issuing the migration completes it idempotently: a pre-flip
     // crash re-runs it from scratch, a post-flip crash detects it as
     // already applied (and re-runs only the scavenge).
-    let (svc, report) = svc.migrate(spec.clone());
+    let (svc, report) = svc.migrate(spec.clone()).expect("no probe installed");
     assert_eq!(
         report.already_applied,
         step.flipped(),
@@ -138,7 +134,7 @@ fn sweep_cycle(
 
 #[test]
 fn crash_at_every_migrate_step_flips_old_xor_new() {
-    for (cycle, step) in step_rotation(&MigrateStep::ALL, 12) {
+    for (cycle, step) in step_rotation(&Point::MIGRATE, 12) {
         let (svc, _) = sweep_cycle(cfg(), step, cycle);
         drop(svc);
     }
@@ -146,13 +142,13 @@ fn crash_at_every_migrate_step_flips_old_xor_new() {
 
 #[test]
 fn replicated_crash_sweep_and_post_flip_failover() {
-    for (cycle, step) in step_rotation(&MigrateStep::ALL, 6) {
+    for (cycle, step) in step_rotation(&Point::MIGRATE, 6) {
         let (svc, expected) = sweep_cycle(rcfg(), step, cycle);
         // The migrated deployment must survive losing every primary
         // right now: the flip only became durable after the target's
         // follower ingested the full moved image, so promotion finds
         // every acked write — moved keys included.
-        let (promoted, _) = Service::promote(svc.fail_over());
+        let (promoted, _) = Service::promote(svc.fail_over(), None).expect("no probe installed");
         verify_all(&promoted, &expected, &format!("cycle {cycle} promoted"));
     }
 }
@@ -166,12 +162,12 @@ fn follower_loss_during_migration_then_repair() {
     // Kill the source shard's follower mid-protocol: the next write to
     // shard 0 crashes its follower after the durable receive, so the
     // write itself still acks.
-    svc.set_repl_crash_hook(Some(fire_at(ReplStep::Applied)));
+    svc.set_probe(Some(fire_at(Point::Applied)));
     let k0 = (0..KEY_SPACE)
         .find(|&k| svc.shard_of(k) == 0)
         .expect("some key routes to shard 0");
     svc.put(k0, 555_000).unwrap();
-    svc.set_repl_crash_hook(None);
+    svc.set_probe(None);
     let mut expected = expected;
     expected.insert(k0, 555_000);
 
@@ -180,7 +176,7 @@ fn follower_loss_during_migration_then_repair() {
     // fresh follower.
     let spec = MigrateSpec::split(&svc.routing(), 0);
     let moved = spec.slots.clone();
-    let (svc, report) = svc.migrate(spec);
+    let (svc, report) = svc.migrate(spec).expect("no probe installed");
     assert!(!report.already_applied);
     assert_eq!(svc.routing().shards(), 3);
     assert_eq!(svc.routing().slots_of(2), moved);
@@ -193,7 +189,7 @@ fn follower_loss_during_migration_then_repair() {
     svc.put(k0, 556_000).unwrap();
     expected.insert(k0, 556_000);
     common::drain(&svc);
-    let (promoted, _) = Service::promote(svc.fail_over());
+    let (promoted, _) = Service::promote(svc.fail_over(), None).expect("no probe installed");
     verify_all(&promoted, &expected, "promoted after repair");
 }
 
@@ -204,10 +200,10 @@ fn double_migrate_and_reissue_are_exact() {
 
     // Split shard 0, then split the freshly created shard 2.
     let spec1 = MigrateSpec::split(&svc.routing(), 0);
-    let (svc, r1) = svc.migrate(spec1.clone());
+    let (svc, r1) = svc.migrate(spec1.clone()).expect("no probe installed");
     assert_eq!(r1.epoch, 1);
     let spec2 = MigrateSpec::split(&svc.routing(), 2);
-    let (svc, r2) = svc.migrate(spec2.clone());
+    let (svc, r2) = svc.migrate(spec2.clone()).expect("no probe installed");
     assert_eq!(r2.epoch, 2);
     let table = svc.routing();
     assert_eq!(table.shards(), 4);
@@ -221,7 +217,7 @@ fn double_migrate_and_reissue_are_exact() {
     assert_ne!(first_owner, 0, "spec1 slots must have left the source");
 
     // Re-issuing the *second* spec is the idempotent no-op.
-    let (svc, r3) = svc.migrate(spec2.clone());
+    let (svc, r3) = svc.migrate(spec2.clone()).expect("no probe installed");
     assert!(r3.already_applied);
     verify_all(&svc, &expected, "after re-issued migrate");
 
@@ -287,7 +283,7 @@ fn live_migration_under_traffic_loses_no_acked_write() {
         // Let traffic build, then split shard 0 live.
         std::thread::sleep(Duration::from_millis(5));
         let spec = MigrateSpec::split(&svc.routing(), 0);
-        let out = svc.migrate(spec);
+        let out = svc.migrate(spec).expect("no probe installed");
         // Writers keep hitting the *old* ring handle post-flip; give
         // them a beat on the new topology, then stop.
         std::thread::sleep(Duration::from_millis(5));
@@ -355,24 +351,23 @@ fn seeded_migration_fuzz_matches_a_model() {
         let slots: Vec<usize> = owned[owned.len() - take..].to_vec();
         let spec = MigrateSpec { source, slots };
         let step = match rng.next() % 12 {
-            i @ 0..=5 => Some(MigrateStep::ALL[i as usize]),
+            i @ 0..=5 => Some(Point::MIGRATE[i as usize]),
             _ => None,
         };
-        svc = match step {
-            None => svc.migrate(spec).0,
-            Some(s) => match svc.migrate_hooked(spec.clone(), Some(fire_at(s))) {
-                Ok(_) => panic!("cycle {cycle}: hook at {s:?} did not fire"),
-                Err(crash) => {
-                    let svc = Service::recover(crash.dump);
-                    // Idempotent completion in half the crashed cycles;
-                    // the other half carries the recovered topology on.
-                    if rng.next().is_multiple_of(2) {
-                        svc.migrate(spec).0
-                    } else {
-                        svc
-                    }
+        svc.set_probe(step.map(fire_at));
+        svc = match (step, svc.migrate(spec.clone())) {
+            (None, out) => out.expect("no probe installed").0,
+            (Some(s), Ok(_)) => panic!("cycle {cycle}: probe at {s:?} did not fire"),
+            (Some(_), Err(crash)) => {
+                let svc = Service::recover(crash.dump);
+                // Idempotent completion in half the crashed cycles;
+                // the other half carries the recovered topology on.
+                if rng.next().is_multiple_of(2) {
+                    svc.migrate(spec).expect("no probe installed").0
+                } else {
+                    svc
                 }
-            },
+            }
         };
         for k in 0..KEY_SPACE {
             assert_eq!(
@@ -404,19 +399,17 @@ fn seeded_migration_fuzz_matches_a_model() {
 /// paths must produce zero correctness diagnostics.
 #[test]
 fn migrate_crash_steps_are_psan_clean() {
-    for &step in &MigrateStep::ALL {
+    for &step in &Point::MIGRATE {
         let mut c = cfg();
         c.nvhalt.pm.psan = pmem::PsanMode::Record;
         let svc = Service::new(c);
         let expected = load(&svc, 7);
         let spec = MigrateSpec::split(&svc.routing(), 0);
-        let crash = svc
-            .migrate_hooked(spec.clone(), Some(fire_at(step)))
-            .err()
-            .expect("hook must fire");
+        svc.set_probe(Some(fire_at(step)));
+        let crash = svc.migrate(spec.clone()).err().expect("probe must fire");
         let svc = Service::recover(crash.dump);
         assert_psan_clean(&svc, &format!("step {step:?} post-recovery"));
-        let (svc, _) = svc.migrate(spec);
+        let (svc, _) = svc.migrate(spec).expect("no probe installed");
         verify_all(&svc, &expected, &format!("step {step:?} completed"));
         for k in 0..KEY_SPACE {
             svc.put(k, k + 31).unwrap();

@@ -2,12 +2,12 @@
 //! real loopback sockets, visible backpressure, and the ack contract
 //! under deterministic network fault injection.
 //!
-//! Four harnesses:
+//! Five harnesses:
 //! - scripted protocol tests: wire batches agree with the blocking API
 //!   (single-shard and 2PC alike), pipelined requests complete in
 //!   submission order on a FIFO shard, and the per-connection in-flight
 //!   cap surfaces as explicit `Busy` frames instead of buffering;
-//! - the deterministic [`NetStep`] crash sweep: tear the whole network
+//! - the deterministic [`Point::NET`] crash sweep: tear the whole network
 //!   layer down at every wire step (frame read, pre-submit,
 //!   post-complete, pre-write, mid-write partial flush) with requests
 //!   pipelined, and hold the recovered store to the contract — every
@@ -21,13 +21,19 @@
 //! - the crash sweep with the persist-order sanitizer recording
 //!   (piggybacking the lock-discipline check when built with
 //!   `--features locksan`), asserting the socket layer adds no
-//!   persist-order or lock-order violations.
+//!   persist-order or lock-order violations;
+//! - one recording probe on a replicated service served over the wire,
+//!   which must see the net, 2PC, replication and migration points of
+//!   each request in protocol order, before and after a live split.
 
 mod common;
 
 use common::{assert_psan_clean, fire_at_nth, model_apply, step_rotation, Lcg};
-use kvserve::{MapOp, NetClient, NetConfig, NetError, NetStep, ServeError, Service, ServiceConfig};
+use kvserve::{
+    MapOp, MigrateSpec, NetClient, NetConfig, NetError, Point, ServeError, Service, ServiceConfig,
+};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn cfg(shards: usize) -> ServiceConfig {
@@ -312,11 +318,11 @@ fn crash_at_every_net_step_keeps_the_ack_contract() {
     // Three cycles per step; the crash lands at the 1st, 2nd, then 3rd
     // occurrence of the step, so the pipeline is in a different state
     // each time the same step fires.
-    for (cycle, step) in step_rotation(&NetStep::ALL, 15) {
+    for (cycle, step) in step_rotation(&Point::NET, 15) {
         let server = svc.serve_net(NetConfig::default()).unwrap();
         let mut client = NetClient::connect(server.local_addr()).unwrap();
-        let nth = (cycle as usize / NetStep::ALL.len()) + 1;
-        server.set_net_crash_hook(Some(fire_at_nth(step, nth)));
+        let nth = (cycle as usize / Point::NET.len()) + 1;
+        svc.set_probe(Some(fire_at_nth(step, nth)));
 
         let base = (cycle + 1) * 1000;
         let depth = 4 + rng.next() % 5;
@@ -327,18 +333,18 @@ fn crash_at_every_net_step_keeps_the_ack_contract() {
         while !server.crashed() {
             assert!(
                 Instant::now() < crash_deadline,
-                "cycle {cycle}: hook at {step:?} (occurrence {nth}) never fired"
+                "cycle {cycle}: probe at {step:?} (occurrence {nth}) never fired"
             );
             std::thread::sleep(Duration::from_micros(200));
         }
         server.stop();
 
         // Power-fail the service with whatever the wire left in flight.
-        let probe = svc.ring();
+        let ring = svc.ring();
         svc.poison();
         let dump = svc.crash();
         assert_eq!(
-            probe.in_flight(),
+            ring.in_flight(),
             0,
             "cycle {cycle}: unresolved ring slots after the crash"
         );
@@ -353,14 +359,14 @@ fn disconnect_at_every_net_step_reaps_the_connection() {
     let svc = Service::new(cfg(3));
     let pair = cross_pair(&svc);
     let server = svc.serve_net(NetConfig::default()).unwrap();
-    let probe = svc.ring();
+    let ring = svc.ring();
     let mut expected: HashMap<u64, u64> = HashMap::new();
 
-    for (cycle, step) in step_rotation(&NetStep::ALL, 10) {
+    for (cycle, step) in step_rotation(&Point::NET, 10) {
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         let kill = client.kill_handle().unwrap();
-        // The client dies at the step; the hook never crashes the server.
-        server.set_net_crash_hook(Some(std::sync::Arc::new(move |s| {
+        // The client dies at the step; the probe never crashes the server.
+        svc.set_probe(Some(Arc::new(move |s| {
             if s == step {
                 kill.kill();
             }
@@ -378,17 +384,17 @@ fn disconnect_at_every_net_step_reaps_the_connection() {
 
         // The server must reap: connection gone, every ring slot freed.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while server.live_connections() > 0 || probe.in_flight() > 0 {
+        while server.live_connections() > 0 || ring.in_flight() > 0 {
             assert!(
                 Instant::now() < deadline,
                 "cycle {cycle} ({step:?}): connection not reaped \
                  (live={}, in_flight={})",
                 server.live_connections(),
-                probe.in_flight()
+                ring.in_flight()
             );
             std::thread::sleep(Duration::from_micros(200));
         }
-        server.set_net_crash_hook(None);
+        svc.set_probe(None);
 
         // The layer is still serving: a fresh connection works, and the
         // store never tore a batch the dead client submitted.
@@ -415,7 +421,7 @@ fn disconnect_at_every_net_step_reaps_the_connection() {
             expected.insert(pair.1, base);
         }
     }
-    // The probe clients disconnect cleanly too; the server ends idle.
+    // The fresh clients disconnect cleanly too; the server ends idle.
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.live_connections() > 0 {
         assert!(Instant::now() < deadline, "final reap stuck");
@@ -439,20 +445,20 @@ fn seeded_fuzz_mixes_disconnects_and_crashes() {
     for cycle in 0..12u64 {
         let server = svc.serve_net(NetConfig::default()).unwrap();
         let mut client = NetClient::connect(server.local_addr()).unwrap();
-        let step = NetStep::ALL[(rng.next() % 5) as usize];
+        let step = Point::NET[(rng.next() % 5) as usize];
         let nth = 1 + (rng.next() % 3) as usize;
         let kill_client = rng.next().is_multiple_of(2);
         if kill_client {
             let kill = client.kill_handle().unwrap();
             let seen = std::sync::atomic::AtomicUsize::new(0);
-            server.set_net_crash_hook(Some(std::sync::Arc::new(move |s| {
+            svc.set_probe(Some(Arc::new(move |s| {
                 if s == step && seen.fetch_add(1, std::sync::atomic::Ordering::AcqRel) + 1 >= nth {
                     kill.kill();
                 }
                 false
             })));
         } else {
-            server.set_net_crash_hook(Some(fire_at_nth(step, nth)));
+            svc.set_probe(Some(fire_at_nth(step, nth)));
         }
 
         let base = (cycle + 1) * 100_000;
@@ -474,10 +480,10 @@ fn seeded_fuzz_mixes_disconnects_and_crashes() {
         }
         server.stop();
 
-        let probe = svc.ring();
+        let ring = svc.ring();
         svc.poison();
         let dump = svc.crash();
-        assert_eq!(probe.in_flight(), 0, "cycle {cycle}");
+        assert_eq!(ring.in_flight(), 0, "cycle {cycle}");
         svc = Service::recover(dump);
         settle_cycle(&svc, &mut expected, base, depth, pair, acked_x, cycle);
     }
@@ -492,10 +498,10 @@ fn net_crash_traffic_is_psan_clean() {
     let mut rng = Lcg::from_env("KVSERVE_NET_SEED", 0x5a4_5eed);
     let mut expected: HashMap<u64, u64> = HashMap::new();
 
-    for (cycle, step) in step_rotation(&NetStep::ALL, 5) {
+    for (cycle, step) in step_rotation(&Point::NET, 5) {
         let server = svc.serve_net(NetConfig::default()).unwrap();
         let mut client = NetClient::connect(server.local_addr()).unwrap();
-        server.set_net_crash_hook(Some(common::fire_at(step)));
+        svc.set_probe(Some(common::fire_at(step)));
         let base = (cycle + 1) * 1000;
         let load = send_cycle_load(&mut client, base, 4, pair, &mut rng).unwrap();
         let acked_x = collect_acks(&mut client, &load, &mut expected, cycle);
@@ -518,4 +524,74 @@ fn net_crash_traffic_is_psan_clean() {
         .unwrap();
     server.stop();
     assert_psan_clean(&svc, "net steady-state traffic");
+}
+
+#[test]
+fn one_probe_sees_every_layer_across_a_migration() {
+    use Point::*;
+    let mut c = cfg(2);
+    c.replication = true;
+    let svc = Service::new(c);
+    let seen: Arc<Mutex<Vec<Point>>> = Arc::default();
+    let log = seen.clone();
+    svc.set_probe(Some(Arc::new(move |p| {
+        log.lock().unwrap().push(p);
+        false
+    })));
+    let server = svc.serve_net(NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let (xa, xb) = cross_pair(&svc);
+
+    // The points recorded since the last call, minus the shipper's: it
+    // runs on its own threads, interleaved with every request.
+    let take = || -> Vec<Point> {
+        std::mem::take(&mut *seen.lock().unwrap())
+            .into_iter()
+            .filter(|p| !matches!(p, BeforeReceive | Received | MidApply | Applied))
+            .collect()
+    };
+    let cross = [
+        AfterReadFrame,
+        BeforeSubmit,
+        BeforePrepare,
+        BetweenPrepares,
+        Prepared,
+        DecisionLogged,
+        MidCommit,
+        Committed,
+        AfterComplete,
+        BeforeWriteResponse,
+        MidWrite,
+    ];
+    let single = [
+        AfterReadFrame,
+        BeforeSubmit,
+        BeforeAppend,
+        AfterAppend,
+        AfterComplete,
+        BeforeWriteResponse,
+        MidWrite,
+    ];
+    // Both requests' points, over the one connection the whole test uses.
+    let mut requests = |round: u64| {
+        client
+            .batch(&[MapOp::Insert(xa, round), MapOp::Insert(xb, round)])
+            .unwrap();
+        assert_eq!(take(), cross, "round {round}: cross-shard batch");
+        client.batch(&[MapOp::Insert(7, round)]).unwrap();
+        assert_eq!(take(), single, "round {round}: single-shard put");
+    };
+
+    requests(1);
+    let spec = MigrateSpec::split(&svc.routing(), 0);
+    let (svc, _) = svc.migrate(spec).expect("the recording probe never fires");
+    assert_eq!(take(), Point::MIGRATE, "migration");
+    // The migrated deployment keeps the probe in every layer, the
+    // replication worker included.
+    requests(2);
+
+    drop(client);
+    server.stop();
+    assert_eq!(svc.get(7), Ok(Some(2)));
+    assert_psan_clean(&svc, "one probe across every layer");
 }

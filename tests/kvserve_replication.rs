@@ -6,12 +6,12 @@
 //! write is ever lost** and no batch is ever partially visible.
 //!
 //! Three harnesses:
-//! - a fully deterministic sweep that crashes at each [`ReplStep`] in
-//!   rotation, alternating the recovery shape each pass, with an
-//!   expected-state ledger carried across recoveries;
-//! - a deterministic sweep over every [`FailoverStep`], crashing the
-//!   promotion itself and proving re-promotion of the carried dump is
-//!   idempotent;
+//! - a fully deterministic sweep that crashes at each replication point
+//!   ([`Point::REPL`]) in rotation, alternating the recovery shape each
+//!   pass, with an expected-state ledger carried across recoveries;
+//! - a deterministic sweep over every promotion point
+//!   ([`Point::FAILOVER`]), crashing the promotion itself and proving
+//!   re-promotion of the carried dump is idempotent;
 //! - a seeded random fuzz (seed overridable via `KVSERVE_REPL_SEED`)
 //!   over random batch shapes, crash steps, and recovery shapes,
 //!   checking the store against a pre-batch/post-batch model.
@@ -23,7 +23,7 @@
 mod common;
 
 use common::{drain, fire_at, keys_per_shard, model_apply, step_rotation, verify, Lcg};
-use kvserve::{FailoverStep, MapOp, ReplStep, ServeError, Service, ServiceConfig};
+use kvserve::{MapOp, Point, ServeError, Service, ServiceConfig};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -60,15 +60,15 @@ fn crash_at_every_repl_step_never_loses_an_acked_write() {
         expected.insert(k, k * 10);
     }
 
-    for (cycle, step) in step_rotation(&ReplStep::ALL, 48) {
+    for (cycle, step) in step_rotation(&Point::REPL, 48) {
         // Alternate the recovery shape each full pass over the steps.
-        let failover = (cycle / ReplStep::ALL.len() as u64) % 2 == 1;
+        let failover = (cycle / Point::REPL.len() as u64) % 2 == 1;
         let k = keys[cycle as usize % keys.len()];
         let old = expected.get(&k).copied();
         let new = 100_000 + cycle;
 
         drain(&svc);
-        svc.set_repl_crash_hook(Some(fire_at(step)));
+        svc.set_probe(Some(fire_at(step)));
         let res = svc.put(k, new);
 
         if step.is_primary() {
@@ -79,10 +79,11 @@ fn crash_at_every_repl_step_never_loses_an_acked_write() {
                 "cycle {cycle} step {step:?}: crashing write must not ack"
             );
             if failover {
-                let (promoted, report) = Service::promote(svc.fail_over());
+                let (promoted, report) =
+                    Service::promote(svc.fail_over(), None).expect("no probe installed");
                 assert!(report.duration > Duration::ZERO);
                 let got = promoted.get(k).unwrap();
-                if step == ReplStep::BeforeAppend {
+                if step == Point::BeforeAppend {
                     // Nothing durable anywhere yet.
                     assert_eq!(got, old, "cycle {cycle}: phantom write after failover");
                 } else {
@@ -107,7 +108,7 @@ fn crash_at_every_repl_step_never_loses_an_acked_write() {
                 // entry committed in one transaction, so the write is
                 // all-there (after the append) or all-gone (before it).
                 svc = Service::recover(svc.crash());
-                if step == ReplStep::AfterAppend {
+                if step == Point::AfterAppend {
                     expected.insert(k, new);
                 }
                 verify(&svc, &keys, &expected, cycle);
@@ -117,7 +118,7 @@ fn crash_at_every_repl_step_never_loses_an_acked_write() {
             // Follower-side crash: the primary committed the write; the
             // ack depends on whether the follower durably received it
             // before dying.
-            if step == ReplStep::BeforeReceive {
+            if step == Point::BeforeReceive {
                 assert_eq!(
                     res,
                     Err(ServeError::Timeout),
@@ -130,10 +131,11 @@ fn crash_at_every_repl_step_never_loses_an_acked_write() {
                     "cycle {cycle} step {step:?}: durably received write must ack"
                 );
             }
-            svc.set_repl_crash_hook(None);
+            svc.set_probe(None);
             if failover {
-                let (promoted, _) = Service::promote(svc.fail_over());
-                if step == ReplStep::BeforeReceive {
+                let (promoted, _) =
+                    Service::promote(svc.fail_over(), None).expect("no probe installed");
+                if step == Point::BeforeReceive {
                     // Never reached the follower: the client saw a
                     // timeout, not an ack, so the failover may drop it.
                     assert_eq!(
@@ -189,7 +191,7 @@ fn crash_at_every_promotion_step_re_promotes_idempotently() {
         expected.insert(k, k + 7);
     }
 
-    for (i, &step) in FailoverStep::ALL.iter().enumerate() {
+    for (i, &step) in Point::FAILOVER.iter().enumerate() {
         // Leave an acked cross-shard batch right before the failover:
         // its Prepare/Resolve entries must survive a *crashed* promotion
         // and the subsequent re-promotion.
@@ -201,20 +203,20 @@ fn crash_at_every_promotion_step_re_promotes_idempotently() {
         }
 
         let dump = svc.fail_over();
-        let crash = match Service::promote_hooked(dump, Some(fire_at(step))) {
+        let crash = match Service::promote(dump, Some(fire_at(step))) {
             Err(c) => c,
-            Ok(_) => panic!("step {step:?}: promotion hook did not fire"),
+            Ok(_) => panic!("step {step:?}: promotion probe did not fire"),
         };
         // Every promotion phase is idempotent over its durable words, so
         // promoting the crash's dump again completes the failover.
-        let (promoted, report) = Service::promote(crash.dump);
+        let (promoted, report) = Service::promote(crash.dump, None).expect("no probe installed");
         assert!(report.duration > Duration::ZERO);
         verify(&promoted, &keys, &expected, i as u64);
 
         // The re-promoted service is fully live.
-        let probe = keys[i % keys.len()];
-        promoted.put(probe, 999_000 + i as u64).unwrap();
-        expected.insert(probe, 999_000 + i as u64);
+        let k = keys[i % keys.len()];
+        promoted.put(k, 999_000 + i as u64).unwrap();
+        expected.insert(k, 999_000 + i as u64);
         svc = rebuild(promoted, &expected);
     }
 }
@@ -248,19 +250,19 @@ fn seeded_replication_fuzz_matches_a_model() {
         // (Primary steps only fire on the single-shard worker path,
         // shipper steps on any replicated mutation.)
         let step = match rng.next() % 8 {
-            i @ 0..=5 => Some(ReplStep::ALL[i as usize]),
+            i @ 0..=5 => Some(Point::REPL[i as usize]),
             _ => None,
         };
         if let Some(s) = step {
-            svc.set_repl_crash_hook(Some(fire_at(s)));
+            svc.set_probe(Some(fire_at(s)));
         }
         let res = svc.batch(ops.clone());
-        svc.set_repl_crash_hook(None);
+        svc.set_probe(None);
 
         match res {
             Ok(vals) => {
                 // Acked: must match the model exactly. (A shipper-step
-                // hook may still have crashed the follower *after* the
+                // probe may still have crashed the follower *after* the
                 // durable receive that allowed this ack.)
                 let expect: Vec<Option<u64>> =
                     ops.iter().map(|&op| model_apply(&mut model, op)).collect();
@@ -274,7 +276,8 @@ fn seeded_replication_fuzz_matches_a_model() {
                     svc = Service::recover(svc.crash());
                     resync(&svc, &mut model, &ops, cycle);
                 } else {
-                    let (promoted, _) = Service::promote(svc.fail_over());
+                    let (promoted, _) =
+                        Service::promote(svc.fail_over(), None).expect("no probe installed");
                     resync(&promoted, &mut model, &ops, cycle);
                     drop(promoted);
                     svc = Service::new(cfg());
@@ -311,11 +314,11 @@ fn repl_crash_steps_are_psan_clean() {
         svc.put(k, k).unwrap();
     }
 
-    for (i, &step) in ReplStep::ALL.iter().enumerate() {
+    for (i, &step) in Point::REPL.iter().enumerate() {
         drain(&svc);
-        svc.set_repl_crash_hook(Some(fire_at(step)));
+        svc.set_probe(Some(fire_at(step)));
         let _ = svc.put(keys[i % keys.len()], i as u64 * 10 + 1);
-        svc.set_repl_crash_hook(None);
+        svc.set_probe(None);
         assert_clean(&svc, &format!("step {step:?} pre-recovery"));
         if step.is_primary() {
             svc = Service::recover(svc.crash());
@@ -328,10 +331,10 @@ fn repl_crash_steps_are_psan_clean() {
 
     // And across a crashed promotion plus its idempotent re-promotion.
     drain(&svc);
-    let crash = Service::promote_hooked(svc.fail_over(), Some(fire_at(FailoverStep::Promoted)))
+    let crash = Service::promote(svc.fail_over(), Some(fire_at(Point::Promoted)))
         .err()
-        .expect("promotion hook must fire");
-    let (svc, _) = Service::promote(crash.dump);
+        .expect("promotion probe must fire");
+    let (svc, _) = Service::promote(crash.dump, None).expect("no probe installed");
     for &k in &keys {
         svc.put(k, k + 5).unwrap();
     }
