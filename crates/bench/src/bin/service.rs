@@ -1,80 +1,41 @@
-//! Closed-loop load generator for the `kvserve` durable KV service.
+//! Load driver for the `kvserve` durable KV service.
 //!
-//! Runs four YCSB-style mixes — read-heavy (95% get / 5% put),
-//! update-heavy (50% get / 50% put), scan (atomic same-shard multi-get
-//! windows) and cross-shard (atomic multi-puts spanning several shards,
-//! committed via the 2PC coordinator) — across a sweep of shard counts
-//! and batch-size caps, printing per-shard throughput, latency
-//! percentiles, abort rates, mean committed batch sizes and a
-//! per-outcome tally (ok / overloaded / timeout / aborted) so rejected
-//! requests are reported as distinct outcomes rather than treated as
-//! errors.
+//! Every cell of a sweep (mix × shards × batch cap × offered rate)
+//! builds a service, prefills half the key range, runs one generator
+//! loop on one thread for the window, drains, and reports. The loop
+//! reaches the service through a [`Transport`]: the in-process
+//! completion ring, or with `--net` one pipelined `NetClient` over
+//! loopback TCP, so ring and wire are measured like for like.
 //!
-//! The persistent-memory latency model defaults to Optane so the
-//! flush/fence amortization from batching is visible (update-heavy
-//! throughput should rise with `batch_max`); pass `--fast` to zero the
-//! latency model for a quick functional sweep.
+//! - With `--rates` the loop is open: Poisson arrivals at each rate,
+//!   latency from each intended arrival, and `generator behind` printed
+//!   when less than 95% of the nominal rate was offered.
+//! - Without, it is closed: at most `--clients` in flight, latency from
+//!   the send.
 //!
-//! `--repl` runs every cell with per-shard follower replication and
-//! semi-synchronous acks: the report gains the replication lag (entries
-//! the followers' applied state is behind the primaries) and each cell
-//! ends with a full failover — every primary pool dropped, the followers
-//! promoted — reporting the measured failover time.
-//!
-//! `--open-loop` switches from the closed-loop regime (in-flight depth
-//! = client threads, each blocking per request) to an **open-loop**
-//! load generator over the completion ring: a single submitting thread
-//! offers requests at a controlled arrival rate (`--rates`, Poisson or
-//! fixed-interval gaps via `--arrival`), reaps completions without ever
-//! parking per request, and reports latency percentiles *at that
-//! offered rate* — the methodology that exposes coordinated omission.
-//! Keys draw YCSB-Zipfian with `--zipf <theta>` (0 = uniform). Each
-//! open-loop report starts with a sequential in-memory baseline (a
-//! plain `std` HashMap on one thread — no durability, no concurrency)
-//! as the upper bound the durable service is amortizing toward.
-//!
-//! `--net` runs the open-loop generator **through the wire-protocol
-//! front end**: the service is served over loopback TCP
-//! (`Service::serve_net`), and a single submitting thread drives framed
-//! request batches through one `NetClient` at the offered rate, reaping
-//! response frames opportunistically — never parking per request — so
-//! the socket path is measured under the same coordinated-omission-free
-//! methodology as `--open-loop`. Latency percentiles are *client-side*
-//! (send-to-response on the wire, queueing included); explicit `Busy`
-//! frames — the wire rendering of ring backpressure — are counted as
-//! their own outcome, and the report carries the server's frame/byte
-//! counters alongside the ring and persist numbers.
-//!
-//! `--migrate` measures **elastic resharding under load**: each cell
-//! runs the closed-loop clients through ring handles, splits shard 0
-//! live mid-run (streaming its moving slots to a newly provisioned
-//! shard and flipping the routing table), and reports the throughput
-//! before / during / after the migration, the measured write-pause at
-//! the flip, and how many requests saw a reroute retry — the dip is the
-//! cost of elasticity, the pause is the only moment writes wait.
-//!
-//! `--out FILE` writes the run as a `kvserve-bench-v1` JSON artifact
-//! (see docs/benchmarking.md) in either mode; CI schema-validates the
-//! committed `BENCH_*.json` files with `cargo xtask check-bench`.
+//! Rates divide by the arrival window, never the drain. `*_req_per_sec`
+//! count requests, `tput_ops_per_sec` the ops of acknowledged requests.
+//! `--migrate` splits shard 0 from the main thread while the generator
+//! runs; `--repl` adds follower replication and ends each cell with a
+//! measured failover. `--out FILE` writes a `kvserve-bench-v1` artifact
+//! (docs/benchmarking.md).
 //!
 //! ```text
 //! cargo run -p bench --release --bin service -- \
 //!     --shards 1,2,4 --batch 1,8 --clients 8 --seconds 0.4
 //! cargo run -p bench --release --bin service -- \
-//!     --mixes update-heavy --repl --fast
-//! cargo run -p bench --release --bin service -- \
-//!     --open-loop --rates 5000,20000,80000 --zipf 0.99 \
-//!     --mixes update-heavy --shards 2 --batch 8 --out BENCH_ring.json
+//!     --rates 20000,80000,2000000 --zipf 0.99 \
+//!     --mixes update-heavy --shards 2 --batch 8 --out out.json
 //! ```
 
 use bench::json::Json;
-use bench::{fmt_tput, Args};
+use bench::Args;
 use kvserve::{
-    MapOp, MigrateSpec, NetClient, NetConfig, Ring, RoutingTable, ServeError, Service,
-    ServiceConfig, Ticket,
+    MapOp, MigrateSpec, NetClient, NetConfig, Reply, Ring, RoutingTable, ServeError, Service,
+    ServiceConfig, ServiceSnapshot, Ticket,
 };
 use pmem::LatencyModel;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tm::stats::Counter;
@@ -110,183 +71,109 @@ const SCAN_SPAN: u64 = 32;
 const SCAN_WINDOW: usize = 8;
 /// Shards an atomic cross-shard multi-put spans (upper bound).
 const XSHARD_SPAN: usize = 4;
-
-/// Per-cell request outcome tally. Backpressure, deadline and conflict
-/// rejections are expected service responses under load, not failures,
-/// so they are counted and reported instead of aborting the run.
-#[derive(Default)]
-struct Outcomes {
-    ok: AtomicU64,
-    overloaded: AtomicU64,
-    timeout: AtomicU64,
-    aborted: AtomicU64,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Arrival {
-    /// Exponentially distributed inter-arrival gaps (Poisson process).
-    Poisson,
-    /// Fixed inter-arrival gaps (deterministic pacing).
-    Fixed,
-}
-
-impl Arrival {
-    fn label(self) -> &'static str {
-        match self {
-            Arrival::Poisson => "poisson",
-            Arrival::Fixed => "fixed",
-        }
-    }
-}
+/// How long a cell waits after its window for the window's last
+/// answers; the 2 s request deadline resolves every answer inside it.
+const DRAIN: Duration = Duration::from_secs(5);
+/// An open loop that offered less than this share of its nominal rate
+/// is reported as `generator behind`.
+const BEHIND: f64 = 0.95;
+/// While sending, the generator reaps answers at most this often, so
+/// reaping cannot starve the schedule; between sends it reaps at once.
+const REAP_TICK: Duration = Duration::from_micros(50);
 
 struct Sweep {
     mixes: Vec<Mix>,
     shard_counts: Vec<usize>,
     batch_caps: Vec<usize>,
-    clients: usize,
+    /// One closed pace, or one open pace per offered rate.
+    paces: Vec<Pace>,
     seconds: f64,
     keys: u64,
     fast: bool,
     repl: bool,
-    /// Open-loop offered rates (requests/sec).
-    rates: Vec<f64>,
-    arrival: Arrival,
-    /// Zipfian skew for open-loop key draws; 0 = uniform.
+    net: bool,
+    migrate: bool,
+    /// Zipfian skew of the key draws; 0 = uniform.
     zipf_theta: f64,
-    /// Shipper group-commit window in microseconds (0 = disabled): how
-    /// long a woken shipper lingers so more op-log entries ride one
-    /// follower commit. Trades ack latency for persist traffic.
+    /// How long a woken shipper lingers so more op-log entries ride one
+    /// follower commit, µs (0 = not at all).
     ship_coalesce_us: u64,
+}
+
+/// How the generator paces its requests.
+#[derive(Clone, Copy, Debug)]
+enum Pace {
+    /// Poisson arrivals at this many requests per second.
+    Open(f64),
+    /// At most this many requests in flight.
+    Closed(usize),
 }
 
 fn main() {
     let args = Args::parse();
-    let open_loop = args.get("open-loop").is_some();
-    let migrate = args.get("migrate").is_some();
-    let net = args.get("net").is_some();
     let sweep = Sweep {
         mixes: args
             .list("mixes")
             .map(|v| v.iter().filter_map(|s| Mix::parse(s)).collect())
             .unwrap_or_else(|| Mix::ALL.to_vec()),
-        shard_counts: args
-            .list("shards")
-            .map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
-            .unwrap_or_else(|| vec![1, 2, 4]),
-        batch_caps: args
-            .list("batch")
-            .map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
-            .unwrap_or_else(|| vec![1, 8]),
-        clients: args.get_or("clients", 8),
+        shard_counts: numbers(&args, "shards", vec![1, 2, 4]),
+        batch_caps: numbers(&args, "batch", vec![1, 8]),
+        paces: match numbers(&args, "rates", Vec::new()) {
+            r if r.is_empty() => vec![Pace::Closed(args.get_or("clients", 8usize).max(1))],
+            r if r.iter().all(|&x| x > 0.0) => r.into_iter().map(Pace::Open).collect(),
+            _ => panic!("--rates must be positive"),
+        },
         seconds: args.get_or("seconds", 0.4),
         keys: args.get_or("keys", 1u64 << 13),
         fast: args.get("fast").is_some(),
         repl: args.get("repl").is_some(),
-        rates: args
-            .list("rates")
-            .map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
-            .unwrap_or_else(|| vec![5_000.0, 20_000.0, 80_000.0]),
-        arrival: match args.get("arrival") {
-            Some("fixed") => Arrival::Fixed,
-            _ => Arrival::Poisson,
-        },
+        net: args.get("net").is_some(),
+        migrate: args.get("migrate").is_some(),
         zipf_theta: args.get_or("zipf", 0.0),
         ship_coalesce_us: args.get_or("ship-coalesce", 0u64),
     };
-    let cells = if migrate {
-        run_migrate(&sweep)
-    } else if net {
-        run_net_loop(&sweep)
-    } else if open_loop {
-        run_open_loop(&sweep)
-    } else {
-        run_closed_loop(&sweep)
+    let mode = match (sweep.net, sweep.paces[0]) {
+        (false, Pace::Closed(_)) => "closed-loop",
+        (false, Pace::Open(_)) => "open-loop",
+        (true, Pace::Closed(_)) => "net-closed-loop",
+        (true, Pace::Open(_)) => "net-open-loop",
     };
+    let pm = if sweep.fast { "zero-latency" } else { "optane" };
+    let (keys, theta, secs) = (sweep.keys, sweep.zipf_theta, sweep.seconds);
+    println!("kvserve {mode} benchmark: {keys} keys, zipf theta={theta}, {secs:.2}s per cell, pm={pm}, repl={}, migrate={}", sweep.repl, sweep.migrate);
+    let mut cells = Vec::new();
+    for &mix in &sweep.mixes {
+        for &shards in &sweep.shard_counts {
+            for &batch in &sweep.batch_caps {
+                for &pace in &sweep.paces {
+                    let cell = run_cell(&sweep, mix, shards, batch, pace);
+                    cell.print();
+                    cells.push(cell);
+                }
+            }
+        }
+    }
     if let Some(path) = args.get("out") {
         let report = Json::obj()
             .field("schema", "kvserve-bench-v1")
-            .field(
-                "mode",
-                if migrate {
-                    "migrate"
-                } else if net {
-                    "net-open-loop"
-                } else if open_loop {
-                    "open-loop"
-                } else {
-                    "closed-loop"
-                },
-            )
-            .field("pm", if sweep.fast { "zero-latency" } else { "optane" })
-            .field("keys", sweep.keys)
-            .field("zipf_theta", sweep.zipf_theta)
-            .field("arrival", sweep.arrival.label())
+            .field("mode", mode)
+            .field("pm", pm)
+            .field("keys", keys)
+            .field("zipf_theta", theta)
             .field("replication", sweep.repl)
             .field("baseline", baseline_json(&sweep))
             .field("summary", summary_json(&cells))
-            .field("cells", Json::Arr(cells));
+            .field("cells", Json::Arr(cells.iter().map(Cell::json).collect()));
         std::fs::write(path, format!("{report}\n")).expect("write bench artifact");
         println!("\nwrote {path}");
     }
 }
 
-fn run_closed_loop(sweep: &Sweep) -> Vec<Json> {
-    println!(
-        "kvserve service benchmark: {} keys, {} clients, {:.2}s per cell, pm={}{}",
-        sweep.keys,
-        sweep.clients,
-        sweep.seconds,
-        if sweep.fast { "zero-latency" } else { "optane" },
-        if sweep.repl {
-            ", replication=semi-sync"
-        } else {
-            ""
-        },
-    );
-    let mut cells = Vec::new();
-    for &mix in &sweep.mixes {
-        for &shards in &sweep.shard_counts {
-            for &batch in &sweep.batch_caps {
-                cells.push(run_cell(sweep, mix, shards, batch));
-            }
-        }
-    }
-    cells
-}
-
-/// Peak achieved throughput, in-flight depth, and worst-case persist
-/// overhead across the run's cells. The persist maxima are what
-/// `cargo xtask check-bench --max-flushes-per-op` gates: no cell of the
-/// committed artifact may spend more flushes (or fences) per completed
-/// operation than the threshold.
-fn summary_json(cells: &[Json]) -> Json {
-    let mut max_in_flight = 0u64;
-    let mut peak = 0.0f64;
-    let (mut max_flushes, mut max_fences) = (0.0f64, 0.0f64);
-    for c in cells {
-        let Json::Obj(fields) = c else { continue };
-        for (k, v) in fields {
-            match (k.as_str(), v) {
-                ("max_in_flight", Json::Int(n)) => max_in_flight = max_in_flight.max(*n),
-                ("tput_ops_per_sec", Json::Num(t)) => peak = peak.max(*t),
-                ("persist", Json::Obj(p)) => {
-                    for (pk, pv) in p {
-                        match (pk.as_str(), pv) {
-                            ("flushes_per_op", Json::Num(f)) => max_flushes = max_flushes.max(*f),
-                            ("fences_per_op", Json::Num(f)) => max_fences = max_fences.max(*f),
-                            _ => {}
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    Json::obj()
-        .field("max_in_flight", max_in_flight)
-        .field("peak_tput_ops_per_sec", peak)
-        .field("max_flushes_per_op", max_flushes)
-        .field("max_fences_per_op", max_fences)
+/// The comma-separated numbers given for `key`, or `default`.
+fn numbers<T: std::str::FromStr>(args: &Args, key: &str, default: Vec<T>) -> Vec<T> {
+    args.list(key)
+        .map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
+        .unwrap_or(default)
 }
 
 fn service_config(sweep: &Sweep, shards: usize, batch: usize) -> ServiceConfig {
@@ -305,9 +192,12 @@ fn service_config(sweep: &Sweep, shards: usize, batch: usize) -> ServiceConfig {
     cfg
 }
 
-fn run_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize) -> Json {
+/// One cell: a fresh, prefilled service; the generator loop on its own
+/// thread while the main thread keeps the window (and runs the
+/// `--migrate` event); the measurement windowed to the run; and the
+/// `--repl` failover.
+fn run_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, pace: Pace) -> Cell {
     let svc = Service::new(service_config(sweep, shards, batch));
-
     // Prefill half the key range, then zero the service metrics so the
     // measurement window starts clean.
     for k in 0..sweep.keys {
@@ -317,168 +207,448 @@ fn run_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize) -> Json {
     }
     svc.reset_metrics();
     let before = svc.snapshot();
-    let tm_before: Vec<_> = before.shards.iter().map(|s| s.tm).collect();
-    let coord_before = before.coordinator.tm;
-
-    let stop = AtomicBool::new(false);
-    let outcomes = Outcomes::default();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..sweep.clients {
-            let (svc, stop, outcomes) = (&svc, &stop, &outcomes);
-            scope.spawn(move || client_loop(svc, stop, outcomes, mix, sweep.keys, c as u64));
-        }
-        while start.elapsed().as_secs_f64() < sweep.seconds {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        stop.store(true, Ordering::Relaxed);
-    });
-    let secs = start.elapsed().as_secs_f64();
-
-    // Report with TM statistics windowed to the measurement period.
-    let mut snap = svc.snapshot();
-    for (s, before) in snap.shards.iter_mut().zip(&tm_before) {
-        s.tm = s.tm.since(before);
-    }
-    snap.coordinator.tm = snap.coordinator.tm.since(&coord_before);
-    println!(
-        "\n== mix={} shards={} batch_max={} ==",
-        mix.label(),
-        shards,
-        batch
-    );
-    for s in &snap.shards {
-        println!("  {s}  tput={}/s", fmt_tput(s.ops() as f64 / secs));
-    }
-    println!(
-        "  total: tput={}/s mean_batch={:.2} p50={:?} p99={:?} abort_rate={:.3}",
-        fmt_tput((snap.ops() + snap.coordinator.cross_ops) as f64 / secs),
-        snap.mean_batch(),
-        snap.latency_quantile(0.50).unwrap_or_default(),
-        snap.latency_quantile(0.99).unwrap_or_default(),
-        snap.abort_rate(),
-    );
-    println!(
-        "  outcomes: ok={} overloaded={} timeout={} aborted={}",
-        outcomes.ok.load(Ordering::Relaxed),
-        outcomes.overloaded.load(Ordering::Relaxed),
-        outcomes.timeout.load(Ordering::Relaxed),
-        outcomes.aborted.load(Ordering::Relaxed),
-    );
-    // The blocking calls ride the internal completion ring, so the ring
-    // line shows queue-inclusive submit-to-complete latency and the
-    // closed-loop in-flight depth (≈ client threads).
-    println!("  {}", snap.ring);
-    // Persist-overhead for the measurement window, summed over the shard
-    // TMs *and* the 2PC coordinator's decision-log TM (its decision and
-    // resolve commits are part of every cross-shard batch's persistence
-    // bill): flushes and fences per committed transaction show how well
-    // batching amortizes the persist cost, and redundant flushes (lines
-    // flushed with no store since their last flush) are pure waste the
-    // sanitizer's perf class counts.
-    let (mut flushes, mut redundant, mut fences, mut commits) = (0u64, 0u64, 0u64, 0u64);
-    for tm in snap
-        .shards
-        .iter()
-        .map(|s| &s.tm)
-        .chain(std::iter::once(&snap.coordinator.tm))
-    {
-        flushes += tm.get(Counter::Flush);
-        redundant += tm.get(Counter::RedundantFlush);
-        fences += tm.get(Counter::Fence);
-        commits += tm.commits();
-    }
-    let per_commit = |n: u64| {
-        if commits == 0 {
-            0.0
-        } else {
-            n as f64 / commits as f64
-        }
+    let server = sweep
+        .net
+        .then(|| svc.serve_net(NetConfig::default()).expect("bind loopback"));
+    let link = match &server {
+        Some(s) => Link::Net(NetClient::connect(s.local_addr()).expect("connect loopback")),
+        None => Link::Ring(svc.ring()),
     };
-    println!(
-        "  persist: flushes={flushes} ({:.2}/commit) redundant={redundant} fences={fences} ({:.2}/commit)",
-        per_commit(flushes),
-        per_commit(fences),
-    );
-    // Lock-discipline observability: fast-path stripe contention always;
-    // held-lock depth and service-lock contention when locksan is on.
-    if snap.lock_held_hwm > 0 || snap.lock_contended > 0 || snap.stripe_contended() > 0 {
-        println!(
-            "  locks: held_hwm={} contended={} stripe_contended={}",
-            snap.lock_held_hwm,
-            snap.lock_contended,
-            snap.stripe_contended(),
-        );
+    let mut tp = Transport {
+        link,
+        pending: HashMap::new(),
+        order: VecDeque::new(),
+    };
+    let table = RoutingTable::fresh(shards);
+    let kg = KeyGen::new(sweep.keys, sweep.zipf_theta);
+    let next_ops = |rng: &mut Rng| gen_ops(mix, sweep.keys, &table, rng, &kg);
+    let (stop, oks) = (AtomicBool::new(false), AtomicU64::new(0));
+    let (svc, migration, (mut tally, secs)) = std::thread::scope(|scope| {
+        let generator = scope.spawn(|| generate(&mut tp, next_ops, pace, &stop, &oks));
+        let (svc, migration) = keep_window(svc, sweep, &oks);
+        stop.store(true, Ordering::Relaxed);
+        (svc, migration, generator.join().expect("generator thread"))
+    });
+    tally.lat_us.sort_by(f64::total_cmp);
+    // TM statistics windowed to the run (a split's new shard starts
+    // from zero).
+    let mut snap = svc.snapshot();
+    for (s, b) in snap.shards.iter_mut().zip(&before.shards) {
+        s.tm = s.tm.since(&b.tm);
     }
-    if snap.coordinator.cross_batches > 0 {
-        println!("  {}", snap.coordinator);
+    snap.coordinator.tm = snap.coordinator.tm.since(&before.coordinator.tm);
+    let mut events = Vec::new();
+    if let Some(net) = server.map(|s| s.metrics()) {
+        let block = Json::obj()
+            .field("frames_in", net.frames_in)
+            .field("frames_out", net.frames_out)
+            .field("bytes_in", net.bytes_in)
+            .field("bytes_out", net.bytes_out)
+            .field("busy_frames", net.busy);
+        events.push(("net", block));
     }
-    if let Some(repl) = &snap.replication {
-        println!("  {repl}");
+    if let Some(block) = migration {
+        let shed: u64 = snap.shards.iter().map(|s| s.rerouted).sum();
+        let block = block.field("rerouted", tally.rerouted);
+        events.push(("migration", block.field("worker_shed", shed)));
     }
     if sweep.repl {
-        // End the cell with the failure shape replication exists for:
-        // every primary pool is lost and the followers take over. The
-        // reported duration covers log recovery, the receive-log tail
-        // apply, the durable promotion, and the 2PC decision replay.
-        let (promoted, report) =
-            Service::promote(svc.fail_over(), None).expect("no probe installed");
-        println!(
-            "  failover: promoted in {:.3?} (tail_applied={} replayed={})",
-            report.duration, report.tail_applied, report.replayed
-        );
-        drop(promoted);
+        // Lose every primary pool; the duration covers log recovery, tail
+        // apply, the durable promotion and the 2PC decision replay.
+        let (_, f) = Service::promote(svc.fail_over(), None).expect("no probe installed");
+        let block = Json::obj()
+            .field("secs", f.duration.as_secs_f64())
+            .field("tail_applied", f.tail_applied)
+            .field("replayed", f.replayed);
+        events.push(("failover", block));
     }
-
-    let total_ops = snap.ops() + snap.coordinator.cross_ops;
-    let per_op = |n: u64| {
-        if total_ops == 0 {
-            0.0
-        } else {
-            n as f64 / total_ops as f64
-        }
-    };
-    Json::obj()
-        .field("mix", mix.label())
-        .field("shards", shards)
-        .field("batch_max", batch)
-        .field("clients", sweep.clients)
-        .field("duration_secs", secs)
-        .field("tput_ops_per_sec", total_ops as f64 / secs)
-        .field("ok", outcomes.ok.load(Ordering::Relaxed))
-        .field("overloaded", outcomes.overloaded.load(Ordering::Relaxed))
-        .field("timeout", outcomes.timeout.load(Ordering::Relaxed))
-        .field("aborted", outcomes.aborted.load(Ordering::Relaxed))
-        .field("ring_full", snap.ring.ring_full)
-        .field("max_in_flight", snap.ring.in_flight_hwm)
-        .field("latency_us", latency_json(&snap.ring.latency))
-        .field(
-            "persist",
-            Json::obj()
-                .field("flushes_per_op", per_op(flushes))
-                .field("redundant_flushes", redundant)
-                .field("fences_per_op", per_op(fences)),
-        )
-        .field(
-            "locks",
-            Json::obj()
-                .field("held_hwm", snap.lock_held_hwm)
-                .field("contended", snap.lock_contended)
-                .field("stripe_contended", snap.stripe_contended()),
-        )
+    Cell {
+        mix: mix.label(),
+        shards,
+        batch,
+        pace,
+        secs,
+        tally,
+        snap,
+        events,
+    }
 }
 
-/// Submit-to-complete percentiles in microseconds.
-fn latency_json(h: &kvserve::HistogramSnapshot) -> Json {
-    let us = |q: f64| {
-        h.quantile(q)
-            .map_or(Json::Null, |d| Json::Num(d.as_secs_f64() * 1e6))
+/// The main thread's part of a cell while the generator runs: one
+/// window, or with `--migrate` one window each before and after a live
+/// split of shard 0, with goodput (requests/s) before, during and after.
+fn keep_window(svc: Service, sweep: &Sweep, oks: &AtomicU64) -> (Service, Option<Json>) {
+    let window = Duration::from_secs_f64(sweep.seconds);
+    let mark = || (Instant::now(), oks.load(Ordering::Relaxed));
+    let start = mark();
+    std::thread::sleep(window);
+    if !sweep.migrate {
+        return (svc, None);
+    }
+    let split = mark();
+    let spec = MigrateSpec::split(&svc.routing(), 0);
+    let (svc, report) = svc.migrate(spec).expect("no probe installed");
+    let grown = mark();
+    std::thread::sleep(window);
+    let end = mark();
+    let rate = |(t0, n0): (Instant, u64), (t1, n1): (Instant, u64)| {
+        (n1 - n0) as f64 / (t1 - t0).as_secs_f64()
     };
+    let block = Json::obj()
+        .field("shards_after", svc.num_shards())
+        .field("goodput_pre_req_per_sec", rate(start, split))
+        .field("goodput_during_req_per_sec", rate(split, grown))
+        .field("goodput_post_req_per_sec", rate(grown, end))
+        .field("migrate_secs", report.duration.as_secs_f64())
+        .field("flip_pause_us", report.flip_pause.as_secs_f64() * 1e6)
+        .field("base_keys", report.base_keys)
+        .field("catchup_entries", report.catchup_entries)
+        .field("routing_epoch", report.epoch);
+    (svc, Some(block))
+}
+
+/// A request on its way: its op count and the instant its latency runs
+/// from.
+#[derive(Clone, Copy)]
+struct Sent {
+    nops: usize,
+    from: Instant,
+}
+
+/// The generator's one connection to the service.
+enum Link {
+    Ring(Ring),
+    Net(NetClient),
+}
+
+/// What names a request in flight on either link.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    Ticket(Ticket),
+    Corr(u64),
+}
+
+/// A link and its requests in flight; `order` starts at the oldest.
+struct Transport {
+    link: Link,
+    pending: HashMap<Key, Sent>,
+    order: VecDeque<Key>,
+}
+
+impl Transport {
+    /// Send one request; `Some` is the ring's immediate refusal.
+    fn send(&mut self, ops: Vec<MapOp>, sent: Sent) -> Option<Reply> {
+        let key = match &mut self.link {
+            Link::Ring(ring) => match ring.submit_batch(ops) {
+                Ok(t) => Key::Ticket(t),
+                Err(e) => return Some(Err(e)),
+            },
+            Link::Net(client) => Key::Corr(client.send_batch(&ops).expect("send over loopback")),
+        };
+        self.pending.insert(key, sent);
+        self.order.push_back(key);
+        None
+    }
+
+    /// Every answer that has arrived, without blocking.
+    fn poll(&mut self, out: &mut Vec<(Sent, Reply)>) {
+        loop {
+            let (key, reply) = match &mut self.link {
+                Link::Ring(ring) => match ring.complete() {
+                    Some(c) => (Key::Ticket(c.ticket), c.result),
+                    None => return,
+                },
+                Link::Net(client) => match client.try_recv().expect("receive over loopback") {
+                    Some(r) => (Key::Corr(r.corr), r.reply),
+                    None => return,
+                },
+            };
+            out.push((self.settle(key), reply));
+        }
+    }
+
+    /// Block for an answer; the ring waits on its oldest request.
+    fn recv(&mut self) -> (Sent, Reply) {
+        let (key, reply) = match &mut self.link {
+            Link::Ring(ring) => match self.order.front() {
+                Some(&Key::Ticket(t)) => (Key::Ticket(t), ring.wait(t)),
+                _ => panic!("recv with no ring request in flight"),
+            },
+            Link::Net(client) => {
+                let r = client.recv().expect("receive over loopback");
+                (Key::Corr(r.corr), r.reply)
+            }
+        };
+        (self.settle(key), reply)
+    }
+
+    /// Retire an answered request; `order` then starts at one in flight.
+    fn settle(&mut self, key: Key) -> Sent {
+        let sent = self.pending.remove(&key).expect("answer in flight");
+        let pending = &self.pending;
+        while self.order.front().is_some_and(|k| !pending.contains_key(k)) {
+            self.order.pop_front();
+        }
+        sent
+    }
+}
+
+/// Every offered request's verdict, exactly one each. Refusals,
+/// deadline, conflict and reroute verdicts are expected answers under
+/// load, so they are counted, not fatal.
+#[derive(Default)]
+struct Tally {
+    offered: u64,
+    ok: u64,
+    /// Ops inside acknowledged requests.
+    ok_ops: u64,
+    /// Refused at submit: every ring slot taken.
+    ring_full: u64,
+    /// Refused by a full shard queue; over the wire, every `Busy` frame.
+    overloaded: u64,
+    timeout: u64,
+    aborted: u64,
+    stopped: u64,
+    /// Submitted under a routing epoch a live split has since flipped.
+    rerouted: u64,
+    /// Latency of every acknowledged request, µs.
+    lat_us: Vec<f64>,
+}
+
+impl Tally {
+    fn record(&mut self, (sent, reply): (Sent, Reply)) {
+        match reply {
+            Ok(_) => {
+                self.ok += 1;
+                self.ok_ops += sent.nops as u64;
+                self.lat_us.push(sent.from.elapsed().as_secs_f64() * 1e6);
+            }
+            Err(ServeError::RingFull) => self.ring_full += 1,
+            Err(ServeError::Overloaded { .. }) => self.overloaded += 1,
+            Err(ServeError::Timeout) => self.timeout += 1,
+            Err(ServeError::Aborted) => self.aborted += 1,
+            Err(ServeError::Stopped) => self.stopped += 1,
+            Err(ServeError::Rerouted) => self.rerouted += 1,
+        }
+    }
+}
+
+/// The generator loop, on one thread, until `stop`. An open loop sends
+/// each arrival when due and sleeps towards the next; a closed loop
+/// sends while under its limit and otherwise blocks for an answer.
+/// Between sends it reaps answers without blocking. After the window it
+/// drains, and returns the tally and the window's length in seconds.
+/// `oks` publishes the running ok count for the `--migrate` phases.
+fn generate(
+    tp: &mut Transport,
+    mut next_ops: impl FnMut(&mut Rng) -> Vec<MapOp>,
+    pace: Pace,
+    stop: &AtomicBool,
+    oks: &AtomicU64,
+) -> (Tally, f64) {
+    let (mut tally, mut replies, mut rng) = (Tally::default(), Vec::new(), Rng(0x0be7_ca11));
+    let start = Instant::now();
+    let (mut due, mut reap_at) = (start, start);
+    while !stop.load(Ordering::Relaxed) {
+        let now = Instant::now();
+        let (send, from) = match pace {
+            Pace::Open(_) => (now >= due, due),
+            Pace::Closed(limit) => (tp.pending.len() < limit, now),
+        };
+        if send {
+            let ops = next_ops(&mut rng);
+            let sent = Sent {
+                nops: ops.len(),
+                from,
+            };
+            tally.offered += 1;
+            if let Some(refusal) = tp.send(ops, sent) {
+                tally.record((sent, refusal));
+            }
+            if let Pace::Open(rate) = pace {
+                // Exponential gaps: a Poisson arrival process.
+                due += Duration::from_secs_f64(-rng.unit().ln() / rate);
+            }
+        }
+        if !send || now >= reap_at {
+            tp.poll(&mut replies);
+            reap_at = now + REAP_TICK;
+        }
+        let idle = !send && replies.is_empty();
+        replies.drain(..).for_each(|r| tally.record(r));
+        oks.store(tally.ok, Ordering::Relaxed);
+        if idle {
+            match pace {
+                Pace::Open(_) => {
+                    let gap = due.saturating_duration_since(Instant::now());
+                    if gap > Duration::from_micros(20) {
+                        std::thread::sleep(gap.min(Duration::from_micros(200)));
+                    }
+                }
+                Pace::Closed(_) => tally.record(tp.recv()),
+            }
+        }
+    }
+    let secs = start.elapsed().as_secs_f64();
+    // The window's last answers, outside the window.
+    let grace = Instant::now() + DRAIN;
+    while !tp.pending.is_empty() && Instant::now() < grace {
+        std::thread::sleep(Duration::from_micros(100));
+        tp.poll(&mut replies);
+        replies.drain(..).for_each(|r| tally.record(r));
+    }
+    assert!(tp.pending.is_empty(), "requests unresolved after the drain");
+    (tally, secs)
+}
+
+/// One cell's typed results. The report lines, the artifact cell and
+/// the run summary are all computed from these.
+struct Cell {
+    mix: &'static str,
+    shards: usize,
+    batch: usize,
+    pace: Pace,
+    /// The arrival window, seconds.
+    secs: f64,
+    tally: Tally,
+    /// The service's metrics, TM statistics windowed to the run.
+    snap: ServiceSnapshot,
+    /// The `net`, `migration` and `failover` blocks that apply.
+    events: Vec<(&'static str, Json)>,
+}
+
+impl Cell {
+    /// `n` per second of the arrival window.
+    fn rate(&self, n: u64) -> f64 {
+        n as f64 / self.secs
+    }
+
+    /// Nearest-rank quantile of the acknowledged latencies, µs.
+    fn latency_us(&self, q: f64) -> Json {
+        let s = &self.tally.lat_us;
+        let rank = (s.len().max(1) - 1) as f64 * q;
+        s.get(rank.round() as usize)
+            .copied()
+            .map_or(Json::Null, Json::Num)
+    }
+
+    /// `counter` summed over the shard TMs and the 2PC coordinator's
+    /// decision-log TM, whose commits are part of every cross-shard
+    /// request's persist bill.
+    fn persisted(&self, counter: Counter) -> u64 {
+        let coord = std::iter::once(&self.snap.coordinator.tm);
+        let tms = self.snap.shards.iter().map(|s| &s.tm).chain(coord);
+        tms.map(|tm| tm.get(counter)).sum()
+    }
+
+    /// `counter` per op the service committed (0 for an idle cell).
+    fn per_op(&self, counter: Counter) -> f64 {
+        match self.snap.ops() + self.snap.coordinator.cross_ops {
+            0 => 0.0,
+            ops => self.persisted(counter) as f64 / ops as f64,
+        }
+    }
+
+    fn json(&self) -> Json {
+        let (t, snap) = (&self.tally, &self.snap);
+        let mut cell = Json::obj()
+            .field("mix", self.mix)
+            .field("shards", self.shards)
+            .field("batch_max", self.batch);
+        cell = match self.pace {
+            Pace::Open(r) => cell.field("offered_rate", r),
+            Pace::Closed(n) => cell.field("clients", n),
+        };
+        let quantiles = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999)];
+        let latency = quantiles
+            .iter()
+            .fold(Json::obj(), |j, &(k, q)| j.field(k, self.latency_us(q)));
+        cell = cell
+            .field("duration_secs", self.secs)
+            .field("offered", t.offered)
+            .field("ok", t.ok)
+            .field("overloaded", t.overloaded)
+            .field("ring_full", t.ring_full)
+            .field("timeout", t.timeout)
+            .field("aborted", t.aborted)
+            .field("stopped", t.stopped)
+            .field("rerouted", t.rerouted)
+            .field("offered_req_per_sec", self.rate(t.offered))
+            .field("goodput_req_per_sec", self.rate(t.ok))
+            .field("tput_ops_per_sec", self.rate(t.ok_ops))
+            .field("max_in_flight", snap.ring.in_flight_hwm)
+            .field("latency_us", latency)
+            .field(
+                "persist",
+                Json::obj()
+                    .field("flushes_per_op", self.per_op(Counter::Flush))
+                    .field("redundant_flushes", self.persisted(Counter::RedundantFlush))
+                    .field("fences_per_op", self.per_op(Counter::Fence)),
+            )
+            .field(
+                "locks",
+                Json::obj()
+                    .field("held_hwm", snap.lock_held_hwm)
+                    .field("contended", snap.lock_contended)
+                    .field("stripe_contended", snap.stripe_contended()),
+            );
+        for (name, block) in &self.events {
+            cell = cell.field(name, block.clone());
+        }
+        cell
+    }
+
+    /// The report: the artifact cell's fields, one line per block, then
+    /// the service's own ring, 2PC and replication summaries.
+    fn print(&self) {
+        let Json::Obj(fields) = self.json() else {
+            unreachable!("a cell is an object")
+        };
+        let (head, rest) = fields.split_at(4);
+        let (scalars, blocks): (Vec<_>, Vec<_>) = rest
+            .iter()
+            .cloned()
+            .partition(|(_, v)| !matches!(v, Json::Obj(_)));
+        let behind =
+            matches!(self.pace, Pace::Open(r) if self.rate(self.tally.offered) < BEHIND * r);
+        let behind = if behind { " generator behind" } else { "" };
+        println!("\n== {} ==", report_line(head));
+        println!("  {}{behind}", report_line(&scalars));
+        for (name, block) in blocks {
+            if let Json::Obj(f) = block {
+                println!("  {name}: {}", report_line(&f));
+            }
+        }
+        let snap = &self.snap;
+        let coord = (snap.coordinator.cross_batches > 0).then(|| snap.coordinator.to_string());
+        let repl = snap.replication.as_ref().map(|r| r.to_string());
+        let ring = Some(snap.ring.to_string());
+        for line in [ring, coord, repl].into_iter().flatten() {
+            println!("  {line}");
+        }
+    }
+}
+
+/// `key=value` pairs on one line, reals to three places.
+fn report_line(fields: &[(String, Json)]) -> String {
+    let pair = |(k, v): &(String, Json)| match v {
+        Json::Str(s) => format!("{k}={s}"),
+        Json::Num(x) => format!("{k}={x:.3}"),
+        v => format!("{k}={v}"),
+    };
+    fields.iter().map(pair).collect::<Vec<_>>().join(" ")
+}
+
+/// Peak depth and throughput, and the worst persist overhead across the
+/// cells, which `cargo xtask check-bench --max-flushes-per-op` gates.
+fn summary_json(cells: &[Cell]) -> Json {
+    let max = |f: fn(&Cell) -> f64| cells.iter().map(f).fold(0.0, f64::max);
+    let depth = cells.iter().map(|c| c.snap.ring.in_flight_hwm).max();
     Json::obj()
-        .field("p50", us(0.50))
-        .field("p95", us(0.95))
-        .field("p99", us(0.99))
-        .field("p999", us(0.999))
+        .field("max_in_flight", depth.unwrap_or(0))
+        .field("peak_tput_ops_per_sec", max(|c| c.rate(c.tally.ok_ops)))
+        .field("max_flushes_per_op", max(|c| c.per_op(Counter::Flush)))
+        .field("max_fences_per_op", max(|c| c.per_op(Counter::Fence)))
 }
 
 /// xorshift64 PRNG for the generators.
@@ -549,9 +719,9 @@ impl KeyGen {
     }
 }
 
-/// One request's ops for `mix` — same shapes as the closed-loop client
-/// but routed through a fresh (epoch-0) `RoutingTable`, so the
-/// sequential baseline can generate identical streams without a service.
+/// One request's ops for `mix`, routed through a fresh (epoch-0)
+/// `RoutingTable`, so the sequential baseline can generate identical
+/// streams without a service.
 fn gen_ops(mix: Mix, keys: u64, table: &RoutingTable, rng: &mut Rng, kg: &KeyGen) -> Vec<MapOp> {
     let k = kg.draw(rng);
     let r = rng.next();
@@ -579,627 +749,6 @@ fn gen_ops(mix: Mix, keys: u64, table: &RoutingTable, rng: &mut Rng, kg: &KeyGen
                 .collect()
         }
     }
-}
-
-fn run_migrate(sweep: &Sweep) -> Vec<Json> {
-    println!(
-        "kvserve live-migration benchmark: {} keys, {} clients, {:.2}s windows, pm={}",
-        sweep.keys,
-        sweep.clients,
-        sweep.seconds,
-        if sweep.fast { "zero-latency" } else { "optane" },
-    );
-    let mut cells = Vec::new();
-    for &mix in &sweep.mixes {
-        for &shards in &sweep.shard_counts {
-            for &batch in &sweep.batch_caps {
-                cells.push(run_migrate_cell(sweep, mix, shards, batch));
-            }
-        }
-    }
-    cells
-}
-
-/// One live-migration cell: closed-loop clients over ring handles (the
-/// handles survive the flip — the shared router re-targets them), a
-/// pre-migration window, the split of shard 0, and a post-migration
-/// window on the grown deployment.
-fn run_migrate_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize) -> Json {
-    let svc = Service::new(service_config(sweep, shards, batch));
-    for k in 0..sweep.keys {
-        if k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0 {
-            svc.put(k, k + 1).expect("prefill write");
-        }
-    }
-    svc.reset_metrics();
-
-    let ring = svc.ring();
-    let stop = AtomicBool::new(false);
-    let oks = AtomicU64::new(0);
-    let rerouted = AtomicU64::new(0);
-    let window = Duration::from_secs_f64(sweep.seconds.max(0.05));
-
-    let (svc, report, pre_rate, mig_rate, post_rate) = std::thread::scope(|scope| {
-        for c in 0..sweep.clients {
-            let ring = ring.clone();
-            let (stop, oks, rerouted) = (&stop, &oks, &rerouted);
-            scope.spawn(move || {
-                migrate_client_loop(
-                    &ring, stop, oks, rerouted, mix, sweep.keys, shards, c as u64,
-                )
-            });
-        }
-        // Pre-migration window on the original topology.
-        let t0 = Instant::now();
-        std::thread::sleep(window);
-        let pre_ok = oks.load(Ordering::Relaxed);
-        let pre_rate = pre_ok as f64 / t0.elapsed().as_secs_f64();
-
-        // The split, live under the clients' load.
-        let t1 = Instant::now();
-        let spec = MigrateSpec::split(&svc.routing(), 0);
-        let (svc, report) = svc.migrate(spec).expect("no probe installed");
-        let mig_secs = t1.elapsed().as_secs_f64();
-        let mig_rate = (oks.load(Ordering::Relaxed) - pre_ok) as f64 / mig_secs;
-
-        // Post-migration window on the grown topology.
-        let t2 = Instant::now();
-        let base = oks.load(Ordering::Relaxed);
-        std::thread::sleep(window);
-        let post_rate = (oks.load(Ordering::Relaxed) - base) as f64 / t2.elapsed().as_secs_f64();
-        stop.store(true, Ordering::Relaxed);
-        (svc, report, pre_rate, mig_rate, post_rate)
-    });
-
-    let snap = svc.snapshot();
-    println!(
-        "\n== migrate mix={} shards={}->{} batch_max={} ==",
-        mix.label(),
-        shards,
-        shards + 1,
-        batch
-    );
-    println!(
-        "  tput: pre={}/s during={}/s post={}/s (dip {:.0}%)",
-        fmt_tput(pre_rate),
-        fmt_tput(mig_rate),
-        fmt_tput(post_rate),
-        if pre_rate > 0.0 {
-            (1.0 - mig_rate / pre_rate).max(0.0) * 100.0
-        } else {
-            0.0
-        },
-    );
-    println!(
-        "  migration: total={:.3?} flip_pause={:.3?} base_keys={} catchup_entries={} epoch={}",
-        report.duration, report.flip_pause, report.base_keys, report.catchup_entries, report.epoch,
-    );
-    println!(
-        "  rerouted: client-visible={} worker-shed={}",
-        rerouted.load(Ordering::Relaxed),
-        snap.shards.iter().map(|s| s.rerouted).sum::<u64>(),
-    );
-
-    Json::obj()
-        .field("mix", mix.label())
-        .field("shards", shards)
-        .field("shards_after", shards + 1)
-        .field("batch_max", batch)
-        .field("clients", sweep.clients)
-        .field("tput_pre_ops_per_sec", pre_rate)
-        .field("tput_during_ops_per_sec", mig_rate)
-        .field("tput_post_ops_per_sec", post_rate)
-        .field("migrate_secs", report.duration.as_secs_f64())
-        .field("flip_pause_us", report.flip_pause.as_secs_f64() * 1e6)
-        .field("base_keys", report.base_keys)
-        .field("catchup_entries", report.catchup_entries)
-        .field("routing_epoch", report.epoch)
-        .field("rerouted", rerouted.load(Ordering::Relaxed))
-}
-
-/// Closed-loop client over a ring handle: the handle (not the consumed
-/// `Service`) is what survives the migration. Reroute and flip-window
-/// verdicts retry; they are the migration's client-visible cost and are
-/// counted, not hidden.
-#[allow(clippy::too_many_arguments)]
-fn migrate_client_loop(
-    ring: &Ring,
-    stop: &AtomicBool,
-    oks: &AtomicU64,
-    rerouted: &AtomicU64,
-    mix: Mix,
-    keys: u64,
-    shards: usize,
-    client: u64,
-) {
-    let kg = KeyGen::new(keys, 0.0);
-    let table = RoutingTable::fresh(shards);
-    let mut rng = Rng(0xbe7c_5eed ^ (client + 1).wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
-    while !stop.load(Ordering::Relaxed) {
-        let ops = gen_ops(mix, keys, &table, &mut rng, &kg);
-        if ops.is_empty() {
-            continue;
-        }
-        let verdict = ring.submit_batch(ops).and_then(|t| ring.wait(t));
-        match verdict {
-            Ok(_) => {
-                oks.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServeError::Overloaded { retry_after }) => std::thread::sleep(retry_after),
-            Err(ServeError::Rerouted) => {
-                rerouted.fetch_add(1, Ordering::Relaxed);
-            }
-            // Flip-window sheds: never acked, safe to drop and move on.
-            Err(ServeError::Timeout) | Err(ServeError::Stopped) | Err(ServeError::Aborted) => {}
-            Err(e) => panic!("client under migration: {e}"),
-        }
-    }
-}
-
-fn run_open_loop(sweep: &Sweep) -> Vec<Json> {
-    println!(
-        "kvserve open-loop benchmark: {} keys, zipf theta={}, arrival={}, {:.2}s per cell, pm={}",
-        sweep.keys,
-        sweep.zipf_theta,
-        sweep.arrival.label(),
-        sweep.seconds,
-        if sweep.fast { "zero-latency" } else { "optane" },
-    );
-    let mut cells = Vec::new();
-    for &mix in &sweep.mixes {
-        for &shards in &sweep.shard_counts {
-            for &batch in &sweep.batch_caps {
-                for &rate in &sweep.rates {
-                    cells.push(run_open_cell(sweep, mix, shards, batch, rate));
-                }
-            }
-        }
-    }
-    cells
-}
-
-/// Completion tally for one open-loop cell.
-#[derive(Default)]
-struct OpenTally {
-    ok_reqs: u64,
-    ok_ops: u64,
-    timeout: u64,
-    aborted: u64,
-    stopped: u64,
-}
-
-impl OpenTally {
-    fn record(&mut self, result: &Result<Vec<Option<u64>>, ServeError>, nops: usize) {
-        match result {
-            Ok(_) => {
-                self.ok_reqs += 1;
-                self.ok_ops += nops as u64;
-            }
-            Err(ServeError::Timeout) => self.timeout += 1,
-            Err(ServeError::Aborted) => self.aborted += 1,
-            Err(ServeError::Stopped) => self.stopped += 1,
-            Err(e) => panic!("unexpected completion verdict: {e}"),
-        }
-    }
-}
-
-fn run_open_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64) -> Json {
-    let svc = Service::new(service_config(sweep, shards, batch));
-    for k in 0..sweep.keys {
-        if k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0 {
-            svc.put(k, k + 1).expect("prefill write");
-        }
-    }
-    svc.reset_metrics();
-    let before = svc.snapshot();
-    let tm_before: Vec<_> = before.shards.iter().map(|s| s.tm).collect();
-    let coord_before = before.coordinator.tm;
-
-    let ring = svc.ring();
-    let kg = KeyGen::new(sweep.keys, sweep.zipf_theta);
-    let table = RoutingTable::fresh(shards);
-    let mut rng = Rng(0x0be7_ca11 ^ (rate as u64) | 1);
-    let period = 1.0 / rate;
-    // Submitted tickets still awaiting their completion, with the op
-    // count each carries.
-    let mut inflight: HashMap<Ticket, usize> = HashMap::new();
-    let mut tally = OpenTally::default();
-    let (mut offered, mut ring_full, mut overloaded) = (0u64, 0u64, 0u64);
-
-    // The open loop proper: ONE submitting thread. Arrivals follow the
-    // virtual schedule regardless of how the service keeps up — when it
-    // falls behind, depth (and then RingFull drops) absorb the excess,
-    // which is exactly the signal a closed loop hides.
-    let start = Instant::now();
-    let mut next = 0.0f64;
-    loop {
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= sweep.seconds {
-            break;
-        }
-        if elapsed >= next {
-            offered += 1;
-            let ops = gen_ops(mix, sweep.keys, &table, &mut rng, &kg);
-            let nops = ops.len();
-            match ring.submit_batch(ops) {
-                Ok(t) => {
-                    inflight.insert(t, nops);
-                }
-                Err(ServeError::RingFull) => ring_full += 1,
-                Err(ServeError::Overloaded { .. }) => overloaded += 1,
-                Err(e) => panic!("submit failed: {e}"),
-            }
-            next += match sweep.arrival {
-                Arrival::Fixed => period,
-                // Exponential gap: a Poisson arrival process.
-                Arrival::Poisson => -rng.unit().ln() * period,
-            };
-            // Reap opportunistically between arrivals; never park.
-            if let Some(c) = ring.complete() {
-                let nops = inflight.remove(&c.ticket).expect("unknown ticket");
-                tally.record(&c.result, nops);
-            }
-        } else {
-            let mut idle = true;
-            for c in ring.drain() {
-                let nops = inflight.remove(&c.ticket).expect("unknown ticket");
-                tally.record(&c.result, nops);
-                idle = false;
-            }
-            if idle {
-                let gap = (next - start.elapsed().as_secs_f64()).min(200e-6);
-                if gap > 20e-6 {
-                    std::thread::sleep(Duration::from_secs_f64(gap));
-                }
-            }
-        }
-    }
-    // Drain: every accepted ticket resolves (deadlines bound the wait).
-    let grace = Instant::now() + Duration::from_secs(5);
-    while !inflight.is_empty() && Instant::now() < grace {
-        for c in ring.drain() {
-            let nops = inflight.remove(&c.ticket).expect("unknown ticket");
-            tally.record(&c.result, nops);
-        }
-        std::thread::sleep(Duration::from_micros(100));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    assert!(
-        inflight.is_empty(),
-        "tickets unresolved after drain: {}",
-        inflight.len()
-    );
-
-    let mut snap = svc.snapshot();
-    for (s, before) in snap.shards.iter_mut().zip(&tm_before) {
-        s.tm = s.tm.since(before);
-    }
-    snap.coordinator.tm = snap.coordinator.tm.since(&coord_before);
-    let (mut flushes, mut redundant, mut fences) = (0u64, 0u64, 0u64);
-    for tm in snap
-        .shards
-        .iter()
-        .map(|s| &s.tm)
-        .chain(std::iter::once(&snap.coordinator.tm))
-    {
-        flushes += tm.get(Counter::Flush);
-        redundant += tm.get(Counter::RedundantFlush);
-        fences += tm.get(Counter::Fence);
-    }
-    let total_ops = snap.ops() + snap.coordinator.cross_ops;
-    let per_op = |n: u64| {
-        if total_ops == 0 {
-            0.0
-        } else {
-            n as f64 / total_ops as f64
-        }
-    };
-    let us = |q: f64| {
-        snap.ring
-            .latency
-            .quantile(q)
-            .map_or(f64::NAN, |d| d.as_secs_f64() * 1e6)
-    };
-    println!(
-        "\n== open-loop mix={} shards={} batch_max={} rate={}/s ==",
-        mix.label(),
-        shards,
-        batch,
-        fmt_tput(rate),
-    );
-    println!(
-        "  offered={offered} ok={} timeout={} aborted={} stopped={} dropped(ring_full={ring_full} overloaded={overloaded})",
-        tally.ok_reqs, tally.timeout, tally.aborted, tally.stopped,
-    );
-    println!(
-        "  tput={}/s max_in_flight={} s2c p50={:.0}us p95={:.0}us p99={:.0}us p999={:.0}us",
-        fmt_tput(tally.ok_ops as f64 / secs),
-        snap.ring.in_flight_hwm,
-        us(0.50),
-        us(0.95),
-        us(0.99),
-        us(0.999),
-    );
-    println!(
-        "  persist: flushes/op={:.2} fences/op={:.2} redundant={redundant}",
-        per_op(flushes),
-        per_op(fences),
-    );
-
-    Json::obj()
-        .field("mix", mix.label())
-        .field("shards", shards)
-        .field("batch_max", batch)
-        .field("offered_rate", rate)
-        .field("duration_secs", secs)
-        .field("offered", offered)
-        .field("ok", tally.ok_reqs)
-        .field("timeout", tally.timeout)
-        .field("aborted", tally.aborted)
-        .field("stopped", tally.stopped)
-        .field("ring_full", ring_full)
-        .field("overloaded", overloaded)
-        .field("tput_ops_per_sec", tally.ok_ops as f64 / secs)
-        .field("max_in_flight", snap.ring.in_flight_hwm)
-        .field("latency_us", latency_json(&snap.ring.latency))
-        .field(
-            "persist",
-            Json::obj()
-                .field("flushes_per_op", per_op(flushes))
-                .field("redundant_flushes", redundant)
-                .field("fences_per_op", per_op(fences)),
-        )
-        .field(
-            "locks",
-            Json::obj()
-                .field("held_hwm", snap.lock_held_hwm)
-                .field("contended", snap.lock_contended)
-                .field("stripe_contended", snap.stripe_contended()),
-        )
-}
-
-fn run_net_loop(sweep: &Sweep) -> Vec<Json> {
-    println!(
-        "kvserve wire-protocol open-loop benchmark: {} keys, zipf theta={}, arrival={}, {:.2}s per cell, pm={}",
-        sweep.keys,
-        sweep.zipf_theta,
-        sweep.arrival.label(),
-        sweep.seconds,
-        if sweep.fast { "zero-latency" } else { "optane" },
-    );
-    let mut cells = Vec::new();
-    for &mix in &sweep.mixes {
-        for &shards in &sweep.shard_counts {
-            for &batch in &sweep.batch_caps {
-                for &rate in &sweep.rates {
-                    cells.push(run_net_cell(sweep, mix, shards, batch, rate));
-                }
-            }
-        }
-    }
-    cells
-}
-
-/// Resolve one response frame against the in-flight table: OK acks add
-/// their client-side send-to-response latency sample; every error frame
-/// is a definite verdict tallied by class (`Busy` is the wire rendering
-/// of both backpressure rejections).
-fn reap_frame(
-    resp: kvserve::net::ResponseFrame,
-    inflight: &mut HashMap<u64, (usize, Instant)>,
-    tally: &mut OpenTally,
-    busy: &mut u64,
-    lat_us: &mut Vec<f64>,
-) {
-    let (nops, sent) = inflight.remove(&resp.corr).expect("unknown correlation id");
-    match &resp.reply {
-        Ok(_) => {
-            tally.ok_reqs += 1;
-            tally.ok_ops += nops as u64;
-            lat_us.push(sent.elapsed().as_secs_f64() * 1e6);
-        }
-        Err(ServeError::Overloaded { .. }) => *busy += 1,
-        Err(ServeError::Timeout) => tally.timeout += 1,
-        Err(ServeError::Aborted) => tally.aborted += 1,
-        Err(ServeError::Stopped) => tally.stopped += 1,
-        Err(e) => panic!("unexpected wire verdict: {e}"),
-    }
-}
-
-/// Percentile of an already-sorted client-side latency sample set.
-fn sample_quantile(sorted: &[f64], q: f64) -> Json {
-    if sorted.is_empty() {
-        return Json::Null;
-    }
-    Json::Num(sorted[((sorted.len() - 1) as f64 * q).round() as usize])
-}
-
-/// One open-loop cell through the wire: same virtual arrival schedule
-/// as [`run_open_cell`], but every request crosses loopback TCP as a
-/// framed batch and every verdict comes back as a response frame. The
-/// server multiplexes onto its 4096-slot ring; when the offered rate
-/// outruns the service, depth absorbs the excess until the ring (or the
-/// connection cap) is full and the overflow comes back as `Busy`.
-fn run_net_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64) -> Json {
-    let svc = Service::new(service_config(sweep, shards, batch));
-    for k in 0..sweep.keys {
-        if k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0 {
-            svc.put(k, k + 1).expect("prefill write");
-        }
-    }
-    svc.reset_metrics();
-    let before = svc.snapshot();
-    let tm_before: Vec<_> = before.shards.iter().map(|s| s.tm).collect();
-    let coord_before = before.coordinator.tm;
-
-    let server = svc.serve_net(NetConfig::default()).expect("bind loopback");
-    let mut client = NetClient::connect(server.local_addr()).expect("connect loopback");
-
-    let kg = KeyGen::new(sweep.keys, sweep.zipf_theta);
-    let table = RoutingTable::fresh(shards);
-    let mut rng = Rng(0x6e7_ca11 ^ (rate as u64) | 1);
-    let period = 1.0 / rate;
-    // corr → (op count, send instant) for requests still on the wire.
-    let mut inflight: HashMap<u64, (usize, Instant)> = HashMap::new();
-    let mut tally = OpenTally::default();
-    let (mut offered, mut busy) = (0u64, 0u64);
-    let mut lat_us: Vec<f64> = Vec::new();
-
-    let start = Instant::now();
-    let mut next = 0.0f64;
-    loop {
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= sweep.seconds {
-            break;
-        }
-        if elapsed >= next {
-            offered += 1;
-            let ops = gen_ops(mix, sweep.keys, &table, &mut rng, &kg);
-            let nops = ops.len();
-            let corr = client.send_batch(&ops).expect("send over loopback");
-            inflight.insert(corr, (nops, Instant::now()));
-            next += match sweep.arrival {
-                Arrival::Fixed => period,
-                Arrival::Poisson => -rng.unit().ln() * period,
-            };
-            // Reap opportunistically between arrivals; never park.
-            if let Some(resp) = client.try_recv().expect("reap response") {
-                reap_frame(resp, &mut inflight, &mut tally, &mut busy, &mut lat_us);
-            }
-        } else {
-            let mut idle = true;
-            while let Some(resp) = client.try_recv().expect("reap response") {
-                reap_frame(resp, &mut inflight, &mut tally, &mut busy, &mut lat_us);
-                idle = false;
-            }
-            if idle {
-                let gap = (next - start.elapsed().as_secs_f64()).min(200e-6);
-                if gap > 20e-6 {
-                    std::thread::sleep(Duration::from_secs_f64(gap));
-                }
-            }
-        }
-    }
-    // Drain: every request on the wire resolves to a frame (deadlines
-    // bound the wait server-side).
-    let grace = Instant::now() + Duration::from_secs(5);
-    while !inflight.is_empty() && Instant::now() < grace {
-        match client.try_recv().expect("drain response") {
-            Some(resp) => reap_frame(resp, &mut inflight, &mut tally, &mut busy, &mut lat_us),
-            None => std::thread::sleep(Duration::from_micros(100)),
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    assert!(
-        inflight.is_empty(),
-        "requests unresolved after drain: {}",
-        inflight.len()
-    );
-    let net = server.metrics();
-    drop(client);
-    server.stop();
-
-    let mut snap = svc.snapshot();
-    for (s, before) in snap.shards.iter_mut().zip(&tm_before) {
-        s.tm = s.tm.since(before);
-    }
-    snap.coordinator.tm = snap.coordinator.tm.since(&coord_before);
-    let (mut flushes, mut redundant, mut fences) = (0u64, 0u64, 0u64);
-    for tm in snap
-        .shards
-        .iter()
-        .map(|s| &s.tm)
-        .chain(std::iter::once(&snap.coordinator.tm))
-    {
-        flushes += tm.get(Counter::Flush);
-        redundant += tm.get(Counter::RedundantFlush);
-        fences += tm.get(Counter::Fence);
-    }
-    let total_ops = snap.ops() + snap.coordinator.cross_ops;
-    let per_op = |n: u64| {
-        if total_ops == 0 {
-            0.0
-        } else {
-            n as f64 / total_ops as f64
-        }
-    };
-    lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let us = |q: f64| match sample_quantile(&lat_us, q) {
-        Json::Num(v) => v,
-        _ => f64::NAN,
-    };
-    println!(
-        "\n== net mix={} shards={} batch_max={} rate={}/s ==",
-        mix.label(),
-        shards,
-        batch,
-        fmt_tput(rate),
-    );
-    println!(
-        "  offered={offered} ok={} timeout={} aborted={} stopped={} busy={busy}",
-        tally.ok_reqs, tally.timeout, tally.aborted, tally.stopped,
-    );
-    println!(
-        "  tput={}/s max_in_flight={} wire p50={:.0}us p95={:.0}us p99={:.0}us p999={:.0}us",
-        fmt_tput(tally.ok_ops as f64 / secs),
-        snap.ring.in_flight_hwm,
-        us(0.50),
-        us(0.95),
-        us(0.99),
-        us(0.999),
-    );
-    println!("  {net}");
-    println!(
-        "  persist: flushes/op={:.2} fences/op={:.2} redundant={redundant}",
-        per_op(flushes),
-        per_op(fences),
-    );
-
-    Json::obj()
-        .field("mix", mix.label())
-        .field("shards", shards)
-        .field("batch_max", batch)
-        .field("offered_rate", rate)
-        .field("duration_secs", secs)
-        .field("offered", offered)
-        .field("ok", tally.ok_reqs)
-        .field("timeout", tally.timeout)
-        .field("aborted", tally.aborted)
-        .field("stopped", tally.stopped)
-        .field("busy", busy)
-        .field("tput_ops_per_sec", tally.ok_ops as f64 / secs)
-        .field("max_in_flight", snap.ring.in_flight_hwm)
-        .field(
-            "latency_us",
-            Json::obj()
-                .field("p50", sample_quantile(&lat_us, 0.50))
-                .field("p95", sample_quantile(&lat_us, 0.95))
-                .field("p99", sample_quantile(&lat_us, 0.99))
-                .field("p999", sample_quantile(&lat_us, 0.999)),
-        )
-        .field(
-            "net",
-            Json::obj()
-                .field("frames_in", net.frames_in)
-                .field("frames_out", net.frames_out)
-                .field("bytes_in", net.bytes_in)
-                .field("bytes_out", net.bytes_out)
-                .field("busy_frames", net.busy),
-        )
-        .field(
-            "persist",
-            Json::obj()
-                .field("flushes_per_op", per_op(flushes))
-                .field("redundant_flushes", redundant)
-                .field("fences_per_op", per_op(fences)),
-        )
-        .field(
-            "locks",
-            Json::obj()
-                .field("held_hwm", snap.lock_held_hwm)
-                .field("contended", snap.lock_contended)
-                .field("stripe_contended", snap.stripe_contended()),
-        )
 }
 
 /// Sequential in-memory executor: the same op stream against a plain
@@ -1245,75 +794,80 @@ fn baseline_json(sweep: &Sweep) -> Json {
         .field("tput_ops_per_sec", tputs)
 }
 
-fn client_loop(
-    svc: &Service,
-    stop: &AtomicBool,
-    outcomes: &Outcomes,
-    mix: Mix,
-    keys: u64,
-    client: u64,
-) {
-    let mut rng = 0xbe7c_5eed ^ (client + 1).wrapping_mul(0x2545_f491_4f6c_dd1d);
-    while !stop.load(Ordering::Relaxed) {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        let k = (rng >> 16) % keys;
-        let req = match mix {
-            Mix::ReadHeavy if (rng & 0xffff) % 100 < 95 => Req::One(MapOp::Get(k)),
-            Mix::ReadHeavy => Req::One(MapOp::Insert(k, rng)),
-            Mix::UpdateHeavy if rng >> 63 == 0 => Req::One(MapOp::Get(k)),
-            Mix::UpdateHeavy => Req::One(MapOp::Insert(k, rng)),
-            Mix::Scan => {
-                // An atomic multi-get over the keys of a contiguous
-                // window that live on the first key's shard.
-                let shard = svc.shard_of(k);
-                let ops: Vec<MapOp> = (k..k + SCAN_SPAN)
-                    .filter(|&x| x < keys && svc.shard_of(x) == shard)
-                    .take(SCAN_WINDOW)
-                    .map(MapOp::Get)
-                    .collect();
-                Req::Many(ops)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kvserve::op_key;
+
+    #[test]
+    fn scans_stay_on_one_shard_and_cross_shard_puts_never_share_one() {
+        let keys = 1 << 10;
+        let kg = KeyGen::new(keys, 0.0);
+        let mut rng = Rng(0x5eed);
+        for shards in 1..=4 {
+            let table = RoutingTable::fresh(shards);
+            for _ in 0..2_000 {
+                let scan = gen_ops(Mix::Scan, keys, &table, &mut rng, &kg);
+                let home = table.route(op_key(scan[0]));
+                assert!(
+                    scan.iter().all(|&op| table.route(op_key(op)) == home),
+                    "{shards} shards: scan spans shards: {scan:?}"
+                );
+                let puts = gen_ops(Mix::CrossShard, keys, &table, &mut rng, &kg);
+                let mut seen = vec![false; shards];
+                for &op in &puts {
+                    let shard = table.route(op_key(op));
+                    assert!(
+                        !std::mem::replace(&mut seen[shard], true),
+                        "{shards} shards: two ops on shard {shard}: {puts:?}"
+                    );
+                }
+                assert!((1..=XSHARD_SPAN).contains(&puts.len()));
             }
-            Mix::CrossShard => {
-                // An atomic multi-put spanning several shards — one key
-                // per distinct shard walking forward from k — committed
-                // through the 2PC coordinator (single-shard services
-                // degrade to the fast path).
-                let span = svc.num_shards().min(XSHARD_SPAN);
-                let mut seen = vec![false; svc.num_shards()];
-                let ops: Vec<MapOp> = (k..k + SCAN_SPAN)
-                    .filter(|&x| !std::mem::replace(&mut seen[svc.shard_of(x % keys)], true))
-                    .take(span)
-                    .map(|x| MapOp::Insert(x % keys, rng))
-                    .collect();
-                Req::Many(ops)
-            }
-        };
-        let outcome = match req {
-            Req::One(op) => svc.apply(op).map(|_| ()),
-            Req::Many(ops) => svc.batch(ops).map(|_| ()),
-        };
-        match outcome {
-            Ok(()) => {
-                outcomes.ok.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServeError::Overloaded { retry_after }) => {
-                outcomes.overloaded.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(retry_after);
-            }
-            Err(ServeError::Timeout) => {
-                outcomes.timeout.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServeError::Aborted) => {
-                outcomes.aborted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => panic!("service failed under load: {e}"),
         }
     }
-}
 
-enum Req {
-    One(MapOp),
-    Many(Vec<MapOp>),
+    /// One short cell per transport × pace, on one shard with zero-latency
+    /// PM: every offered request gets exactly one verdict and some are
+    /// acknowledged. (`generate` itself fails the cell if a request is
+    /// still unresolved after the drain.)
+    #[test]
+    fn every_transport_and_pace_resolves_every_request() {
+        for net in [false, true] {
+            for pace in [Pace::Closed(4), Pace::Open(20_000.0)] {
+                let sweep = Sweep {
+                    mixes: vec![Mix::UpdateHeavy],
+                    shard_counts: vec![1],
+                    batch_caps: vec![8],
+                    paces: vec![pace],
+                    seconds: 0.05,
+                    keys: 1 << 10,
+                    fast: true,
+                    repl: false,
+                    net,
+                    migrate: false,
+                    zipf_theta: 0.0,
+                    ship_coalesce_us: 0,
+                };
+                let cell = run_cell(&sweep, Mix::UpdateHeavy, 1, 8, pace);
+                let t = &cell.tally;
+                let verdicts = [
+                    t.ok,
+                    t.ring_full,
+                    t.overloaded,
+                    t.timeout,
+                    t.aborted,
+                    t.stopped,
+                    t.rerouted,
+                ];
+                assert!(t.ok > 0, "net={net} {pace:?}: nothing acknowledged");
+                assert_eq!(
+                    verdicts.iter().sum::<u64>(),
+                    t.offered,
+                    "net={net} {pace:?}"
+                );
+                assert_eq!(t.lat_us.len() as u64, t.ok, "net={net} {pace:?}");
+            }
+        }
+    }
 }

@@ -424,10 +424,24 @@ impl FramedWriter {
         FramedWriter { stream }
     }
 
-    /// Write one whole encoded frame.
+    /// Write one whole encoded frame. A [`NetClient`]'s socket is left
+    /// nonblocking by `try_recv` (its reader and writer share one file
+    /// description), so a full send buffer waits for room here instead
+    /// of failing with part of the frame written.
     fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
         use std::io::Write;
-        self.stream.write_all(frame)?;
+        let mut rest = frame;
+        while !rest.is_empty() {
+            match self.stream.write(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_micros(50))
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         self.stream.flush()
     }
 
@@ -1120,6 +1134,35 @@ impl NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `try_recv` leaves the client's socket nonblocking. Sends that then
+    /// meet full socket buffers must wait for the peer to read, not fail
+    /// with a torn frame on the wire.
+    #[test]
+    fn send_after_try_recv_waits_out_a_full_socket_buffer() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut client = NetClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        assert!(client.try_recv().unwrap().is_none());
+        let ops: Vec<MapOp> = (0..4096).map(|k| MapOp::Insert(k, k)).collect();
+        let mut frame = Vec::new();
+        encode_request(&mut frame, 1, 0, &ops);
+        // 64 MiB: more than loopback socket buffers hold.
+        let frames = (64 << 20) / frame.len();
+        let (sent_tx, sent_rx) = std::sync::mpsc::channel::<()>();
+        let reader = std::thread::spawn(move || {
+            // Read nothing until the sender finishes or stalls on the
+            // full buffers.
+            let _ = sent_rx.recv_timeout(Duration::from_millis(300));
+            io::copy(&mut peer, &mut io::sink()).unwrap()
+        });
+        for _ in 0..frames {
+            client.send_batch(&ops).expect("a full buffer waits");
+        }
+        drop(client);
+        let _ = sent_tx.send(());
+        assert_eq!(reader.join().unwrap(), (frames * frame.len()) as u64);
+    }
 
     fn roundtrip_request(corr: u64, deadline: u64, ops: Vec<MapOp>) {
         let mut buf = Vec::new();

@@ -1,10 +1,10 @@
 //! `cargo xtask check-bench FILE... [--min-depth N]` — schema-validate
 //! `kvserve-bench-v1` benchmark artifacts (`BENCH_*.json`).
 //!
-//! CI runs this over the committed artifacts and over a fresh open-loop
-//! smoke run, so the artifact schema cannot drift from what the bench
-//! binary emits: every cell must carry a throughput, the p50/p95/p99
-//! submit-to-complete percentiles, and the flushes/fences-per-committed-
+//! CI runs this over the committed artifacts and over the artifact of
+//! every bench smoke run, so the artifact schema cannot drift from what
+//! the bench binary emits: every cell must carry a throughput, the
+//! p50/p95/p99 latency percentiles, and the flushes/fences-per-committed-
 //! op persist accounting; the file-level summary must record the peak
 //! in-flight depth. `--min-depth N` additionally requires
 //! `summary.max_in_flight >= N` — the acceptance gate proving the
@@ -267,10 +267,10 @@ pub fn validate(doc: &Val, min_depth: Option<u64>, max_flushes: Option<f64>) -> 
         None => errors.push("missing `schema`".into()),
     }
     match doc.get("mode").and_then(Val::str) {
-        // `net-open-loop` is the open-loop generator driving the
-        // wire-protocol front end over loopback TCP; its cells carry
-        // the same throughput/latency/persist obligations.
-        Some("open-loop" | "closed-loop" | "net-open-loop") => {}
+        // The `net-` modes drive the wire-protocol front end over
+        // loopback TCP; their cells carry the same
+        // throughput/latency/persist obligations.
+        Some("open-loop" | "closed-loop" | "net-open-loop" | "net-closed-loop") => {}
         Some(other) => errors.push(format!("unknown mode `{other}`")),
         None => errors.push("missing `mode`".into()),
     }
@@ -427,7 +427,12 @@ mod tests {
         let text = doc(4096).replace("\"open-loop\"", "\"net-open-loop\"");
         let v = parse(&text).unwrap();
         assert_eq!(validate(&v, Some(1024), None), Vec::<String>::new());
-        let bogus = doc(4096).replace("\"open-loop\"", "\"net-closed-loop\"");
+        let closed = doc(4096).replace("\"open-loop\"", "\"net-closed-loop\"");
+        assert_eq!(
+            validate(&parse(&closed).unwrap(), None, None),
+            Vec::<String>::new()
+        );
+        let bogus = doc(4096).replace("\"open-loop\"", "\"net-half-open-loop\"");
         let errs = validate(&parse(&bogus).unwrap(), None, None);
         assert!(errs.iter().any(|e| e.contains("unknown mode")), "{errs:?}");
     }
