@@ -39,13 +39,15 @@
 use crate::metrics::CoordinatorMetrics;
 use crate::probe::Point;
 use crate::repl::{self, LogKind};
+use crate::shard::ShardPool;
 use crate::{
-    partition_by_table, Engine, Reply, RoutingTable, ServeError, ServiceConfig, XRequest,
-    ROUTE_SLOTS,
+    backoff, partition_by_table, Engine, Reply, RoutingTable, ServeError, ServiceConfig, XRequest,
+    ATTEMPT_FUEL, ROUTE_SLOTS,
 };
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use nvhalt::NvHalt;
 use parking_lot::{Condvar, Mutex};
+use pmem::pool::DurableImage;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,9 +70,9 @@ const E_OPS: u64 = 5;
 const OP_WORDS: u64 = 3;
 
 /// Entry state: decision taken, fan-out possibly incomplete.
-pub(crate) const STATE_COMMITTED: u64 = 1;
+const STATE_COMMITTED: u64 = 1;
 /// Entry state: every participant durably committed; skip at recovery.
-pub(crate) const STATE_RESOLVED: u64 = 2;
+const STATE_RESOLVED: u64 = 2;
 
 /// Routing-root layout inside the decision log's pool:
 /// `[epoch, nslots, assign[0..ROUTE_SLOTS]]`. Rewritten whole by one
@@ -80,7 +82,7 @@ const R_EPOCH: u64 = 0;
 const R_NSLOTS: u64 = 1;
 const R_ASSIGN: u64 = 2;
 /// Words in the routing-root block.
-pub(crate) const ROUTE_WORDS: usize = 2 + ROUTE_SLOTS;
+const ROUTE_WORDS: usize = 2 + ROUTE_SLOTS;
 
 /// The cross-shard commit coordinator: the decision log shared by the
 /// 2PC driver threads. Driver `c` exclusively owns coordinator slot `c`,
@@ -148,11 +150,6 @@ impl Coordinator {
         co
     }
 
-    /// Rebuild over a recovered log TM.
-    pub fn recovered(log: Arc<NvHalt>, head: Addr, route: Addr, next_txid: u64) -> Coordinator {
-        Coordinator::assemble(log, head, route, next_txid)
-    }
-
     fn assemble(log: Arc<NvHalt>, head: Addr, route: Addr, next_txid: u64) -> Coordinator {
         let co = Coordinator {
             log,
@@ -194,7 +191,7 @@ impl Coordinator {
 
 /// Read the durable routing table back. Only valid on a quiescent TM
 /// (recovery / promotion).
-pub(crate) fn read_route_raw(log: &NvHalt, route: Addr) -> RoutingTable {
+fn read_route_raw(log: &NvHalt, route: Addr) -> RoutingTable {
     let nslots = log.read_raw(route.offset(R_NSLOTS)) as usize;
     assert_eq!(nslots, ROUTE_SLOTS, "routing root slot-count mismatch");
     let assign = (0..ROUTE_SLOTS)
@@ -203,7 +200,49 @@ pub(crate) fn read_route_raw(log: &NvHalt, route: Addr) -> RoutingTable {
     RoutingTable::from_parts(log.read_raw(route.offset(R_EPOCH)), assign)
 }
 
+/// The decision log's durable remains after a crash: its pool image
+/// plus the two roots inside it, the entry-list head and the routing
+/// root.
+pub(crate) struct LogImage {
+    image: DurableImage,
+    head: Addr,
+    route: Addr,
+}
+
+impl LogImage {
+    /// Recover the decision log: TM recovery, an allocator rebuild from
+    /// a walk of the entry list (plus the head word and the routing
+    /// root), and the txid counter past every logged txid. Returns the
+    /// coordinator, the durable routing table, and the entries for
+    /// [`replay`] to resolve.
+    pub fn recover(
+        &self,
+        cfg: &ServiceConfig,
+    ) -> (Arc<Coordinator>, Arc<RoutingTable>, Vec<DecisionEntry>) {
+        let log = Arc::new(NvHalt::recover_with(cfg.log_nvhalt(), &self.image));
+        let entries = walk_log(&log, self.head);
+        log.rebuild_allocator(
+            std::iter::once((self.head.0, 1))
+                .chain(std::iter::once((self.route.0, ROUTE_WORDS)))
+                .chain(entries.iter().map(|e| (e.addr.0, e.words()))),
+        );
+        let table = Arc::new(read_route_raw(&log, self.route));
+        let next_txid = entries.iter().map(|e| e.txid).max().unwrap_or(0) + 1;
+        let co = Coordinator::assemble(log, self.head, self.route, next_txid);
+        (Arc::new(co), table, entries)
+    }
+}
+
 impl Coordinator {
+    /// Capture the crashed decision log's durable remains.
+    pub fn image(&self) -> LogImage {
+        LogImage {
+            image: self.log.crash_image(),
+            head: self.head,
+            route: self.route,
+        }
+    }
+
     /// Best-fit pop from the recycle list: the smallest resolved entry
     /// that can hold `nops` ops.
     fn take_free(&self, nops: u64) -> Option<(Addr, u64)> {
@@ -373,7 +412,7 @@ impl DecisionEntry {
 /// required the earlier commit to release its locks, which also made
 /// its marker durable — so replay never re-applies two entries to the
 /// same key.
-pub(crate) fn walk_log(log: &NvHalt, head: Addr) -> Vec<DecisionEntry> {
+fn walk_log(log: &NvHalt, head: Addr) -> Vec<DecisionEntry> {
     let mut entries = Vec::new();
     let mut a = Addr(log.read_raw(head));
     while !a.is_null() {
@@ -459,7 +498,6 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
     let ltid = slot;
 
     let txid = co.next_txid.fetch_add(1, Ordering::Relaxed);
-    let fuel = cfg.attempt_fuel;
     if eng.probe.fires(Point::BeforePrepare) {
         eng.poison();
         tm::crash::crash_unwind();
@@ -487,9 +525,8 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
                 eng.poison();
                 tm::crash::crash_unwind();
             }
-            let sh = &eng.parts[*s];
-            let (map, meta) = (sh.map, sh.meta);
-            let log_hdr = sh.log_hdr;
+            let sh = &eng.pools[*s];
+            let (map, meta, log_hdr) = (sh.map, sh.meta, sh.hdr);
             let gops: Vec<MapOp> = idxs.iter().map(|&i| ops[i]).collect();
             let muts = repl::mutations(&gops);
             let _psan = sh
@@ -498,7 +535,7 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
                 .pool()
                 .psan_scope(ptid, "kvserve::coord::prepare");
             let res = tm::prepare(&*sh.tm, ptid, |tx| {
-                if tx.attempt() >= fuel {
+                if tx.attempt() >= ATTEMPT_FUEL {
                     return Err(Abort::Cancel);
                 }
                 let mut out = Vec::with_capacity(gops.len());
@@ -526,18 +563,14 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
                 }
                 Err(tm::Cancelled) => {
                     for &pgi in &prepared {
-                        eng.parts[groups[pgi].0].tm.abort_prepared(ptid);
+                        eng.pools[groups[pgi].0].tm.abort_prepared(ptid);
                     }
                     c.cross_retries.fetch_add(1, Ordering::Relaxed);
                     if retry >= cfg.max_retries {
                         c.abort_conflict.fetch_add(1, Ordering::Relaxed);
                         return Err(ServeError::Aborted);
                     }
-                    let backoff = cfg
-                        .backoff_base
-                        .saturating_mul(1u32 << retry.min(16))
-                        .min(cfg.backoff_max);
-                    std::thread::sleep(backoff);
+                    std::thread::sleep(backoff(retry));
                     retry += 1;
                     continue 'round;
                 }
@@ -566,7 +599,7 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
             eng.poison();
             tm::crash::crash_unwind();
         }
-        let sh = &eng.parts[*s];
+        let sh = &eng.pools[*s];
         let _psan = sh
             .tm
             .pmem()
@@ -596,9 +629,8 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
     co.resolve(ltid, entry);
     let mut resolve_lsns = vec![0u64; groups.len()];
     for (gi, (s, _)) in groups.iter().enumerate() {
-        let sh = &eng.parts[*s];
-        let meta = sh.meta;
-        let log_hdr = sh.log_hdr;
+        let sh = &eng.pools[*s];
+        let (meta, log_hdr) = (sh.meta, sh.hdr);
         let lsn = tm::txn(&*sh.tm, ptid, |tx| {
             meta.remove_in(tx, txid)?;
             repl::append_armed_in(tx, log_hdr, LogKind::Resolve, txid, &[])
@@ -629,46 +661,48 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
     Ok(results)
 }
 
-/// Replay the decision log over recovered, quiescent shards: re-apply
-/// every unresolved committed entry on the shards that lost it, resolve
-/// it, and drop markers. Entries partition under `table` — sound
-/// because a migration flip only commits with the decision log fully
-/// resolved (the flip joins the 2PC drivers first), so every entry
+/// Replay the decision log over recovered, quiescent shard pools:
+/// re-apply every unresolved committed entry on the shards that lost
+/// it, resolve it, and drop markers. Entries partition under `table` —
+/// sound because a migration flip only commits with the decision log
+/// fully resolved (the flip joins the 2PC drivers first), so every entry
 /// still needing replay was logged under the recovered table. Every
 /// replay transaction appends the matching Prepare/Resolve entry to the
-/// shard's op log when it is armed, so the follower re-converges too.
-/// Returns how many shard-transactions were re-applied.
+/// pool's op log when it is armed, so the follower re-converges too.
+/// Replay leaves every entry resolved with its markers dropped, so all
+/// of them go back to the recycle list. Returns (and counts in the
+/// coordinator's metrics) how many shard-transactions were re-applied.
 pub(crate) fn replay(
     co: &Coordinator,
-    shards: &[(Arc<NvHalt>, txstructs::HashMapTx, txstructs::HashMapTx)],
+    pools: &[ShardPool],
     table: &RoutingTable,
     entries: &[DecisionEntry],
-    logs: &[Addr],
 ) -> u64 {
     let mut replayed = 0u64;
     for e in entries {
         let by_shard = partition_by_table(&e.ops, table);
         if e.state == STATE_COMMITTED {
             for (s, idxs) in &by_shard {
-                let (tm, map, meta) = &shards[*s];
+                let p = &pools[*s];
                 // A surviving marker means this shard committed its part
                 // before the crash; re-applying would clobber later writes.
-                let done = meta
-                    .get(&**tm, 0, e.txid)
+                let done = p
+                    .meta
+                    .get(&*p.tm, 0, e.txid)
                     .expect("recovery reads never cancel")
                     .is_some();
                 if done {
                     continue;
                 }
                 let sops: Vec<MapOp> = idxs.iter().map(|&i| e.ops[i]).collect();
-                tm::txn(&**tm, 0, |tx| {
+                tm::txn(&*p.tm, 0, |tx| {
                     for &op in &sops {
-                        map.apply_in(tx, op)?;
+                        p.map.apply_in(tx, op)?;
                     }
-                    meta.insert_in(tx, e.txid, 1)?;
+                    p.meta.insert_in(tx, e.txid, 1)?;
                     repl::append_armed_in(
                         tx,
-                        logs[*s],
+                        p.hdr,
                         LogKind::Prepare,
                         e.txid,
                         &repl::mutations(&sops),
@@ -682,14 +716,21 @@ pub(crate) fn replay(
         }
         // Resolved either way now: markers are garbage, drop them.
         for (s, _) in &by_shard {
-            let (tm, _, meta) = &shards[*s];
-            tm::txn(&**tm, 0, |tx| {
-                meta.remove_in(tx, e.txid)?;
-                repl::append_armed_in(tx, logs[*s], LogKind::Resolve, e.txid, &[])?;
+            let p = &pools[*s];
+            tm::txn(&*p.tm, 0, |tx| {
+                p.meta.remove_in(tx, e.txid)?;
+                repl::append_armed_in(tx, p.hdr, LogKind::Resolve, e.txid, &[])?;
                 Ok(())
             })
             .expect("marker cleanup never cancels");
         }
     }
+    for e in entries {
+        co.release_entry(e.addr, e.cap);
+    }
+    co.metrics
+        .counters
+        .replayed
+        .fetch_add(replayed, Ordering::Relaxed);
     replayed
 }

@@ -1,11 +1,12 @@
 //! `kvserve` — a durable, sharded key-value service on top of NV-HALT.
 //!
 //! The service demonstrates the paper's TM as a *storage engine*: keys are
-//! hash-routed across N shards, each shard owning one [`NvHalt`] instance
-//! and one transactional hashmap. Per-shard worker threads drain a bounded
-//! request queue and coalesce up to `batch_max` requests into a **single
-//! durable transaction**, amortizing commit-time flush/fence costs — the
-//! service-level payoff of the TM's cheap fine-grained-lock fast path.
+//! hash-routed across N shards, each shard owning one
+//! [`NvHalt`](nvhalt::NvHalt) instance and one transactional hashmap.
+//! Per-shard worker threads drain a bounded request queue and coalesce
+//! up to `batch_max` requests into a **single durable transaction**,
+//! amortizing commit-time flush/fence costs — the service-level payoff
+//! of the TM's cheap fine-grained-lock fast path.
 //!
 //! Robustness knobs (all in [`ServiceConfig`]):
 //! - **deadlines** — every request carries one; expired requests get a
@@ -18,9 +19,9 @@
 //!   times, then answered [`ServeError::Aborted`].
 //!
 //! Crash/recovery are *service operations*: [`Service::crash`] simulates a
-//! power failure (workers unwind mid-transaction), captures each shard's
+//! power failure (workers unwind mid-transaction), captures every pool's
 //! durable image, and returns a [`CrashDump`]; [`Service::recover`] replays
-//! TM recovery per shard, rebuilds the allocators from a heap walk, and
+//! TM recovery per pool, rebuilds the allocators from a heap walk, and
 //! restarts the workers. The durable-linearizability contract at this
 //! level: **every acked write survives; an un-acked request may or may not
 //! have committed, but a multi-op request is never partially visible.**
@@ -56,30 +57,45 @@ pub use repl::{Follower, LogEntry, LogKind};
 pub use ring::{Completion, Drain, Ring, Ticket};
 pub use txstructs::MapOp;
 
-use coord::Coordinator;
+use coord::{Coordinator, LogImage};
 use crossbeam::channel::{self, Receiver, Sender};
 use metrics::RingMetrics;
-use nvhalt::{NvHalt, NvHaltConfig};
-use pmem::pool::DurableImage;
+use nvhalt::NvHaltConfig;
 use probe::ProbeCell;
-use repl::{PrimaryLog, ReplRuntime};
+use repl::ReplRuntime;
 use ring::{RingCompletion, RingLane};
-use shard::Shard;
+use shard::{PoolImage, Shard, ShardPool};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tm::{Addr, Tm};
-use txstructs::HashMapTx;
+use tm::Tm;
 
 /// Extra time a blocking client waits past its deadline for the
 /// worker-side timeout completion before abandoning the ticket.
 const REPLY_GRACE: Duration = Duration::from_millis(100);
 
-/// Buckets of each shard's 2PC marker map (tiny: it only ever holds the
-/// markers of in-flight cross-shard transactions).
-pub(crate) const META_BUCKETS: usize = 64;
+/// TM attempts (across both paths) a batch or 2PC prepare may burn
+/// before its transaction is voluntarily cancelled back to the service
+/// layer.
+pub(crate) const ATTEMPT_FUEL: usize = 16;
+
+/// First backoff sleep after a cancelled batch or 2PC round (doubling
+/// per retry), and the retry hint of every `Overloaded` rejection.
+pub(crate) const BACKOFF_BASE: Duration = Duration::from_micros(50);
+
+/// Backoff ceiling.
+const BACKOFF_MAX: Duration = Duration::from_millis(5);
+
+/// The sleep before service-level retry `retry` (0-based) of a
+/// cancelled transaction: exponential from [`BACKOFF_BASE`], capped at
+/// [`BACKOFF_MAX`].
+pub(crate) fn backoff(retry: u32) -> Duration {
+    BACKOFF_BASE
+        .saturating_mul(1u32 << retry.min(16))
+        .min(BACKOFF_MAX)
+}
 
 /// Why a request was not served.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -164,13 +180,6 @@ pub struct ServiceConfig {
     pub default_deadline: Duration,
     /// Service-level batch retries after the transaction cancels.
     pub max_retries: u32,
-    /// First backoff sleep; doubles per retry.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-    /// TM attempts (across both paths) a batch may burn before the
-    /// transaction is voluntarily cancelled back to the service layer.
-    pub attempt_fuel: usize,
     /// Cross-shard coordinator slots: how many client threads may drive
     /// 2PC batches concurrently. Each slot reserves one extra TM thread
     /// id on every shard and one on the decision log.
@@ -183,9 +192,6 @@ pub struct ServiceConfig {
     /// durable follower receive (semi-synchronous). Enables
     /// [`Service::fail_over`] / [`Service::promote`].
     pub replication: bool,
-    /// Idle poll interval of the per-shard shipping threads (appends also
-    /// wake them eagerly).
-    pub ship_interval: Duration,
     /// Group-commit window of the shipping threads: once woken, a
     /// shipper lingers this long before its round, so every op-log
     /// entry appended in the window rides the round's single follower
@@ -211,13 +217,9 @@ impl ServiceConfig {
             heap_words_per_shard: 1 << 16,
             default_deadline: Duration::from_secs(2),
             max_retries: 8,
-            backoff_base: Duration::from_micros(50),
-            backoff_max: Duration::from_millis(5),
-            attempt_fuel: 16,
             coordinators: 2,
             log_heap_words: 1 << 16,
             replication: false,
-            ship_interval: Duration::from_millis(1),
             ship_coalesce: Duration::ZERO,
             nvhalt: NvHaltConfig::test(1 << 16, 1),
         }
@@ -400,64 +402,14 @@ impl Router {
     }
 }
 
-/// One shard's durable remains after a crash: the persistent image plus
-/// the map's root metadata needed to re-attach.
-pub struct ShardImage {
-    /// Durable persistent-memory image captured post-crash.
-    pub image: DurableImage,
-    /// Bucket-array address of the shard's hashmap.
-    pub buckets: Addr,
-    /// Bucket count of the shard's hashmap.
-    pub nbuckets: usize,
-    /// Bucket-array address of the shard's 2PC marker map.
-    pub meta_buckets: Addr,
-    /// Bucket count of the shard's 2PC marker map.
-    pub meta_nbuckets: usize,
-    /// The shard's op-log header block (always present; the durable
-    /// armed word inside it says whether appends were live).
-    pub repl_hdr: Addr,
-    /// Extra live blocks recovery must keep reserved (e.g. a promoted
-    /// follower's old header block).
-    pub keep: Vec<(u64, usize)>,
-}
-
-/// One follower's durable remains: the image plus the roots needed to
-/// re-attach its maps and find its receive log and watermarks.
-pub struct FollowerImage {
-    /// Durable persistent-memory image captured post-crash.
-    pub image: DurableImage,
-    /// Bucket-array address of the follower's data map.
-    pub buckets: Addr,
-    /// Bucket count of the follower's data map.
-    pub nbuckets: usize,
-    /// Bucket-array address of the follower's 2PC marker map.
-    pub meta_buckets: Addr,
-    /// Bucket count of the follower's 2PC marker map.
-    pub meta_nbuckets: usize,
-    /// The follower's header block (receive-log head + watermarks).
-    pub hdr: Addr,
-}
-
-/// Everything [`Service::recover`] needs: the config, one [`ShardImage`]
-/// per shard, the followers' remains (empty when replication is off),
-/// and the decision log's durable remains.
+/// Everything [`Service::recover`] needs: the config, each primary
+/// shard pool's and each follower's durable remains (no followers when
+/// replication is off), and the decision log's.
 pub struct CrashDump {
     cfg: ServiceConfig,
-    shards: Vec<ShardImage>,
-    followers: Vec<FollowerImage>,
-    /// Durable image of the decision log's TM.
-    log: DurableImage,
-    /// Head word of the decision-entry list inside `log`.
-    log_head: Addr,
-    /// Durable routing-table root block inside `log`.
-    route: Addr,
-}
-
-impl CrashDump {
-    /// The per-shard durable images (read-only view).
-    pub fn shards(&self) -> &[ShardImage] {
-        &self.shards
-    }
+    shards: Vec<PoolImage>,
+    followers: Vec<PoolImage>,
+    log: LogImage,
 }
 
 /// What survives losing every primary pool: the followers' durable
@@ -465,11 +417,8 @@ impl CrashDump {
 /// a serving service.
 pub struct FailoverDump {
     cfg: ServiceConfig,
-    followers: Vec<FollowerImage>,
-    log: DurableImage,
-    log_head: Addr,
-    /// Durable routing-table root block inside `log`.
-    route: Addr,
+    followers: Vec<PoolImage>,
+    log: LogImage,
 }
 
 /// What a promotion did, for reporting.
@@ -497,12 +446,12 @@ impl fmt::Debug for PromotionCrash {
 }
 
 /// The execution context the 2PC driver threads share with the service:
-/// per-shard transactional state, the coordinator, the config, and the
+/// the primary shard pools, the coordinator, the config, and the
 /// replication runtime. `Arc`-held, so the drivers stay sound while a
 /// `Service` is being consumed by [`Service::crash`].
 pub(crate) struct Engine {
     pub cfg: ServiceConfig,
-    pub parts: Vec<EnginePart>,
+    pub pools: Vec<ShardPool>,
     /// `Arc` so a migration can carry the coordinator (decision log,
     /// txid counter, metrics) into the reassembled post-flip service.
     pub coord: Arc<Coordinator>,
@@ -513,26 +462,12 @@ pub(crate) struct Engine {
     pub probe: Arc<ProbeCell>,
 }
 
-/// Prepared per-shard state handed to [`Service::assemble`]: TM, data
-/// map, 2PC marker map, op-log header, extra blocks to keep reserved
-/// across recoveries.
-type ShardParts = (Arc<NvHalt>, HashMapTx, HashMapTx, Addr, Vec<(u64, usize)>);
-
-/// One shard's transactional state, as the 2PC coordinator sees it.
-pub(crate) struct EnginePart {
-    pub tm: Arc<NvHalt>,
-    pub map: HashMapTx,
-    pub meta: HashMapTx,
-    /// The shard's op-log header (appends gated by its armed word).
-    pub log_hdr: Addr,
-}
-
 impl Engine {
     /// Poison every pool: the instant of power failure. In-flight
     /// requests surface [`ServeError::Stopped`] or
     /// [`ServeError::Timeout`] — never an ack.
     pub fn poison(&self) {
-        for p in &self.parts {
+        for p in &self.pools {
             p.tm.crash();
         }
         self.coord.log.crash();
@@ -575,48 +510,23 @@ impl Service {
         assert!(cfg.ring_slots >= 1, "ring_slots must be positive");
         assert!(cfg.coordinators >= 1, "need at least one coordinator slot");
         let table = Arc::new(RoutingTable::fresh(cfg.shards));
-        let parts: Vec<(Arc<NvHalt>, HashMapTx, HashMapTx, Addr)> = (0..cfg.shards)
-            .map(|_| {
-                let tm = Arc::new(NvHalt::new(cfg.shard_nvhalt()));
-                let map = HashMapTx::create(&*tm, 0, cfg.buckets_per_shard)
-                    .expect("creating a map on a fresh TM cannot cancel");
-                let meta = HashMapTx::create(&*tm, 0, META_BUCKETS)
-                    .expect("creating a map on a fresh TM cannot cancel");
-                // Every shard gets a log header; the durable armed word
-                // (on iff replicating — a migration can arm it later)
-                // gates actual appends.
-                let hdr = tm.alloc_raw(0, repl::PRIMARY_HDR_WORDS);
-                if cfg.replication {
-                    repl::set_armed(&tm, 0, hdr, true);
-                }
-                (tm, map, meta, hdr)
-            })
-            .collect();
+        let pools: Vec<ShardPool> = (0..cfg.shards).map(|_| ShardPool::primary(&cfg)).collect();
         let coord = Arc::new(Coordinator::new(&cfg, &table));
         let probe = Arc::new(ProbeCell::new(None));
         let rt = cfg.replication.then(|| {
-            let primaries = parts
-                .iter()
-                .map(|(tm, _, _, hdr)| PrimaryLog {
-                    tm: tm.clone(),
-                    hdr: *hdr,
-                })
-                .collect();
+            let followers = pools.iter().map(|_| Follower::create(&cfg)).collect();
             Arc::new(ReplRuntime::new(
                 &cfg,
-                primaries,
+                pools.clone(),
                 coord.log.clone(),
+                followers,
                 probe.clone(),
             ))
         });
-        let parts = parts
-            .into_iter()
-            .map(|(tm, map, meta, hdr)| (tm, map, meta, hdr, Vec::new()))
-            .collect();
-        Service::assemble(cfg, parts, coord, rt, table, probe, None)
+        Service::assemble(cfg, pools, coord, rt, table, probe, None)
     }
 
-    /// Wire a service over prepared per-shard state (fresh, recovered,
+    /// Wire a service over its primary shard pools (fresh, recovered,
     /// promoted, or migrated): spawn the shard workers, the 2PC drivers,
     /// and the shippers, install the topology into the (new or carried)
     /// router, and build the internal ring. A migration passes the old
@@ -626,7 +536,7 @@ impl Service {
     /// watching.
     fn assemble(
         cfg: ServiceConfig,
-        parts: Vec<ShardParts>,
+        pools: Vec<ShardPool>,
         coord: Arc<Coordinator>,
         rt: Option<Arc<ReplRuntime>>,
         table: Arc<RoutingTable>,
@@ -634,15 +544,6 @@ impl Service {
         carried: Option<(Arc<Router>, Arc<RingMetrics>)>,
     ) -> Service {
         let (xqueue, xqueue_rx) = channel::bounded::<XRequest>(cfg.queue_depth);
-        let engine_parts: Vec<EnginePart> = parts
-            .iter()
-            .map(|(tm, map, meta, hdr, _)| EnginePart {
-                tm: tm.clone(),
-                map: *map,
-                meta: *meta,
-                log_hdr: *hdr,
-            })
-            .collect();
         // The router must exist before the workers: they read it to
         // validate stale-epoch requests.
         let (router, ring_metrics) = carried.unwrap_or_else(|| {
@@ -653,31 +554,19 @@ impl Service {
             });
             (Arc::new(router), Arc::new(RingMetrics::new()))
         });
+        let shards: Vec<Shard> = pools
+            .iter()
+            .enumerate()
+            .map(|(i, pool)| Shard::start(&cfg, i, pool, rt.clone(), router.clone()))
+            .collect();
         let engine = Arc::new(Engine {
-            parts: engine_parts,
+            pools,
             coord,
             repl: rt.clone(),
             router: router.clone(),
             probe,
             cfg: cfg.clone(),
         });
-        let shards: Vec<Shard> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, (tm, map, meta, hdr, keep))| {
-                Shard::start(
-                    &cfg,
-                    i,
-                    tm,
-                    map,
-                    meta,
-                    hdr,
-                    keep,
-                    rt.clone(),
-                    router.clone(),
-                )
-            })
-            .collect();
         let shippers = rt.as_ref().map(repl::spawn_shippers).unwrap_or_default();
         let xstop = Arc::new(AtomicBool::new(false));
         let xdrivers = (0..cfg.coordinators)
@@ -712,7 +601,6 @@ impl Service {
             router.clone(),
             ring_metrics.clone(),
             cfg.default_deadline,
-            cfg.backoff_base,
         );
         Service {
             engine,
@@ -746,7 +634,6 @@ impl Service {
             self.engine.router.clone(),
             self.ring_metrics.clone(),
             self.engine.cfg.default_deadline,
-            self.engine.cfg.backoff_base,
         )
     }
 
@@ -772,8 +659,8 @@ impl Service {
     /// correctness diagnostics.
     pub fn psan_diagnostics(&self) -> Vec<pmem::Diagnostic> {
         let mut out = Vec::new();
-        for s in &self.shards {
-            if let Some(p) = s.tm.pmem().pool().psan() {
+        for pool in &self.engine.pools {
+            if let Some(p) = pool.tm.pmem().pool().psan() {
                 out.extend(p.take_diagnostics());
             }
         }
@@ -783,28 +670,13 @@ impl Service {
         if let Some(rt) = &self.engine.repl {
             for cell in &rt.followers {
                 if let Some(f) = &*cell.lock() {
-                    if let Some(p) = f.tm.pmem().pool().psan() {
+                    if let Some(p) = f.pool.tm.pmem().pool().psan() {
                         out.extend(p.take_diagnostics());
                     }
                 }
             }
         }
         out
-    }
-
-    /// Drain the lock-discipline sanitizer's reports. Always empty
-    /// without the `locksan` feature (or with the sanitizer off). Test
-    /// plumbing: crash suites assert this stays empty too.
-    #[cfg(feature = "locksan")]
-    pub fn locksan_reports(&self) -> Vec<locksan::Report> {
-        locksan::take_reports()
-    }
-
-    /// Drain the lock-discipline sanitizer's reports (always empty: the
-    /// `locksan` feature is disabled).
-    #[cfg(not(feature = "locksan"))]
-    pub fn locksan_reports(&self) -> Vec<String> {
-        Vec::new()
     }
 
     /// Install (or clear) the deployment's [`Probe`], asked at every
@@ -889,7 +761,7 @@ impl Service {
                 // from the blocking caller's point of view.
                 Err(ServeError::RingFull) => {
                     return Err(ServeError::Overloaded {
-                        retry_after: self.engine.cfg.backoff_base,
+                        retry_after: BACKOFF_BASE,
                     })
                 }
                 Err(e) => return Err(e),
@@ -926,8 +798,9 @@ impl Service {
             shards: self
                 .shards
                 .iter()
+                .zip(&self.engine.pools)
                 .enumerate()
-                .map(|(i, s)| s.metrics.snapshot(i, s.tm.stats()))
+                .map(|(i, (s, p))| s.metrics.snapshot(i, p.tm.stats()))
                 .collect(),
             coordinator: self
                 .engine
@@ -1030,71 +903,49 @@ impl Service {
         }
         // …then wake idle workers and shippers and collect them.
         self.stop_threads();
-        let shards = std::mem::take(&mut self.shards);
-        let images = shards
-            .into_iter()
-            .map(|s| ShardImage {
-                image: s.tm.crash_image(),
-                buckets: s.map.buckets_addr(),
-                nbuckets: s.map.nbuckets(),
-                meta_buckets: s.meta.buckets_addr(),
-                meta_nbuckets: s.meta.nbuckets(),
-                repl_hdr: s.repl_hdr,
-                keep: s.keep_blocks.clone(),
-            })
-            .collect();
         let followers = match &self.engine.repl {
             Some(rt) => rt
                 .followers
                 .iter()
                 .map(|cell| {
                     let f = cell.lock().take().expect("follower present until crash");
-                    follower_image(&f)
+                    f.image()
                 })
                 .collect(),
             None => Vec::new(),
         };
         CrashDump {
             cfg: self.engine.cfg.clone(),
-            shards: images,
+            shards: self
+                .engine
+                .pools
+                .iter()
+                .map(|p| p.image(repl::PRIMARY_HDR_WORDS))
+                .collect(),
             followers,
-            log: self.engine.coord.log.crash_image(),
-            log_head: self.engine.coord.head,
-            route: self.engine.coord.route,
+            log: self.engine.coord.image(),
         }
     }
 
     /// Declare every primary pool lost — the failure shape replication
-    /// exists for — and capture only what failover needs: the followers'
-    /// durable images and the decision log. The primary images are
-    /// dropped. Feed the result to [`Service::promote`].
-    pub fn fail_over(mut self) -> FailoverDump {
+    /// exists for: the whole deployment crashes, and only what failover
+    /// needs is kept — the followers' durable images and the decision
+    /// log. Feed the result to [`Service::promote`].
+    pub fn fail_over(self) -> FailoverDump {
         assert!(
             self.engine.cfg.replication,
             "fail_over requires cfg.replication"
         );
-        self.poison();
-        let rt = self.engine.repl.clone().expect("replication runtime");
-        for s in 0..rt.followers.len() {
-            rt.poison_follower(s);
-        }
-        self.stop_threads();
-        // The primary pools are lost; drop them with the shards.
-        drop(std::mem::take(&mut self.shards));
-        let followers = rt
-            .followers
-            .iter()
-            .map(|cell| {
-                let f = cell.lock().take().expect("follower present until failover");
-                follower_image(&f)
-            })
-            .collect();
-        FailoverDump {
-            cfg: self.engine.cfg.clone(),
+        let CrashDump {
+            cfg,
             followers,
-            log: self.engine.coord.log.crash_image(),
-            log_head: self.engine.coord.head,
-            route: self.engine.coord.route,
+            log,
+            ..
+        } = self.crash();
+        FailoverDump {
+            cfg,
+            followers,
+            log,
         }
     }
 
@@ -1118,36 +969,25 @@ impl Service {
             cfg,
             followers,
             log,
-            log_head,
-            route,
         } = dump;
-        let log_tm = Arc::new(NvHalt::recover_with(cfg.log_nvhalt(), &log));
-        let entries = coord::walk_log(&log_tm, log_head);
-        log_tm.rebuild_allocator(
-            std::iter::once((log_head.0, 1))
-                .chain(std::iter::once((route.0, coord::ROUTE_WORDS)))
-                .chain(entries.iter().map(|e| (e.addr.0, e.words()))),
-        );
-        let table = Arc::new(coord::read_route_raw(&log_tm, route));
-        let next_txid = entries.iter().map(|e| e.txid).max().unwrap_or(0) + 1;
-        let coord = Arc::new(Coordinator::recovered(log_tm, log_head, route, next_txid));
+        let (coord, table, entries) = log.recover(&cfg);
         let fs: Vec<Follower> = followers
             .iter()
-            .map(|fi| recover_follower_image(&cfg, fi))
+            .map(|img| Follower {
+                pool: ShardPool::recover(&cfg, img),
+            })
             .collect();
 
         let crash = |fs: &[Follower], coord: &Coordinator| -> Box<PromotionCrash> {
             for f in fs {
-                f.tm.crash();
+                f.pool.tm.crash();
             }
             coord.log.crash();
             Box::new(PromotionCrash {
                 dump: FailoverDump {
                     cfg: cfg.clone(),
-                    followers: fs.iter().map(follower_image).collect(),
-                    log: coord.log.crash_image(),
-                    log_head,
-                    route,
+                    followers: fs.iter().map(Follower::image).collect(),
+                    log: coord.image(),
                 },
             })
         };
@@ -1173,28 +1013,23 @@ impl Service {
             return Err(crash(&fs, &coord));
         }
 
+        // Each promoted shard gets a fresh (disarmed — the promoted
+        // service is its own surviving replica) op-log header; raw
+        // allocation is durably zero, so replay appends nothing to it.
+        // Nothing reads the old follower header after the promotion
+        // commit; the next recovery's allocator rebuild reclaims it.
+        let pools: Vec<ShardPool> = fs
+            .iter()
+            .map(|f| ShardPool {
+                hdr: f.pool.tm.alloc_raw(0, repl::PRIMARY_HDR_WORDS),
+                ..f.pool.clone()
+            })
+            .collect();
         // Resolve cross-shard batches in flight at the failover: the
         // followers mirror the primaries' 2PC markers (via Prepare
         // entries), so the same replay that repairs a restart repairs a
         // promotion.
-        let triples: Vec<(Arc<NvHalt>, HashMapTx, HashMapTx)> =
-            fs.iter().map(|f| (f.tm.clone(), f.data, f.meta)).collect();
-        // Each promoted shard gets a fresh (disarmed — the promoted
-        // service is its own surviving replica) op-log header; raw
-        // allocation is durably zero, so replay appends nothing to it.
-        let hdrs: Vec<Addr> = fs
-            .iter()
-            .map(|f| f.tm.alloc_raw(0, repl::PRIMARY_HDR_WORDS))
-            .collect();
-        let replayed = coord::replay(&coord, &triples, &table, &entries, &hdrs);
-        coord
-            .metrics
-            .counters
-            .replayed
-            .fetch_add(replayed, Ordering::Relaxed);
-        for e in &entries {
-            coord.release_entry(e.addr, e.cap);
-        }
+        let replayed = coord::replay(&coord, &pools, &table, &entries);
         if probe.fires(Point::Replayed) {
             return Err(crash(&fs, &coord));
         }
@@ -1202,28 +1037,18 @@ impl Service {
         // The receive logs are dead weight now: fully applied, and no
         // primary left to re-ship from.
         for f in &fs {
-            f.trim_all();
+            f.trim(u64::MAX);
         }
 
         let mut cfg2 = cfg;
         cfg2.replication = false;
-        let parts = fs
-            .into_iter()
-            .zip(hdrs)
-            .map(|(f, hdr)| {
-                // The old follower header block stays reserved across
-                // future recoveries of the promoted service.
-                let keep = vec![(f.hdr.0, repl::FOLLOWER_HDR_WORDS)];
-                (f.tm, f.data, f.meta, hdr, keep)
-            })
-            .collect();
         let report = FailoverReport {
             duration: start.elapsed(),
             tail_applied,
             replayed,
         };
         Ok((
-            Service::assemble(cfg2, parts, coord, None, table, probe, None),
+            Service::assemble(cfg2, pools, coord, None, table, probe, None),
             report,
         ))
     }
@@ -1243,13 +1068,14 @@ impl Service {
             .expect("recover_follower requires cfg.replication");
         for (s, cell) in rt.followers.iter().enumerate() {
             let mut cell = cell.lock();
-            let crashed = matches!(&*cell, Some(f) if f.tm.pmem().pool().is_crashed());
+            let crashed = matches!(&*cell, Some(f) if f.pool.tm.pmem().pool().is_crashed());
             if !crashed {
                 continue;
             }
-            let f = cell.take().expect("checked above");
-            let fi = follower_image(&f);
-            let nf = recover_follower_image(&self.engine.cfg, &fi);
+            let img = cell.take().expect("checked above").image();
+            let nf = Follower {
+                pool: ShardPool::recover(&self.engine.cfg, &img),
+            };
             let st = &rt.states[s];
             st.received.store(nf.received_raw(), Ordering::Release);
             st.applied.store(nf.applied_lsn(), Ordering::Release);
@@ -1259,57 +1085,29 @@ impl Service {
         }
     }
 
-    /// Recover a service from a crash dump: replay each shard's TM
-    /// recovery, re-attach its hashmaps, rebuild the allocators from heap
-    /// walks, replay the cross-shard decision log over the quiescent
-    /// shards, and restart the workers.
+    /// Recover a service from a crash dump: recover the decision log and
+    /// every shard pool (TM recovery, map re-attach, allocator rebuild
+    /// from heap walks), replay the cross-shard decision log over the
+    /// quiescent shards, and restart the workers.
     pub fn recover(dump: CrashDump) -> Service {
         let CrashDump {
             cfg,
             shards,
             followers,
             log,
-            log_head,
-            route,
         } = dump;
-        // Decision log first: TM recovery, then rebuild its allocator
-        // from a walk of the entry list (plus the head word and the
-        // routing-table root).
-        let log_tm = Arc::new(NvHalt::recover_with(cfg.log_nvhalt(), &log));
-        let entries = coord::walk_log(&log_tm, log_head);
-        log_tm.rebuild_allocator(
-            std::iter::once((log_head.0, 1))
-                .chain(std::iter::once((route.0, coord::ROUTE_WORDS)))
-                .chain(entries.iter().map(|e| (e.addr.0, e.words()))),
-        );
-        // The durable routing table decides the recovered topology: a
-        // crash mid-migration lands before the flip transaction (old
-        // table, old shard count — the dump never saw the target) or
-        // after it (new table, dump carries the target shard). Never a
-        // torn mix.
-        let table = Arc::new(coord::read_route_raw(&log_tm, route));
+        // Decision log first. Its durable routing table decides the
+        // recovered topology: a crash mid-migration lands before the
+        // flip transaction (old table, old shard count — the dump never
+        // saw the target) or after it (new table, dump carries the
+        // target shard). Never a torn mix.
+        let (coord, table, entries) = log.recover(&cfg);
         debug_assert_eq!(table.shards(), shards.len(), "routing table vs dump");
-        let next_txid = entries.iter().map(|e| e.txid).max().unwrap_or(0) + 1;
-        let coord = Arc::new(Coordinator::recovered(log_tm, log_head, route, next_txid));
 
-        // Shard TMs next, still quiescent (no workers yet). The heap walk
-        // covers the maps, the op log, and any kept blocks.
-        let recovered: Vec<(Arc<NvHalt>, HashMapTx, HashMapTx)> = shards
+        // Shard pools next, still quiescent (no workers yet).
+        let pools: Vec<ShardPool> = shards
             .iter()
-            .map(|si| {
-                let tm = Arc::new(NvHalt::recover_with(cfg.shard_nvhalt(), &si.image));
-                let map = HashMapTx::attach(si.buckets, si.nbuckets);
-                let meta = HashMapTx::attach(si.meta_buckets, si.meta_nbuckets);
-                let mut blocks: Vec<(u64, usize)> = map
-                    .used_blocks(&*tm)
-                    .into_iter()
-                    .chain(meta.used_blocks(&*tm))
-                    .collect();
-                blocks.extend(repl::primary_used_blocks(&tm, si.repl_hdr));
-                blocks.extend(si.keep.iter().copied());
-                tm.rebuild_allocator(blocks);
-                (tm, map, meta)
-            })
+            .map(|img| ShardPool::recover(&cfg, img))
             .collect();
 
         // Without replication the op logs only exist for migrations; a
@@ -1318,85 +1116,39 @@ impl Service {
         // arms and streams from scratch). Disarm and empty them while
         // quiescent.
         if !cfg.replication {
-            for ((tm, _, _), si) in recovered.iter().zip(&shards) {
-                if repl::armed_raw(tm, si.repl_hdr) {
-                    repl::set_armed(tm, 0, si.repl_hdr, false);
+            for p in &pools {
+                if repl::armed_raw(&p.tm, p.hdr) {
+                    repl::set_armed(&p.tm, 0, p.hdr, false);
                 }
-                repl::trim_through(tm, 0, si.repl_hdr.offset(repl::P_HEAD), u64::MAX);
+                repl::trim_through(&p.tm, 0, p.hdr.offset(repl::P_HEAD), u64::MAX);
             }
         }
 
         // Replay undecided cross-shard commits before any new traffic
         // (appending the matching Prepare/Resolve entries to the armed
         // op logs, so the followers re-converge too).
-        let logs: Vec<Addr> = shards.iter().map(|si| si.repl_hdr).collect();
-        let replayed = coord::replay(&coord, &recovered, &table, &entries, &logs);
-        coord
-            .metrics
-            .counters
-            .replayed
-            .fetch_add(replayed, Ordering::Relaxed);
-        // Replay left every entry resolved with its markers dropped, so
-        // all of them are recyclable.
-        for e in &entries {
-            coord.release_entry(e.addr, e.cap);
-        }
+        coord::replay(&coord, &pools, &table, &entries);
 
         // Followers last (after replay, so the ship states see the final
         // appended watermarks).
         let probe = Arc::new(ProbeCell::new(None));
         let rt = cfg.replication.then(|| {
-            let fs: Vec<Follower> = followers
+            let fs = followers
                 .iter()
-                .map(|fi| recover_follower_image(&cfg, fi))
-                .collect();
-            let primaries = recovered
-                .iter()
-                .zip(&shards)
-                .map(|((tm, _, _), si)| PrimaryLog {
-                    tm: tm.clone(),
-                    hdr: si.repl_hdr,
+                .map(|img| Follower {
+                    pool: ShardPool::recover(&cfg, img),
                 })
                 .collect();
-            Arc::new(ReplRuntime::assemble(
+            Arc::new(ReplRuntime::new(
                 &cfg,
-                primaries,
+                pools.clone(),
                 coord.log.clone(),
                 fs,
                 probe.clone(),
             ))
         });
-
-        let parts = recovered
-            .into_iter()
-            .zip(shards)
-            .map(|((tm, map, meta), si)| (tm, map, meta, si.repl_hdr, si.keep))
-            .collect();
-        Service::assemble(cfg, parts, coord, rt, table, probe, None)
+        Service::assemble(cfg, pools, coord, rt, table, probe, None)
     }
-}
-
-/// Capture a crashed follower's durable remains.
-fn follower_image(f: &Follower) -> FollowerImage {
-    FollowerImage {
-        image: f.tm.crash_image(),
-        buckets: f.data.buckets_addr(),
-        nbuckets: f.data.nbuckets(),
-        meta_buckets: f.meta.buckets_addr(),
-        meta_nbuckets: f.meta.nbuckets(),
-        hdr: f.hdr,
-    }
-}
-
-/// Recover a follower from its durable remains: TM recovery, map
-/// re-attach, allocator rebuild from the maps + header + receive log.
-fn recover_follower_image(cfg: &ServiceConfig, fi: &FollowerImage) -> Follower {
-    let tm = Arc::new(NvHalt::recover_with(cfg.shard_nvhalt(), &fi.image));
-    let data = HashMapTx::attach(fi.buckets, fi.nbuckets);
-    let meta = HashMapTx::attach(fi.meta_buckets, fi.meta_nbuckets);
-    let f = Follower::attach(tm, data, meta, fi.hdr);
-    f.tm.rebuild_allocator(f.used_blocks());
-    f
 }
 
 impl Drop for Service {
@@ -1511,8 +1263,8 @@ mod tests {
         assert_eq!(snap.coordinator.cross_batches, 2);
         assert_eq!(snap.coordinator.cross_ops, 5);
         // No markers leak: resolution removed them all.
-        for sh in &svc.shards {
-            assert!(sh.meta.collect_raw(&*sh.tm).is_empty());
+        for p in &svc.engine.pools {
+            assert!(p.meta.collect_raw(&*p.tm).is_empty());
         }
     }
 
@@ -1627,7 +1379,7 @@ mod tests {
             assert_eq!(svc.put(k, k * 2), Ok(None));
         }
         let dump = svc.crash();
-        assert_eq!(dump.shards().len(), 2);
+        assert_eq!(dump.shards.len(), 2);
         let svc = Service::recover(dump);
         for k in 0..64u64 {
             assert_eq!(svc.get(k), Ok(Some(k * 2)), "lost acked write {k}");

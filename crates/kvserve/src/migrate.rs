@@ -24,7 +24,7 @@
 //!    log fully resolved at the flip — the whole prepared-transaction
 //!    interaction with a migrating shard reduces to "there are none".
 //! 5. **Flip** — one committed transaction rewrites the durable
-//!    routing-table root ([`coord::write_route`](crate::coord)) with
+//!    routing-table root (`coord::write_route`) with
 //!    the bumped epoch. This is the migration's single durability
 //!    point: recovery reads the root and lands on entirely the old or
 //!    entirely the new topology, never a torn one.
@@ -43,18 +43,16 @@
 //! re-runs the scavenge (post-flip crash).
 
 use crate::probe::Point;
-use crate::repl::{self, Follower, LogEntry, LogKind, PrimaryLog, ReplRuntime};
-use crate::shard::ShardRequest;
+use crate::repl::{self, Follower, LogEntry, LogKind, ReplRuntime};
+use crate::shard::{ShardPool, ShardRequest};
 use crate::{
-    follower_image, op_key, CrashDump, FollowerImage, RouterInner, RoutingTable, ServeError,
-    Service, ShardImage, XRequest, META_BUCKETS, ROUTE_SLOTS,
+    op_key, CrashDump, RouterInner, RoutingTable, ServeError, Service, XRequest, ROUTE_SLOTS,
 };
 use crossbeam::channel::TrySendError;
-use nvhalt::NvHalt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use txstructs::{HashMapTx, MapOp};
+use txstructs::MapOp;
 
 /// What to migrate: `slots` (currently owned by shard `source`) move to
 /// a newly provisioned shard. Moving a strict subset splits the shard;
@@ -111,16 +109,6 @@ impl std::fmt::Debug for MigrateCrash {
     }
 }
 
-/// The target shard under construction: everything volatile until the
-/// flip logs it into the topology.
-struct Target {
-    tm: Arc<NvHalt>,
-    map: HashMapTx,
-    meta: HashMapTx,
-    hdr: tm::Addr,
-    follower: Option<Follower>,
-}
-
 impl Service {
     /// Split (or empty) a live shard without stopping traffic: stream
     /// its moving slots onto a newly provisioned shard and atomically
@@ -142,7 +130,7 @@ impl Service {
         let cfg = self.engine.cfg.clone();
         let old_table = self.engine.router.table();
         let source = spec.source;
-        let target_idx = self.engine.parts.len();
+        let target_idx = self.engine.pools.len();
         assert!(source < target_idx, "source shard out of range");
         assert!(!spec.slots.is_empty(), "nothing to migrate");
         let mut mask = [false; ROUTE_SLOTS];
@@ -180,33 +168,20 @@ impl Service {
         let mig_tid = cfg.workers_per_shard + cfg.coordinators + 1;
         let probe = self.engine.probe.clone();
 
-        // Plain handles to the source shard (HashMapTx is Copy) so the
-        // service itself stays un-borrowed across the crash points.
-        let stm = self.engine.parts[source].tm.clone();
-        let smap = self.engine.parts[source].map;
-        let shdr = self.engine.parts[source].log_hdr;
+        // Plain handles to the source pool so the service itself stays
+        // un-borrowed across the crash points.
+        let ShardPool {
+            tm: stm,
+            map: smap,
+            hdr: shdr,
+            ..
+        } = self.engine.pools[source].clone();
         let old_rt = self.engine.repl.clone();
 
         // ---- 1. Provision ------------------------------------------------
-        let ttm = Arc::new(NvHalt::new(cfg.shard_nvhalt()));
-        let tmap = HashMapTx::create(&*ttm, 0, cfg.buckets_per_shard)
-            .expect("creating a map on a fresh TM cannot cancel");
-        let tmeta = HashMapTx::create(&*ttm, 0, META_BUCKETS)
-            .expect("creating a map on a fresh TM cannot cancel");
-        let thdr = ttm.alloc_raw(0, repl::PRIMARY_HDR_WORDS);
-        if cfg.replication {
-            repl::set_armed(&ttm, 0, thdr, true);
-        }
-        let tfollower = cfg
-            .replication
-            .then(|| Follower::create(cfg.shard_nvhalt(), cfg.buckets_per_shard, META_BUCKETS));
-        let target = Target {
-            tm: ttm,
-            map: tmap,
-            meta: tmeta,
-            hdr: thdr,
-            follower: tfollower,
-        };
+        // Everything volatile until the flip logs it into the topology.
+        let target = ShardPool::primary(&cfg);
+        let tfollower = cfg.replication.then(|| Follower::create(&cfg));
         if probe.fires(Point::Provisioned) {
             return Err(Box::new(MigrateCrash { dump: self.crash() }));
         }
@@ -298,7 +273,7 @@ impl Service {
         let tail = repl::read_after(&stm, mig_tid, shdr.offset(repl::P_HEAD), cursor)
             .expect("a quiescent log read cannot lose its race");
         catchup_entries += apply_entries(&target, &tail, &mask);
-        if let Some(f) = &target.follower {
+        if let Some(f) = &tfollower {
             // Sync the target's follower *before* the flip: from the
             // instant the new table is durable, a primary-loss failover
             // must find every moved acked write on the target's replica.
@@ -315,35 +290,24 @@ impl Service {
         // decision log's pool rewrites the routing root.
         self.engine.coord.write_route(0, &new_table);
         if probe.fires(Point::FlipLogged) {
-            return Err(Box::new(MigrateCrash {
-                dump: self.crash_with_target(target),
-            }));
+            // The durable root already names the target, so the dump
+            // carries it (and its follower) next to the old shards.
+            let mut dump = self.crash();
+            target.tm.crash();
+            dump.shards.push(target.image(repl::PRIMARY_HDR_WORDS));
+            if let Some(f) = &tfollower {
+                f.pool.tm.crash();
+                dump.followers.push(f.image());
+            }
+            dump.cfg.shards += 1;
+            return Err(Box::new(MigrateCrash { dump }));
         }
 
         // ---- 6. Resume ----------------------------------------------------
         let mut cfg2 = cfg.clone();
         cfg2.shards = target_idx + 1;
-        let mut parts: Vec<crate::ShardParts> = self
-            .shards
-            .iter()
-            .map(|s| {
-                (
-                    s.tm.clone(),
-                    s.map,
-                    s.meta,
-                    s.repl_hdr,
-                    s.keep_blocks.clone(),
-                )
-            })
-            .collect();
-        let Target {
-            tm: ttm,
-            map: tmap,
-            meta: tmeta,
-            hdr: thdr,
-            follower: tfollower,
-        } = target;
-        parts.push((ttm, tmap, tmeta, thdr, Vec::new()));
+        let mut pools = self.engine.pools.clone();
+        pools.push(target);
         let rt2 = cfg.replication.then(|| {
             let rt = old_rt.as_ref().expect("replication runtime");
             let mut followers: Vec<Follower> = rt
@@ -352,16 +316,9 @@ impl Service {
                 .map(|cell| cell.lock().take().expect("follower present until flip"))
                 .collect();
             followers.push(tfollower.expect("replicating migration provisions a follower"));
-            let primaries = parts
-                .iter()
-                .map(|(tm, _, _, hdr, _)| PrimaryLog {
-                    tm: tm.clone(),
-                    hdr: *hdr,
-                })
-                .collect();
-            Arc::new(ReplRuntime::assemble(
+            Arc::new(ReplRuntime::new(
                 &cfg2,
-                primaries,
+                pools.clone(),
                 self.engine.coord.log.clone(),
                 followers,
                 probe.clone(),
@@ -369,7 +326,7 @@ impl Service {
         });
         let svc = Service::assemble(
             cfg2,
-            parts,
+            pools,
             self.engine.coord.clone(),
             rt2,
             new_table.clone(),
@@ -432,7 +389,7 @@ impl Service {
     fn scavenge(&self, shard: usize) -> u64 {
         let cfg = &self.engine.cfg;
         let table = self.engine.router.table();
-        let p = &self.engine.parts[shard];
+        let p = &self.engine.pools[shard];
         let mig_tid = cfg.workers_per_shard + cfg.coordinators + 1;
         let mut removed = 0u64;
         for b in 0..cfg.buckets_per_shard {
@@ -446,7 +403,7 @@ impl Service {
             if stale.is_empty() {
                 continue;
             }
-            let (map, hdr) = (p.map, p.log_hdr);
+            let (map, hdr) = (p.map, p.hdr);
             tm::txn(&*p.tm, mig_tid, |tx| {
                 let mut muts = Vec::with_capacity(stale.len());
                 for &k in &stale {
@@ -464,71 +421,6 @@ impl Service {
         }
         removed
     }
-
-    /// The post-flip crash shape: every pool poisoned, the dump carries
-    /// the old shards *plus* the target (and its follower), matching the
-    /// durably flipped routing root.
-    fn crash_with_target(mut self, target: Target) -> CrashDump {
-        self.poison();
-        target.tm.crash();
-        if let Some(rt) = &self.engine.repl {
-            for s in 0..rt.followers.len() {
-                rt.poison_follower(s);
-            }
-        }
-        if let Some(f) = &target.follower {
-            f.tm.crash();
-        }
-        // Threads are already halted; this drains and drops any
-        // straggler requests (their tickets resolve to `Stopped`).
-        let _ = self.halt_threads();
-        let shards = std::mem::take(&mut self.shards);
-        let mut images: Vec<ShardImage> = shards
-            .into_iter()
-            .map(|s| ShardImage {
-                image: s.tm.crash_image(),
-                buckets: s.map.buckets_addr(),
-                nbuckets: s.map.nbuckets(),
-                meta_buckets: s.meta.buckets_addr(),
-                meta_nbuckets: s.meta.nbuckets(),
-                repl_hdr: s.repl_hdr,
-                keep: s.keep_blocks.clone(),
-            })
-            .collect();
-        images.push(ShardImage {
-            image: target.tm.crash_image(),
-            buckets: target.map.buckets_addr(),
-            nbuckets: target.map.nbuckets(),
-            meta_buckets: target.meta.buckets_addr(),
-            meta_nbuckets: target.meta.nbuckets(),
-            repl_hdr: target.hdr,
-            keep: Vec::new(),
-        });
-        let mut followers: Vec<FollowerImage> = match &self.engine.repl {
-            Some(rt) => rt
-                .followers
-                .iter()
-                .map(|cell| {
-                    let f = cell.lock().take().expect("follower present until crash");
-                    follower_image(&f)
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-        if let Some(f) = &target.follower {
-            followers.push(follower_image(f));
-        }
-        let mut cfg2 = self.engine.cfg.clone();
-        cfg2.shards += 1;
-        CrashDump {
-            cfg: cfg2,
-            shards: images,
-            followers,
-            log: self.engine.coord.log.crash_image(),
-            log_head: self.engine.coord.head,
-            route: self.engine.coord.route,
-        }
-    }
 }
 
 /// Replay log entries into the target: apply the moving mutations and
@@ -536,9 +428,9 @@ impl Service {
 /// transaction. 2PC markers are deliberately not migrated — the flip
 /// happens with the decision log fully resolved, so every `Prepare` in
 /// the stream has its `Resolve` before the final tail ends and the
-/// markers net to nothing. Returns how many entries contributed.
-fn apply_entries(target: &Target, entries: &[LogEntry], mask: &[bool; ROUTE_SLOTS]) -> u64 {
-    let _ = target.meta; // markers stay empty by construction
+/// markers net to nothing, and the target's marker map stays empty.
+/// Returns how many entries contributed.
+fn apply_entries(target: &ShardPool, entries: &[LogEntry], mask: &[bool; ROUTE_SLOTS]) -> u64 {
     let mut applied = 0u64;
     for e in entries {
         let muts: Vec<MapOp> = e

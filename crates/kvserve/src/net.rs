@@ -5,7 +5,7 @@
 //! byte stream of request/response pairs, and everything between the
 //! socket and durability is the existing ring machinery. The server
 //! gives every accepted connection its own [`Ring`] slab over the
-//! shared [`Router`], so N connections multiplex onto the per-shard
+//! shared `Router`, so N connections multiplex onto the per-shard
 //! lanes exactly like N in-process submitters would — same routing,
 //! same deadlines, same 2PC split, same crash verdicts.
 //!
@@ -45,7 +45,7 @@ use crate::probe::{Point, ProbeCell};
 use crate::{MapOp, Reply, Ring, Router, ServeError, Service, Ticket};
 use std::collections::HashMap;
 use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -411,47 +411,86 @@ pub fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<Frame, Fra
     }
 }
 
-/// The single funnel for socket writes. Every byte the layer puts on a
-/// wire goes through [`FramedWriter::write_frame`] (whole frames) or
-/// [`FramedWriter::write_partial`] (the `MidWrite` crash injection) —
-/// xtask lint rule `raw-tcp-write` holds the rest of the crate to that.
-struct FramedWriter {
-    stream: TcpStream,
-}
+use wire::{split, FramedWriter, ReadHalf};
 
-impl FramedWriter {
-    fn new(stream: TcpStream) -> FramedWriter {
-        FramedWriter { stream }
+/// The only code that holds a writable socket. A connected socket is
+/// [`split`] into a [`ReadHalf`], which can read, switch blocking mode
+/// and shut down but has no write method, and a [`FramedWriter`], whose
+/// only writes are whole frames or the `MidWrite` crash injection's
+/// torn prefix. Every connection, client and kill handle outside this
+/// module holds one of the two, so a raw socket write anywhere else in
+/// the layer — an ack leaked around the dead-connection suppression, or
+/// a whole frame past a `MidWrite` crash — does not compile.
+mod wire {
+    use std::io::{self, Read, Write};
+    use std::net::{Shutdown, TcpStream};
+    use std::time::Duration;
+
+    /// Split a connected socket into its read half and its writer.
+    pub(super) fn split(stream: TcpStream) -> io::Result<(ReadHalf, FramedWriter)> {
+        let writer = FramedWriter {
+            stream: stream.try_clone()?,
+        };
+        Ok((ReadHalf(stream), writer))
     }
 
-    /// Write one whole encoded frame. A [`NetClient`]'s socket is left
-    /// nonblocking by `try_recv` (its reader and writer share one file
-    /// description), so a full send buffer waits for room here instead
-    /// of failing with part of the frame written.
-    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
-        use std::io::Write;
-        let mut rest = frame;
-        while !rest.is_empty() {
-            match self.stream.write(rest) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => rest = &rest[n..],
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_micros(50))
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+    /// A socket that can be read but never written.
+    pub(super) struct ReadHalf(TcpStream);
+
+    impl ReadHalf {
+        pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+            self.0.set_nonblocking(on)
         }
-        self.stream.flush()
+
+        /// Shut the connection both ways, now (both halves).
+        pub fn shutdown(&self) {
+            let _ = self.0.shutdown(Shutdown::Both);
+        }
+
+        pub fn try_clone(&self) -> io::Result<ReadHalf> {
+            self.0.try_clone().map(ReadHalf)
+        }
     }
 
-    /// Crash injection only: flush a strict prefix of a frame and stop.
-    /// The peer must treat the truncated tail as no-ack.
-    fn write_partial(&mut self, frame: &[u8], upto: usize) -> io::Result<()> {
-        use std::io::Write;
-        let upto = upto.min(frame.len().saturating_sub(1));
-        self.stream.write_all(&frame[..upto])?;
-        self.stream.flush()
+    impl Read for ReadHalf {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    /// The single funnel for socket writes.
+    pub(super) struct FramedWriter {
+        stream: TcpStream,
+    }
+
+    impl FramedWriter {
+        /// Write one whole encoded frame. A [`super::NetClient`]'s socket
+        /// is left nonblocking by `try_recv` (its reader and writer share
+        /// one file description), so a full send buffer waits for room
+        /// here instead of failing with part of the frame written.
+        pub fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+            let mut rest = frame;
+            while !rest.is_empty() {
+                match self.stream.write(rest) {
+                    Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                    Ok(n) => rest = &rest[n..],
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_micros(50))
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            self.stream.flush()
+        }
+
+        /// Crash injection only: flush a strict prefix of a frame and
+        /// stop. The peer must treat the truncated tail as no-ack.
+        pub fn write_partial(&mut self, frame: &[u8], upto: usize) -> io::Result<()> {
+            let upto = upto.min(frame.len().saturating_sub(1));
+            self.stream.write_all(&frame[..upto])?;
+            self.stream.flush()
+        }
     }
 }
 
@@ -486,7 +525,6 @@ struct RingSource {
     metrics: Arc<RingMetrics>,
     slots: usize,
     default_deadline: Duration,
-    retry_hint: Duration,
 }
 
 impl RingSource {
@@ -496,7 +534,6 @@ impl RingSource {
             self.router.clone(),
             self.metrics.clone(),
             self.default_deadline,
-            self.retry_hint,
         )
     }
 }
@@ -504,7 +541,7 @@ impl RingSource {
 /// One accepted connection's shared handle, kept by the server so a
 /// crash (or stop) can shut every socket abruptly.
 struct ConnShared {
-    stream: TcpStream,
+    stream: ReadHalf,
     /// Once set, no thread writes another byte to this socket.
     dead: AtomicBool,
 }
@@ -512,7 +549,7 @@ struct ConnShared {
 impl ConnShared {
     fn kill(&self) {
         self.dead.store(true, Ordering::Release);
-        let _ = self.stream.shutdown(Shutdown::Both);
+        self.stream.shutdown();
     }
 }
 
@@ -576,7 +613,6 @@ impl NetServer {
                 metrics: svc.ring_metrics.clone(),
                 slots,
                 default_deadline: svc.engine.cfg.default_deadline,
-                retry_hint: svc.engine.cfg.backoff_base,
             },
         });
         shared.conns.locksan_label("net::conns", false);
@@ -726,9 +762,8 @@ fn spawn_conn(
     shared: &Arc<NetShared>,
     workers: &Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    let Ok((stream, writer)) = split(stream) else {
+        return;
     };
     let cs = Arc::new(ConnShared {
         stream: match stream.try_clone() {
@@ -746,7 +781,7 @@ fn spawn_conn(
         pending: parking_lot::Mutex::new(HashMap::new()),
         outstanding: AtomicUsize::new(0),
         reader_done: AtomicBool::new(false),
-        writer: parking_lot::Mutex::new(FramedWriter::new(write_half)),
+        writer: parking_lot::Mutex::new(writer),
     });
     conn.pending.locksan_label("net::pending", false);
     conn.writer.locksan_label("net::writer", false);
@@ -768,7 +803,7 @@ fn spawn_conn(
     );
 }
 
-fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>) {
+fn reader_loop(mut stream: ReadHalf, conn: Arc<Conn>) {
     let net = conn.net.clone();
     let mut scratch = Vec::new();
     let cap = {
@@ -965,12 +1000,12 @@ impl std::error::Error for NetError {}
 
 /// A handle that can abruptly kill a client connection from another
 /// thread (the disconnect sweep's client-side "power cut").
-pub struct NetKill(TcpStream);
+pub struct NetKill(ReadHalf);
 
 impl NetKill {
     /// Shut the connection both ways, now.
     pub fn kill(&self) {
-        let _ = self.0.shutdown(Shutdown::Both);
+        self.0.shutdown();
     }
 }
 
@@ -979,7 +1014,7 @@ impl NetKill {
 /// design (clone the connection for concurrent clients); the open-loop
 /// bench drives one of these exactly like it drives a [`Ring`].
 pub struct NetClient {
-    stream: TcpStream,
+    stream: ReadHalf,
     writer: FramedWriter,
     scratch: Vec<u8>,
     /// Accumulator for nonblocking reads (partial frames span calls).
@@ -993,7 +1028,7 @@ impl NetClient {
     pub fn connect(addr: SocketAddr) -> io::Result<NetClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let writer = FramedWriter::new(stream.try_clone()?);
+        let (stream, writer) = split(stream)?;
         Ok(NetClient {
             stream,
             writer,

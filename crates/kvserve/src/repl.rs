@@ -11,9 +11,9 @@
 //! exists on every shard; the durable `armed` word says whether
 //! appenders actually log their mutations (always on a replicated
 //! service; turned on transactionally by a live migration otherwise —
-//! see [`P_ARMED`]).
+//! see `P_ARMED`).
 //! Every committed mutation reaches the log **inside the transaction that
-//! performs it** ([`append_in`] is called from the worker's batch
+//! performs it** (`append_in` is called from the worker's batch
 //! transaction and from the 2PC prepare/resolve transactions), so the log
 //! entry and the data it describes commit or roll back atomically — a
 //! post-commit hook could tear (batch durable, entry lost) and was
@@ -44,8 +44,8 @@
 //! Receiving and applying atomically is strictly stronger than the
 //! ack contract needs (an acked write must be durably *received*), so
 //! every crash point of the old receive-then-apply protocol remains
-//! covered. The two-stage path ([`Follower::receive_batch`] then
-//! [`Follower::apply_entry`]) survives for recovery catch-up: a
+//! covered. The two-stage path (`Follower::receive_batch` then
+//! `Follower::apply_entry`) survives for recovery catch-up: a
 //! repaired follower may hold a received-but-unapplied tail, which the
 //! next round drains — batched, in one transaction — before fusing.
 //!
@@ -53,7 +53,7 @@
 //! acks once the follower's `received_lsn` durably covers its entry, so
 //! every acked write survives losing *either* pool. The primary log is
 //! trimmed behind the shipped watermark, amortized over
-//! [`PRIMARY_TRIM_BATCH`] entries so retirement does not cost a commit
+//! `PRIMARY_TRIM_BATCH` entries so retirement does not cost a commit
 //! (flush pass + fence) per round.
 //!
 //! ## Crash injection
@@ -65,8 +65,9 @@
 //! top-level `kvserve_replication` suite sweeps all of them.
 
 use crate::probe::{Point, ProbeCell};
+use crate::shard::{PoolImage, ShardPool};
 use crate::ServiceConfig;
-use nvhalt::{NvHalt, NvHaltConfig};
+use nvhalt::NvHalt;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,8 +98,8 @@ const F_ROLE: u64 = 3;
 /// Words in a follower's header block.
 pub(crate) const FOLLOWER_HDR_WORDS: usize = 4;
 
-/// Role word values: follower until a promotion durably flips it.
-const ROLE_FOLLOWER: u64 = 0;
+/// Role word once a promotion has durably committed (a fresh follower's
+/// header is raw-allocated, so its role word reads 0).
 const ROLE_PRIMARY: u64 = 1;
 
 /// Log entry layout (word offsets within an entry block):
@@ -420,16 +421,9 @@ pub(crate) fn trim_through(tm: &NvHalt, tid: usize, head: Addr, upto: u64) {
     });
 }
 
-/// Every heap block a primary shard's log owns: the header plus every
-/// entry. For allocator rebuilds after recovery. Quiescent only.
-pub(crate) fn primary_used_blocks(tm: &NvHalt, hdr: Addr) -> Vec<(u64, usize)> {
-    std::iter::once((hdr.0, PRIMARY_HDR_WORDS))
-        .chain(walk_blocks_raw(tm, hdr.offset(P_HEAD)))
-        .collect()
-}
-
-/// Raw walk of the list rooted at `head`: `(addr, words)` per entry, for
-/// allocator rebuilds. Only valid on a quiescent TM.
+/// Raw walk of the list rooted at `head` (word 0 of either header:
+/// [`P_HEAD`] = `F_HEAD`): `(addr, words)` per entry, for allocator
+/// rebuilds. Only valid on a quiescent TM.
 pub(crate) fn walk_blocks_raw(tm: &NvHalt, head: Addr) -> Vec<(u64, usize)> {
     let mut out = Vec::new();
     let mut a = Addr(tm.read_raw(head));
@@ -450,83 +444,50 @@ pub(crate) fn last_lsn_raw(tm: &NvHalt, hdr: Addr) -> u64 {
 // Follower
 // ---------------------------------------------------------------------
 
-/// A shard's follower: its own NV-HALT instance holding a mirror of the
-/// primary's data and 2PC-marker maps, a receive log, and the durable
-/// `received`/`applied` watermarks. Only the shard's shipper thread (or
-/// promotion, with the shipper gone) touches it, always as TM thread 0.
+/// A shard's follower: its own shard pool, whose maps mirror the
+/// primary's data and 2PC markers and whose header holds the receive
+/// log and the durable `received`/`applied` watermarks. Only the shard's
+/// shipper thread (or promotion, with the shipper gone) touches it,
+/// always as TM thread 0.
 pub struct Follower {
-    pub(crate) tm: Arc<NvHalt>,
-    pub(crate) data: HashMapTx,
-    pub(crate) meta: HashMapTx,
-    pub(crate) hdr: Addr,
+    pub(crate) pool: ShardPool,
 }
 
 /// TM thread id of all follower-side transactions.
 const FOLLOWER_TID: usize = 0;
 
 impl Follower {
-    /// Fresh follower over a new TM: empty maps, zero watermarks.
-    pub(crate) fn create(cfg: NvHaltConfig, buckets: usize, meta_buckets: usize) -> Follower {
-        let tm = Arc::new(NvHalt::new(cfg));
-        let data = HashMapTx::create(&*tm, FOLLOWER_TID, buckets)
-            .expect("creating a map on a fresh TM cannot cancel");
-        let meta = HashMapTx::create(&*tm, FOLLOWER_TID, meta_buckets)
-            .expect("creating a map on a fresh TM cannot cancel");
-        let hdr = tm.alloc_raw(FOLLOWER_TID, FOLLOWER_HDR_WORDS);
-        let f = Follower {
-            tm,
-            data,
-            meta,
-            hdr,
-        };
-        // Raw allocation is durably zero; zero is the follower role.
-        debug_assert_eq!(f.role_raw(), ROLE_FOLLOWER);
-        f
+    /// Fresh follower for `cfg`'s shards: empty maps, zero watermarks
+    /// (raw allocation is durably zero; zero is also the follower role).
+    pub(crate) fn create(cfg: &ServiceConfig) -> Follower {
+        Follower {
+            pool: ShardPool::create(cfg, FOLLOWER_HDR_WORDS),
+        }
     }
 
     /// Standalone fresh follower for tests: `heap_words` of heap, small
     /// maps. The proptest suite drives [`Follower::ingest`] against this
     /// directly, with no service around it.
     pub fn fresh(heap_words: usize) -> Follower {
-        Follower::create(NvHaltConfig::test(heap_words, 1), 64, 64)
+        let mut cfg = ServiceConfig::new(1);
+        cfg.heap_words_per_shard = heap_words;
+        cfg.buckets_per_shard = 64;
+        Follower::create(&cfg)
     }
 
-    /// Re-attach over a recovered TM (maps and header already exist).
-    pub(crate) fn attach(tm: Arc<NvHalt>, data: HashMapTx, meta: HashMapTx, hdr: Addr) -> Follower {
-        Follower {
-            tm,
-            data,
-            meta,
-            hdr,
-        }
-    }
-
-    /// Every heap block reachable from the follower's roots: both maps,
-    /// the header, and the receive-log entries. For allocator rebuilds
-    /// after recovery.
-    pub(crate) fn used_blocks(&self) -> Vec<(u64, usize)> {
-        self.data
-            .used_blocks(&*self.tm)
-            .into_iter()
-            .chain(self.meta.used_blocks(&*self.tm))
-            .chain(std::iter::once((self.hdr.0, FOLLOWER_HDR_WORDS)))
-            .chain(walk_blocks_raw(&self.tm, self.hdr.offset(F_HEAD)))
-            .collect()
+    /// Capture a crashed follower's durable remains.
+    pub(crate) fn image(&self) -> PoolImage {
+        self.pool.image(FOLLOWER_HDR_WORDS)
     }
 
     /// Durable `received_lsn`. Quiescent only.
     pub(crate) fn received_raw(&self) -> u64 {
-        self.tm.read_raw(self.hdr.offset(F_RECEIVED))
+        self.pool.tm.read_raw(self.pool.hdr.offset(F_RECEIVED))
     }
 
     /// Durable `applied_lsn`. Quiescent only.
     pub fn applied_lsn(&self) -> u64 {
-        self.tm.read_raw(self.hdr.offset(F_APPLIED))
-    }
-
-    /// Durable role word: has a promotion committed on this follower?
-    pub(crate) fn role_raw(&self) -> u64 {
-        self.tm.read_raw(self.hdr.offset(F_ROLE))
+        self.pool.tm.read_raw(self.pool.hdr.offset(F_APPLIED))
     }
 
     /// Stage a slice of entries (ascending by LSN) into the receive log
@@ -538,8 +499,8 @@ impl Follower {
     /// actually staged.
     pub(crate) fn receive_batch(&self, entries: &[LogEntry]) -> usize {
         debug_assert!(entries.windows(2).all(|w| w[0].lsn < w[1].lsn));
-        tm::txn(&*self.tm, FOLLOWER_TID, |tx| {
-            let watermark = tx.read(self.hdr.offset(F_RECEIVED))?;
+        tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
+            let watermark = tx.read(self.pool.hdr.offset(F_RECEIVED))?;
             let fresh: Vec<&LogEntry> = entries.iter().filter(|e| e.lsn > watermark).collect();
             let Some(last) = fresh.last() else {
                 return Ok(0);
@@ -547,11 +508,11 @@ impl Follower {
             for e in &fresh {
                 let a = tx.alloc(e.words())?;
                 write_entry_in(tx, a, e.lsn, e.kind, e.txid, &e.ops)?;
-                let prev = tx.read(self.hdr.offset(F_HEAD))?;
+                let prev = tx.read(self.pool.hdr.offset(F_HEAD))?;
                 tx.write(a.offset(L_NEXT), prev)?;
-                tx.write(self.hdr.offset(F_HEAD), a.0)?;
+                tx.write(self.pool.hdr.offset(F_HEAD), a.0)?;
             }
-            tx.write(self.hdr.offset(F_RECEIVED), last.lsn)?;
+            tx.write(self.pool.hdr.offset(F_RECEIVED), last.lsn)?;
             Ok(fresh.len())
         })
         .expect("follower transactions never cancel")
@@ -571,9 +532,9 @@ impl Follower {
     /// caller's volatile mirrors.
     pub(crate) fn receive_apply_batch(&self, entries: &[LogEntry]) -> (u64, u64) {
         debug_assert!(entries.windows(2).all(|w| w[0].lsn < w[1].lsn));
-        tm::txn(&*self.tm, FOLLOWER_TID, |tx| {
-            let received = tx.read(self.hdr.offset(F_RECEIVED))?;
-            let applied = tx.read(self.hdr.offset(F_APPLIED))?;
+        tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
+            let received = tx.read(self.pool.hdr.offset(F_RECEIVED))?;
+            let applied = tx.read(self.pool.hdr.offset(F_APPLIED))?;
             if applied != received {
                 return Ok((received, applied));
             }
@@ -582,10 +543,10 @@ impl Follower {
                 return Ok((received, applied));
             };
             for e in &fresh {
-                apply_ops_in(tx, &self.data, &self.meta, e)?;
+                apply_ops_in(tx, &self.pool.map, &self.pool.meta, e)?;
             }
-            tx.write(self.hdr.offset(F_RECEIVED), last.lsn)?;
-            tx.write(self.hdr.offset(F_APPLIED), last.lsn)?;
+            tx.write(self.pool.hdr.offset(F_RECEIVED), last.lsn)?;
+            tx.write(self.pool.hdr.offset(F_APPLIED), last.lsn)?;
             Ok((last.lsn, last.lsn))
         })
         .expect("follower transactions never cancel")
@@ -598,21 +559,21 @@ impl Follower {
     /// applied watermark are skipped. Returns how many were applied.
     pub(crate) fn apply_batch(&self, entries: &[LogEntry]) -> usize {
         debug_assert!(entries.windows(2).all(|w| w[0].lsn < w[1].lsn));
-        let applied = tm::txn(&*self.tm, FOLLOWER_TID, |tx| {
-            let watermark = tx.read(self.hdr.offset(F_APPLIED))?;
+        let applied = tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
+            let watermark = tx.read(self.pool.hdr.offset(F_APPLIED))?;
             let fresh: Vec<&LogEntry> = entries.iter().filter(|e| e.lsn > watermark).collect();
             let Some(last) = fresh.last() else {
                 return Ok(0);
             };
             for e in &fresh {
-                apply_ops_in(tx, &self.data, &self.meta, e)?;
+                apply_ops_in(tx, &self.pool.map, &self.pool.meta, e)?;
             }
-            tx.write(self.hdr.offset(F_APPLIED), last.lsn)?;
+            tx.write(self.pool.hdr.offset(F_APPLIED), last.lsn)?;
             Ok(fresh.len())
         })
         .expect("follower transactions never cancel");
         if applied > 0 {
-            if let Some(p) = self.tm.pmem().pool().psan() {
+            if let Some(p) = self.pool.tm.pmem().pool().psan() {
                 p.durability_point(FOLLOWER_TID, "kvserve::repl::applied_lsn");
             }
         }
@@ -621,10 +582,10 @@ impl Follower {
 
     /// Received-but-unapplied entries, ascending by LSN.
     pub(crate) fn pending(&self) -> Vec<LogEntry> {
-        tm::txn(&*self.tm, FOLLOWER_TID, |tx| {
-            let applied = tx.read(self.hdr.offset(F_APPLIED))?;
+        tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
+            let applied = tx.read(self.pool.hdr.offset(F_APPLIED))?;
             let mut out = Vec::new();
-            let mut a = Addr(tx.read(self.hdr.offset(F_HEAD))?);
+            let mut a = Addr(tx.read(self.pool.hdr.offset(F_HEAD))?);
             while !a.is_null() {
                 if tx.read(a.offset(L_LSN))? <= applied {
                     break;
@@ -645,43 +606,42 @@ impl Follower {
     /// state must be fully fenced before the watermark can be trusted.
     /// Returns whether the entry was actually applied.
     pub(crate) fn apply_entry(&self, e: &LogEntry) -> bool {
-        let applied = tm::txn(&*self.tm, FOLLOWER_TID, |tx| {
-            if tx.read(self.hdr.offset(F_APPLIED))? >= e.lsn {
+        let applied = tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
+            if tx.read(self.pool.hdr.offset(F_APPLIED))? >= e.lsn {
                 return Ok(false);
             }
-            apply_ops_in(tx, &self.data, &self.meta, e)?;
-            tx.write(self.hdr.offset(F_APPLIED), e.lsn)?;
+            apply_ops_in(tx, &self.pool.map, &self.pool.meta, e)?;
+            tx.write(self.pool.hdr.offset(F_APPLIED), e.lsn)?;
             Ok(true)
         })
         .expect("follower transactions never cancel");
-        if let Some(p) = self.tm.pmem().pool().psan() {
+        if let Some(p) = self.pool.tm.pmem().pool().psan() {
             p.durability_point(FOLLOWER_TID, "kvserve::repl::applied_lsn");
         }
         applied
     }
 
-    /// Drop every receive-log entry at or below the applied watermark.
-    pub(crate) fn trim_applied(&self, upto: u64) {
-        trim_through(&self.tm, FOLLOWER_TID, self.hdr.offset(F_HEAD), upto);
-    }
-
-    /// Drop the whole receive log (promotion epilogue: everything is
-    /// applied and there is no primary left to re-ship from).
-    pub(crate) fn trim_all(&self) {
-        trim_through(&self.tm, FOLLOWER_TID, self.hdr.offset(F_HEAD), u64::MAX);
+    /// Drop every receive-log entry at or below `upto`, an applied
+    /// watermark (`u64::MAX` drops the whole log).
+    pub(crate) fn trim(&self, upto: u64) {
+        let head = self.pool.hdr.offset(F_HEAD);
+        trim_through(&self.pool.tm, FOLLOWER_TID, head, upto);
     }
 
     /// Durably mark this follower promoted, then assert the promotion
     /// record is fully fenced.
     pub(crate) fn commit_promotion(&self) {
-        tm::txn(&*self.tm, FOLLOWER_TID, |tx| {
-            tx.write(self.hdr.offset(F_ROLE), ROLE_PRIMARY)
+        tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
+            tx.write(self.pool.hdr.offset(F_ROLE), ROLE_PRIMARY)
         })
         .expect("follower transactions never cancel");
-        if let Some(p) = self.tm.pmem().pool().psan() {
+        if let Some(p) = self.pool.tm.pmem().pool().psan() {
             p.durability_point(FOLLOWER_TID, "kvserve::repl::promotion_commit");
         }
-        debug_assert_eq!(self.role_raw(), ROLE_PRIMARY);
+        debug_assert_eq!(
+            self.pool.tm.read_raw(self.pool.hdr.offset(F_ROLE)),
+            ROLE_PRIMARY
+        );
     }
 
     /// Receive and apply a slice of log entries, as the shipper would.
@@ -693,16 +653,16 @@ impl Follower {
         for e in self.pending() {
             self.apply_entry(&e);
         }
-        let applied = tm::txn(&*self.tm, FOLLOWER_TID, |tx| {
-            tx.read(self.hdr.offset(F_APPLIED))
+        let applied = tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
+            tx.read(self.pool.hdr.offset(F_APPLIED))
         })
         .expect("follower transactions never cancel");
-        self.trim_applied(applied);
+        self.trim(applied);
     }
 
     /// The mirrored data map's contents, sorted by key. Quiescent only.
     pub fn contents(&self) -> Vec<(u64, u64)> {
-        let mut v = self.data.collect_raw(&*self.tm);
+        let mut v = self.pool.map.collect_raw(&*self.pool.tm);
         v.sort_unstable();
         v
     }
@@ -710,8 +670,9 @@ impl Follower {
     /// The mirrored 2PC marker map's keys, sorted. Quiescent only.
     pub fn markers(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self
+            .pool
             .meta
-            .collect_raw(&*self.tm)
+            .collect_raw(&*self.pool.tm)
             .into_iter()
             .map(|(k, _)| k)
             .collect();
@@ -764,6 +725,10 @@ pub(crate) struct ShipState {
 /// round would be persist traffic for nothing. The lag bounds the
 /// garbage, not the correctness.
 const PRIMARY_TRIM_BATCH: u64 = 8;
+
+/// Idle poll interval of the per-shard shipping threads (appends also
+/// wake them eagerly).
+const SHIP_INTERVAL: Duration = Duration::from_millis(1);
 
 impl ShipState {
     fn new() -> ShipState {
@@ -832,16 +797,10 @@ impl ShipState {
     }
 }
 
-/// One primary shard's log location.
-pub(crate) struct PrimaryLog {
-    pub tm: Arc<NvHalt>,
-    pub hdr: Addr,
-}
-
 /// Everything the replication layer shares between workers, the 2PC
 /// coordinator, the shipper threads, and the service's crash plumbing.
 pub(crate) struct ReplRuntime {
-    pub primaries: Vec<PrimaryLog>,
+    pub primaries: Vec<ShardPool>,
     /// The 2PC decision log's TM, poisoned together with the primaries.
     pub decision_log: Arc<NvHalt>,
     pub followers: Vec<Mutex<Option<Follower>>>,
@@ -850,7 +809,6 @@ pub(crate) struct ReplRuntime {
     /// steps.
     pub probe: Arc<ProbeCell>,
     pub stop: AtomicBool,
-    pub ship_interval: Duration,
     /// Shipper group-commit window (see `ServiceConfig::ship_coalesce`).
     pub ship_coalesce: Duration,
     /// The reserved shipper TM thread slot on every primary shard.
@@ -858,31 +816,12 @@ pub(crate) struct ReplRuntime {
 }
 
 impl ReplRuntime {
-    /// Fresh runtime: one empty follower per shard, zero watermarks.
-    pub fn new(
-        cfg: &ServiceConfig,
-        primaries: Vec<PrimaryLog>,
-        decision_log: Arc<NvHalt>,
-        probe: Arc<ProbeCell>,
-    ) -> ReplRuntime {
-        let followers = (0..primaries.len())
-            .map(|_| {
-                Follower::create(
-                    cfg.shard_nvhalt(),
-                    cfg.buckets_per_shard,
-                    crate::META_BUCKETS,
-                )
-            })
-            .collect();
-        ReplRuntime::assemble(cfg, primaries, decision_log, followers, probe)
-    }
-
     /// Assemble over existing (fresh or recovered) followers, seeding
     /// each shard's ship state from the durable watermarks. Both sides
     /// must be quiescent.
-    pub fn assemble(
+    pub fn new(
         cfg: &ServiceConfig,
-        primaries: Vec<PrimaryLog>,
+        primaries: Vec<ShardPool>,
         decision_log: Arc<NvHalt>,
         followers: Vec<Follower>,
         probe: Arc<ProbeCell>,
@@ -906,7 +845,6 @@ impl ReplRuntime {
             states,
             probe,
             stop: AtomicBool::new(false),
-            ship_interval: cfg.ship_interval,
             ship_coalesce: cfg.ship_coalesce,
             ship_tid: cfg.workers_per_shard + cfg.coordinators,
         };
@@ -937,7 +875,7 @@ impl ReplRuntime {
     /// failure).
     pub fn poison_follower(&self, s: usize) {
         if let Some(f) = &*self.followers[s].lock() {
-            f.tm.crash();
+            f.pool.tm.crash();
         }
     }
 }
@@ -978,7 +916,7 @@ fn shipper(rt: &ReplRuntime, s: usize) {
                 state.notify_all();
             }
         }
-        state.wait_work(rt.ship_interval, &rt.stop);
+        state.wait_work(SHIP_INTERVAL, &rt.stop);
         // Group commit across worker batches: linger so every entry
         // appended in the window rides the next round's single
         // follower commit instead of costing its own flush pass and
@@ -1001,7 +939,7 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
     let state = &rt.states[s];
     let cell = rt.followers[s].lock();
     let Some(f) = &*cell else { return };
-    if f.tm.pmem().pool().is_crashed() {
+    if f.pool.tm.pmem().pool().is_crashed() {
         state.down.store(true, Ordering::Release);
         state.notify_all();
         return;
@@ -1013,10 +951,10 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
         let last = pending.last().expect("non-empty").lsn;
         state.applied.fetch_max(last, Ordering::AcqRel);
         if rt.probe.fires(Point::MidApply) {
-            f.tm.crash();
+            f.pool.tm.crash();
             tm::crash::crash_unwind();
         }
-        f.trim_applied(state.applied.load(Ordering::Acquire));
+        f.trim(state.applied.load(Ordering::Acquire));
     }
     let received = state.received.load(Ordering::Acquire);
     let Some(fresh) = read_after(&p.tm, rt.ship_tid, p.hdr.offset(P_HEAD), received) else {
@@ -1028,7 +966,7 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
     let mut processed = !pending.is_empty();
     if !fresh.is_empty() {
         if rt.probe.fires(Point::BeforeReceive) {
-            f.tm.crash();
+            f.pool.tm.crash();
             tm::crash::crash_unwind();
         }
         // The round's group commit: received and applied in one
@@ -1038,14 +976,14 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
         state.applied.fetch_max(appl, Ordering::AcqRel);
         state.notify_all();
         if rt.probe.fires(Point::Received) {
-            f.tm.crash();
+            f.pool.tm.crash();
             tm::crash::crash_unwind();
         }
         // Receive and apply commit together, so "mid-apply" is no
         // longer a distinct durable state; the point stays a live crash
         // point at the same protocol position.
         if rt.probe.fires(Point::MidApply) {
-            f.tm.crash();
+            f.pool.tm.crash();
             tm::crash::crash_unwind();
         }
         processed = true;
@@ -1060,7 +998,7 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
             state.trimmed.store(upto, Ordering::Release);
         }
         if rt.probe.fires(Point::Applied) {
-            f.tm.crash();
+            f.pool.tm.crash();
             tm::crash::crash_unwind();
         }
     }
@@ -1069,6 +1007,7 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvhalt::NvHaltConfig;
 
     fn entry(lsn: u64, kind: LogKind, txid: u64, ops: Vec<MapOp>) -> LogEntry {
         LogEntry {

@@ -32,7 +32,7 @@
 
 use crate::metrics::RingMetrics;
 use crate::shard::ShardRequest;
-use crate::{op_key, Reply, Router, ServeError, XRequest};
+use crate::{op_key, Reply, Router, ServeError, XRequest, BACKOFF_BASE};
 use crossbeam::channel::{Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -260,22 +260,11 @@ pub(crate) struct RingLane {
 /// ticket resolves (to `Err(Stopped)` at the latest when the crash drops
 /// the queues), and the ring can still be reaped. New submissions to a
 /// torn-down service answer `Err(Stopped)`.
+#[derive(Clone)]
 pub struct Ring {
     shared: Arc<RingShared>,
     router: Arc<Router>,
     default_deadline: Duration,
-    retry_hint: Duration,
-}
-
-impl Clone for Ring {
-    fn clone(&self) -> Ring {
-        Ring {
-            shared: self.shared.clone(),
-            router: self.router.clone(),
-            default_deadline: self.default_deadline,
-            retry_hint: self.retry_hint,
-        }
-    }
 }
 
 /// Bounded routing retries after a `Disconnected` lane whose epoch
@@ -289,14 +278,12 @@ impl Ring {
         router: Arc<Router>,
         metrics: Arc<RingMetrics>,
         default_deadline: Duration,
-        retry_hint: Duration,
     ) -> Ring {
         assert!(slots >= 1, "ring needs at least one slot");
         Ring {
             shared: Arc::new(RingShared::new(slots, metrics)),
             router,
             default_deadline,
-            retry_hint,
         }
     }
 
@@ -378,7 +365,7 @@ impl Ring {
                         drop(req);
                         self.shared.cancel(ticket);
                         return Err(ServeError::Overloaded {
-                            retry_after: self.retry_hint,
+                            retry_after: BACKOFF_BASE,
                         });
                     }
                     Err(TrySendError::Disconnected(req)) => {
@@ -417,7 +404,7 @@ impl Ring {
                         drop(req);
                         self.shared.cancel(ticket);
                         return Err(ServeError::Overloaded {
-                            retry_after: self.retry_hint,
+                            retry_after: BACKOFF_BASE,
                         });
                     }
                     Err(TrySendError::Disconnected(req)) => {

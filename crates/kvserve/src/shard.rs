@@ -1,5 +1,5 @@
-//! One shard: an NV-HALT instance, its transactional hashmap, a bounded
-//! request queue, and the worker threads that drain it.
+//! One shard: its pool (an NV-HALT instance plus the roots in its heap),
+//! a bounded request queue, and the worker threads that drain it.
 //!
 //! Workers coalesce queued requests into batches and run each batch as a
 //! *single* durable transaction ([`HashMapTx::apply_in`] per op inside one
@@ -17,9 +17,10 @@ use crate::metrics::ShardMetrics;
 use crate::probe::Point;
 use crate::repl::{self, LogKind, ReplRuntime};
 use crate::ring::RingCompletion;
-use crate::{op_key, Router, ServeError, ServiceConfig};
+use crate::{backoff, op_key, Router, ServeError, ServiceConfig, ATTEMPT_FUEL};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use nvhalt::NvHalt;
+use pmem::pool::DurableImage;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -29,6 +30,97 @@ use txstructs::{HashMapTx, MapOp};
 
 /// How often an idle worker re-checks the stop flag.
 pub(crate) const POLL: Duration = Duration::from_millis(2);
+
+/// Buckets of each pool's 2PC marker map (tiny: it only ever holds the
+/// markers of in-flight cross-shard transactions).
+const META_BUCKETS: usize = 64;
+
+/// One shard pool's durable state: an NV-HALT instance and the three
+/// roots in its heap — the data map, the 2PC marker map (`txid -> 1`
+/// while a cross-shard transaction's commit on this pool awaits
+/// resolution, see `coord`) and a log header. A primary's header roots
+/// its op log ([`repl::PRIMARY_HDR_WORDS`] words), a follower's its
+/// receive log and watermarks ([`repl::FOLLOWER_HDR_WORDS`]); both keep
+/// the entry list's head at word 0. Primary shards, followers, promoted
+/// followers and migration targets are all shard pools: each is
+/// provisioned by [`ShardPool::create`], captured after a crash by
+/// [`ShardPool::image`] and rebuilt by [`ShardPool::recover`].
+#[derive(Clone)]
+pub(crate) struct ShardPool {
+    pub tm: Arc<NvHalt>,
+    pub map: HashMapTx,
+    pub meta: HashMapTx,
+    pub hdr: Addr,
+}
+
+/// A shard pool's durable remains after a crash: the persistent image
+/// plus its roots and the width of its header.
+pub(crate) struct PoolImage {
+    image: DurableImage,
+    map: HashMapTx,
+    meta: HashMapTx,
+    hdr: Addr,
+    hdr_words: usize,
+}
+
+impl ShardPool {
+    /// A fresh pool over a new TM configured for `cfg`'s shards: empty
+    /// maps and a durably zero `hdr_words`-word header.
+    pub fn create(cfg: &ServiceConfig, hdr_words: usize) -> ShardPool {
+        let tm = Arc::new(NvHalt::new(cfg.shard_nvhalt()));
+        let map = HashMapTx::create(&*tm, 0, cfg.buckets_per_shard)
+            .expect("creating a map on a fresh TM cannot cancel");
+        let meta = HashMapTx::create(&*tm, 0, META_BUCKETS)
+            .expect("creating a map on a fresh TM cannot cancel");
+        let hdr = tm.alloc_raw(0, hdr_words);
+        ShardPool { tm, map, meta, hdr }
+    }
+
+    /// A fresh primary pool. Every primary has an op-log header; its
+    /// durable armed word (on iff replicating — a migration can arm it
+    /// later) gates actual appends.
+    pub fn primary(cfg: &ServiceConfig) -> ShardPool {
+        let pool = ShardPool::create(cfg, repl::PRIMARY_HDR_WORDS);
+        if cfg.replication {
+            repl::set_armed(&pool.tm, 0, pool.hdr, true);
+        }
+        pool
+    }
+
+    /// Capture a crashed pool's durable remains. `hdr_words` is the
+    /// width of its header: a primary's or a follower's.
+    pub fn image(&self, hdr_words: usize) -> PoolImage {
+        PoolImage {
+            image: self.tm.crash_image(),
+            map: self.map,
+            meta: self.meta,
+            hdr: self.hdr,
+            hdr_words,
+        }
+    }
+
+    /// Rebuild a pool from its remains: TM recovery, then an allocator
+    /// rebuild from every block still reachable from the roots — both
+    /// maps, the header and its entry list. Any other block (a promoted
+    /// follower's old header, say) is free again afterwards.
+    pub fn recover(cfg: &ServiceConfig, img: &PoolImage) -> ShardPool {
+        let tm = Arc::new(NvHalt::recover_with(cfg.shard_nvhalt(), &img.image));
+        tm.rebuild_allocator(
+            img.map
+                .used_blocks(&*tm)
+                .into_iter()
+                .chain(img.meta.used_blocks(&*tm))
+                .chain(std::iter::once((img.hdr.0, img.hdr_words)))
+                .chain(repl::walk_blocks_raw(&tm, img.hdr)),
+        );
+        ShardPool {
+            tm,
+            map: img.map,
+            meta: img.meta,
+            hdr: img.hdr,
+        }
+    }
+}
 
 /// One queued request: the ops to run atomically, the ring slot that
 /// receives the answer, its timing envelope, and the routing epoch the
@@ -42,59 +134,38 @@ pub(crate) struct ShardRequest {
     pub epoch: u64,
 }
 
-/// A running shard.
+/// A running shard: its queue and workers. Its pool lives in the
+/// service's `Engine`.
 pub(crate) struct Shard {
-    pub tm: Arc<NvHalt>,
-    pub map: HashMapTx,
-    /// 2PC marker map: `txid -> 1` while a cross-shard transaction's
-    /// commit on this shard awaits resolution (see `coord`).
-    pub meta: HashMapTx,
     pub metrics: Arc<ShardMetrics>,
     pub queue: Sender<ShardRequest>,
     /// Kept so the channel stays connected (and `try_send` reports `Full`,
     /// not `Disconnected`) even if every worker has exited.
-    #[allow(dead_code)]
     pub queue_rx: Receiver<ShardRequest>,
     pub stop: Arc<AtomicBool>,
     pub workers: Vec<JoinHandle<()>>,
-    /// This shard's op-log header block (always allocated; appends gate
-    /// on the in-pool armed word — see `repl::append_armed_in`).
-    pub repl_hdr: Addr,
-    /// Extra live blocks future recoveries must keep reserved beyond the
-    /// maps and log — e.g. a promoted follower's old header block.
-    pub keep_blocks: Vec<(u64, usize)>,
 }
 
 struct WorkerCtx {
-    tm: Arc<NvHalt>,
-    map: HashMapTx,
+    pool: ShardPool,
     rx: Receiver<ShardRequest>,
     stop: Arc<AtomicBool>,
     metrics: Arc<ShardMetrics>,
     tid: usize,
     batch_max: usize,
     max_retries: u32,
-    backoff_base: Duration,
-    backoff_max: Duration,
-    attempt_fuel: usize,
     shard: usize,
-    log_hdr: Addr,
     repl: Option<Arc<ReplRuntime>>,
     router: Arc<Router>,
 }
 
 impl Shard {
-    /// Spawn the shard's workers over an existing TM + map (fresh or
-    /// recovered).
-    #[allow(clippy::too_many_arguments)]
+    /// Spawn shard `index`'s workers over its (fresh, recovered,
+    /// promoted or migrated) pool.
     pub fn start(
         cfg: &ServiceConfig,
         index: usize,
-        tm: Arc<NvHalt>,
-        map: HashMapTx,
-        meta: HashMapTx,
-        repl_hdr: Addr,
-        keep_blocks: Vec<(u64, usize)>,
+        pool: &ShardPool,
         repl: Option<Arc<ReplRuntime>>,
         router: Arc<Router>,
     ) -> Shard {
@@ -104,19 +175,14 @@ impl Shard {
         let workers = (0..cfg.workers_per_shard)
             .map(|w| {
                 let ctx = WorkerCtx {
-                    tm: tm.clone(),
-                    map,
+                    pool: pool.clone(),
                     rx: queue_rx.clone(),
                     stop: stop.clone(),
                     metrics: metrics.clone(),
                     tid: w,
                     batch_max: cfg.batch_max,
                     max_retries: cfg.max_retries,
-                    backoff_base: cfg.backoff_base,
-                    backoff_max: cfg.backoff_max,
-                    attempt_fuel: cfg.attempt_fuel,
                     shard: index,
-                    log_hdr: repl_hdr,
                     repl: repl.clone(),
                     router: router.clone(),
                 };
@@ -127,16 +193,11 @@ impl Shard {
             })
             .collect();
         Shard {
-            tm,
-            map,
-            meta,
             metrics,
             queue,
             queue_rx,
             stop,
             workers,
-            repl_hdr,
-            keep_blocks,
         }
     }
 }
@@ -234,21 +295,20 @@ fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
                 tm::crash::crash_unwind();
             }
         }
-        let fuel = ctx.attempt_fuel;
-        let res = tm::txn(&*ctx.tm, ctx.tid, |tx| {
-            if tx.attempt() >= fuel {
+        let res = tm::txn(&*ctx.pool.tm, ctx.tid, |tx| {
+            if tx.attempt() >= ATTEMPT_FUEL {
                 // Attempt budget exhausted: hand progress control back to
                 // the service layer (backoff + bounded retries).
                 return Err(Abort::Cancel);
             }
             let mut out = Vec::with_capacity(ops.len());
             for &op in &ops {
-                out.push(ctx.map.apply_in(tx, op)?);
+                out.push(ctx.pool.map.apply_in(tx, op)?);
             }
             let lsn = if muts.is_empty() {
                 0
             } else {
-                repl::append_armed_in(tx, ctx.log_hdr, LogKind::Batch, 0, &muts)?
+                repl::append_armed_in(tx, ctx.pool.hdr, LogKind::Batch, 0, &muts)?
             };
             Ok((out, lsn))
         });
@@ -275,11 +335,7 @@ fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
                     return;
                 }
                 ctx.metrics.counters.retries.fetch_add(1, Ordering::Relaxed);
-                let backoff = ctx
-                    .backoff_base
-                    .saturating_mul(1u32 << retry.min(16))
-                    .min(ctx.backoff_max);
-                std::thread::sleep(backoff);
+                std::thread::sleep(backoff(retry));
                 retry += 1;
             }
         }
@@ -302,7 +358,7 @@ fn await_replication(ctx: &WorkerCtx, batch: &[ShardRequest], lsn: u64) -> bool 
         rt.poison_primary();
         tm::crash::crash_unwind();
     }
-    if let Some(p) = ctx.tm.pmem().pool().psan() {
+    if let Some(p) = ctx.pool.tm.pmem().pool().psan() {
         // The batch and its log entry must be fully fenced before the
         // follower can be told about them.
         p.durability_point(ctx.tid, "kvserve::repl::log_append");

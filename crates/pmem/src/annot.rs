@@ -248,6 +248,8 @@ pub struct AnnotPmem {
     upgraded: Box<[AtomicU64]>,
 }
 
+// This layer is where raw pool stores become role-tagged entry stores.
+#[allow(clippy::disallowed_methods)]
 impl AnnotPmem {
     /// Create a fresh annotated pool. `template.words` is ignored; the size
     /// is computed from `layout`.
@@ -546,6 +548,8 @@ impl AnnotPmem {
 }
 
 #[cfg(test)]
+// Fixtures forge torn durable entries with raw stores.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::pool::{FlushPolicy, PmemMode};

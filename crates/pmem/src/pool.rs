@@ -607,6 +607,8 @@ impl Drop for PsanScope<'_> {
 }
 
 #[cfg(test)]
+// The pool's own tests drive its raw store directly.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use tm::crash::run_crashable;

@@ -2,6 +2,9 @@
 //! exactly "last written-back value", under arbitrary interleavings of
 //! stores, flushes, fences, forced evictions and a final crash.
 
+// The raw store is the system under test.
+#![allow(clippy::disallowed_methods)]
+
 use pmem::pool::{EvictionPolicy, FlushPolicy, PmemConfig, PmemMode, PmemPool};
 use pmem::{LatencyModel, LINE_WORDS};
 use proptest::prelude::*;

@@ -1,10 +1,13 @@
 //! `cargo xtask lint` — static workspace invariant checks.
 //!
 //! A deliberately dumb, dependency-free token scanner over the workspace's
-//! Rust sources. It does not parse Rust; it enforces seven *textual*
+//! Rust sources. It does not parse Rust; it enforces five *textual*
 //! discipline rules that the dynamic sanitizers (`psan`, `locksan`)
 //! cannot check because they are about what the source is allowed to say,
-//! not what an execution did:
+//! not what an execution did. Invariants that types or lints can hold
+//! live there instead: raw `PmemPool::write` calls are a clippy
+//! `disallowed-methods` entry (`clippy.toml`), and raw socket writes in
+//! kvserve cannot compile outside `net.rs`'s private `wire` module.
 //!
 //! 1. **No `Ordering::Relaxed` on lock or clock words.** The versioned
 //!    locks and the global clocks are the synchronization backbone of
@@ -12,19 +15,14 @@
 //!    memory-ordering bug even if current tests pass. The failure
 //!    ordering of a `compare_exchange` is exempt (it is a failed CAS's
 //!    load), as is anything inside a `#[cfg(test)]` region.
-//! 2. **No raw `PmemPool::write` outside the annotated-entry modules.**
-//!    Protocol crates must go through `pmem::annot`'s entry building
-//!    blocks (which carry persist-order roles the sanitizer checks);
-//!    only the pmem crate itself and SPHT's redo log (whose record
-//!    format is not entry-shaped by design) may issue raw pool stores.
-//! 3. **No `flush_line`/`sfence` inside hardware-transaction bodies.**
+//! 2. **No `flush_line`/`sfence` inside hardware-transaction bodies.**
 //!    On real HTM a flush aborts the transaction; the simulator would
 //!    happily allow it and silently destroy the fidelity argument. The
 //!    whole `htm` crate is flush-free, and closures passed to
 //!    `.execute(` anywhere else must be too.
-//! 4. **Every `unsafe` needs a `SAFETY:` comment** on the same line or
+//! 3. **Every `unsafe` needs a `SAFETY:` comment** on the same line or
 //!    within the three lines above it.
-//! 5. **No direct `std::sync::{Mutex,RwLock,Condvar}` outside the shim.**
+//! 4. **No direct `std::sync::{Mutex,RwLock,Condvar}` outside the shim.**
 //!    The `parking_lot` shim is where the lock-discipline sanitizer
 //!    (`locksan`) hooks acquire/release; a raw `std::sync` lock is
 //!    invisible to deadlock-cycle detection and to the held-lock
@@ -32,30 +30,22 @@
 //!    `psan` — they must not instrument their own internals), `pmem`
 //!    (which sits *below* the persist layer the sanitizer watches),
 //!    `tm::check`'s test-support recorder, and tests/examples.
-//! 6. **No `.lock()` inside a transaction closure body.** Blocking on a
+//! 5. **No `.lock()` inside a transaction closure body.** Blocking on a
 //!    service lock while a `tm::txn(` speculation is open inverts the
 //!    lock hierarchy (stripe locks are acquired at commit, below every
 //!    service lock) and can deadlock against a holder waiting for the
 //!    stripes — and the closure may rerun on abort, re-acquiring
 //!    arbitrarily often. Take the lock before entering the
 //!    transaction, or hand the data in by value.
-//! 7. **No raw socket writes in kvserve outside the framed writer.**
-//!    The wire contract — a response on the socket IS the durability
-//!    ack — holds only if every byte crosses through `net.rs`'s
-//!    `FramedWriter`, where the dead-connection check and the crash
-//!    hook's partial-flush injection live. A bare `write_all` anywhere
-//!    else in `crates/kvserve/src/` can leak an ack around the
-//!    suppression path (or a whole frame past a `MidWrite` crash) and
-//!    silently break every fault-injection sweep.
 //!
 //! `cargo xtask check-bench` (see `bench_check`) validates
 //! `kvserve-bench-v1` benchmark artifacts instead of sources.
 //!
 //! Scanned roots: `crates/` (minus `xtask` itself), `src/`, `tests/`,
 //! `examples/`. Skipped everywhere: `target/`, `shims/` (vendored
-//! stand-ins), comment-only lines, and — for rules 1–3 — everything at
-//! or below a `#[cfg(test)]` marker (test modules trail their file in
-//! this codebase).
+//! stand-ins), comment-only lines, and — for every rule but 3 —
+//! everything at or below a `#[cfg(test)]` marker (test modules trail
+//! their file in this codebase).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -85,16 +75,10 @@ impl fmt::Display for Finding {
 /// Identifiers that name lock or clock words (rule 1).
 const LOCK_CLOCK_TOKENS: &[&str] = &["gclock", "gvc", "global_lock", "lock_cell"];
 
-/// Raw-pool-store call patterns (rule 2).
-const POOL_WRITE_TOKENS: &[&str] = &["pmem.write(", "pool.write(", "pool().write("];
-
-/// File-path substrings allowed to issue raw pool stores (rule 2).
-const POOL_WRITE_ALLOWLIST: &[&str] = &["crates/pmem/", "crates/spht/"];
-
-/// Lock-type names that must come from the shim, not `std::sync` (rule 5).
+/// Lock-type names that must come from the shim, not `std::sync` (rule 4).
 const STD_SYNC_LOCK_TOKENS: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
-/// File-path prefixes allowed to name `std::sync` locks directly (rule 5).
+/// File-path prefixes allowed to name `std::sync` locks directly (rule 4).
 /// The shim wraps std; locksan must not instrument its own internals;
 /// `tm::check` is a test-support recorder deliberately outside the
 /// tracked hierarchy; integration tests and examples are harness code.
@@ -114,10 +98,6 @@ const RULES: &[(&str, &str)] = &[
         "no `Ordering::Relaxed` on lock or clock words (CAS failure ordering exempt)",
     ),
     (
-        "raw-pool-write",
-        "no raw `PmemPool::write` outside pmem/spht; go through `pmem::annot`",
-    ),
-    (
         "flush-in-htm",
         "no flush/fence in the htm crate or inside `.execute(` closures",
     ),
@@ -132,10 +112,6 @@ const RULES: &[(&str, &str)] = &[
     (
         "lock-in-txn",
         "no `.lock()` inside a `tm::txn(` closure body; acquire before the transaction",
-    ),
-    (
-        "raw-tcp-write",
-        "no raw `write_all` in kvserve outside `net.rs`'s `FramedWriter`; frame every byte",
     ),
 ];
 
@@ -177,10 +153,9 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let lines: Vec<&str> = text.lines().collect();
     let in_htm = file.starts_with("crates/htm/");
-    let pool_writes_allowed = POOL_WRITE_ALLOWLIST.iter().any(|p| file.starts_with(p));
     // Harness code (top-level and per-crate test dirs, examples) may
     // record results under std locks inside txn closures; the hierarchy
-    // rules 5-6 enforce are about production lock discipline.
+    // rules 4-5 enforce are about production lock discipline.
     let harness =
         STD_SYNC_ALLOWLIST.iter().any(|p| file.starts_with(p)) || file.contains("/tests/");
     let mut in_test = false;
@@ -188,9 +163,6 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
     let mut execute_depth: Option<i64> = None;
     // Brace depth of an open `tm::txn(` closure region; None outside.
     let mut txn_depth: Option<i64> = None;
-    // Brace depth of the open `impl FramedWriter` block (rule 7's one
-    // sanctioned home for raw socket writes); None outside.
-    let mut framed_depth: Option<i64> = None;
     for (i, &line) in lines.iter().enumerate() {
         let lineno = i + 1;
         if line.trim_start().starts_with("#[cfg(test)]") {
@@ -200,7 +172,7 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
             continue;
         }
 
-        // Rule 4 applies everywhere, test code included.
+        // Rule 3 applies everywhere, test code included.
         if has_unsafe_token(line) {
             let covered = (i.saturating_sub(3)..=i).any(|j| lines[j].contains("SAFETY:"));
             if !covered {
@@ -230,17 +202,7 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
             });
         }
 
-        // Rule 2: raw pool stores outside the annotated-entry modules.
-        if !pool_writes_allowed && POOL_WRITE_TOKENS.iter().any(|t| line.contains(t)) {
-            findings.push(Finding {
-                file: file.to_string(),
-                line: lineno,
-                rule: "raw-pool-write",
-                message: "raw `PmemPool::write` outside pmem/spht; use `pmem::annot`".into(),
-            });
-        }
-
-        // Rule 3: flushes/fences inside hardware-transaction bodies.
+        // Rule 2: flushes/fences inside hardware-transaction bodies.
         let flushy = line.contains("flush_line(") || line.contains(".sfence(");
         if in_htm && flushy {
             findings.push(Finding {
@@ -250,7 +212,7 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
                 message: "flush/fence in the htm crate (aborts real hardware txns)".into(),
             });
         }
-        // Rule 5: std::sync locks outside the instrumented shim.
+        // Rule 4: std::sync locks outside the instrumented shim.
         if !harness
             && line.contains("std::sync::")
             && STD_SYNC_LOCK_TOKENS.iter().any(|t| line.contains(t))
@@ -265,32 +227,7 @@ fn lint_file(file: &str, text: &str) -> Vec<Finding> {
             });
         }
 
-        // Rule 7: raw socket writes in kvserve must live inside the
-        // framed writer, where ack suppression and crash injection sit.
-        if file.starts_with("crates/kvserve/src/") {
-            match framed_depth {
-                Some(depth) => {
-                    let d = depth + brace_delta(line);
-                    framed_depth = if d > 0 { Some(d) } else { None };
-                }
-                None => {
-                    if line.contains("impl FramedWriter") {
-                        let d = brace_delta(line);
-                        framed_depth = Some(if d > 0 { d } else { 0 });
-                    } else if line.contains("write_all(") {
-                        findings.push(Finding {
-                            file: file.to_string(),
-                            line: lineno,
-                            rule: "raw-tcp-write",
-                            message: "raw `write_all` outside `FramedWriter`; frame every byte"
-                                .into(),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Rule 6: blocking lock acquisition inside a transaction closure.
+        // Rule 5: blocking lock acquisition inside a transaction closure.
         match txn_depth {
             Some(depth) => {
                 if line.contains(".lock(") || line.contains(".try_lock(") {
@@ -468,19 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_pool_write_flagged_outside_allowlist() {
-        let src = "self.pmem.write(tid, w, v);\n";
-        assert_eq!(rules("crates/core/src/engine.rs", src), ["raw-pool-write"]);
-    }
-
-    #[test]
-    fn raw_pool_write_allowed_in_spht_and_pmem() {
-        let src = "self.pmem.write(tid, w, v);\n";
-        assert!(rules("crates/spht/src/lib.rs", src).is_empty());
-        assert!(rules("crates/pmem/src/annot.rs", src).is_empty());
-    }
-
-    #[test]
     fn flush_in_htm_crate_flagged() {
         let src = "self.pool.flush_line(tid, w);\n";
         assert_eq!(rules("crates/htm/src/txn.rs", src), ["flush-in-htm"]);
@@ -549,7 +473,7 @@ mod tests {
         assert!(rules("tests/kvserve_crash.rs", src).is_empty());
         assert!(rules("crates/spht/tests/ordering.rs", src).is_empty());
         assert!(rules("examples/durable_index.rs", src).is_empty());
-        // Test regions are exempt like rules 1-3.
+        // Test regions are exempt like rules 1-2.
         let test_src = "#[cfg(test)]\nmod tests {\n use std::sync::Mutex;\n}\n";
         assert!(rules("crates/kvserve/src/ring.rs", test_src).is_empty());
         // std::sync::Arc and atomics are not locks.
@@ -586,39 +510,8 @@ mod tests {
     }
 
     #[test]
-    fn raw_tcp_write_in_kvserve_flagged() {
-        let src = "self.stream.write_all(&buf)?;\n";
-        assert_eq!(rules("crates/kvserve/src/net.rs", src), ["raw-tcp-write"]);
-        assert_eq!(rules("crates/kvserve/src/lib.rs", src), ["raw-tcp-write"]);
-    }
-
-    #[test]
-    fn write_all_inside_framed_writer_allowed() {
-        let src = "impl FramedWriter {\n    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {\n        self.stream.write_all(frame)?;\n        Ok(())\n    }\n}\n";
-        assert!(rules("crates/kvserve/src/net.rs", src).is_empty());
-        // The region closes with the impl block: a later raw write is
-        // back to being a violation.
-        let src =
-            "impl FramedWriter {\n    fn write_frame(&mut self) {}\n}\nstream.write_all(&buf)?;\n";
-        let got = lint_file("crates/kvserve/src/net.rs", src);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].rule, "raw-tcp-write");
-        assert_eq!(got[0].line, 4);
-    }
-
-    #[test]
-    fn write_all_outside_kvserve_src_not_flagged() {
-        let src = "self.stream.write_all(&buf)?;\n";
-        assert!(rules("crates/bench/src/bin/service.rs", src).is_empty());
-        assert!(rules("tests/kvserve_net.rs", src).is_empty());
-        // Test regions inside kvserve are exempt like rules 1-3.
-        let test_src = "#[cfg(test)]\nmod tests {\n stream.write_all(&buf).unwrap();\n}\n";
-        assert!(rules("crates/kvserve/src/net.rs", test_src).is_empty());
-    }
-
-    #[test]
     fn comment_lines_are_skipped() {
-        let src = "// mentions gclock.load(Ordering::Relaxed) and pmem.write( in prose\n";
+        let src = "// mentions gclock.load(Ordering::Relaxed) and std::sync::Mutex in prose\n";
         assert!(rules("crates/core/src/engine.rs", src).is_empty());
     }
 }

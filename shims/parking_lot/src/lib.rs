@@ -7,7 +7,7 @@
 //! threads deliberately (see `tm::crash`), so the shim — like parking_lot
 //! itself — treats that as a normal release and hands the lock out again.
 //!
-//! With the `locksan` feature, every lock carries a [`locksan::LockTag`]
+//! With the `locksan` feature, every lock carries a `locksan::LockTag`
 //! and reports acquisitions, releases (including panic unwinds — the
 //! guards' `Drop` impls fire the hook unconditionally), condvar waits,
 //! and contended blocking acquisitions to the lock-discipline sanitizer.

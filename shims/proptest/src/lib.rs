@@ -113,7 +113,7 @@ pub mod collection {
     use super::TestRng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact length or a range.
+    /// Length specification for [`vec()`]: an exact length or a range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,

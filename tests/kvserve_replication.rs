@@ -18,7 +18,8 @@
 //!
 //! A fourth test runs the deterministic step sweep with the
 //! persist-order sanitizer recording and asserts zero correctness
-//! diagnostics on the ship, apply, and promotion paths.
+//! diagnostics on the ship, apply, and promotion paths. A fifth keeps
+//! one promoted service through repeated crash/recover cycles.
 
 mod common;
 
@@ -339,4 +340,63 @@ fn repl_crash_steps_are_psan_clean() {
         svc.put(k, k + 5).unwrap();
     }
     assert_clean(&svc, "promoted service");
+}
+
+/// A promoted service is a whole service: its shard pools — the
+/// followers' pools under fresh primary headers — survive repeated
+/// crash/recover cycles. Every cycle inserts, deletes (so later
+/// allocations reuse freed blocks, and the recovered allocators must
+/// not hand out a live one) and runs cross-shard batches; every acked
+/// write must come back.
+#[test]
+fn promoted_service_survives_crash_and_recovery_cycles() {
+    use common::assert_psan_clean as assert_clean;
+
+    let svc = Service::new(cfg());
+    let keys = keys_per_shard(&svc);
+    let all: Vec<u64> = (0..KEY_SPACE).collect();
+    let mut expected: HashMap<u64, u64> = HashMap::new();
+    for &k in &all {
+        svc.put(k, k + 1).unwrap();
+        expected.insert(k, k + 1);
+    }
+    let (mut svc, _) = Service::promote(svc.fail_over(), None).expect("no probe installed");
+    verify(&svc, &all, &expected, 0);
+
+    for cycle in 1..=6u64 {
+        for &k in &all {
+            let op = if (k + cycle) % 3 == 0 {
+                MapOp::Remove(k)
+            } else {
+                MapOp::Insert(k, cycle * 1_000 + k)
+            };
+            let want = model_apply(&mut expected, op);
+            assert_eq!(svc.apply(op), Ok(want), "cycle {cycle}: {op:?}");
+        }
+        // Two cross-shard batches, each deleting on one shard while it
+        // inserts on the others.
+        for round in 0..2u64 {
+            let ops: Vec<MapOp> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| {
+                    if i as u64 == (cycle + round) % keys.len() as u64 {
+                        MapOp::Remove(k)
+                    } else {
+                        MapOp::Insert(k, cycle * 100 + round * 10 + k)
+                    }
+                })
+                .collect();
+            let want: Vec<Option<u64>> = ops
+                .iter()
+                .map(|&op| model_apply(&mut expected, op))
+                .collect();
+            assert_eq!(svc.batch(ops), Ok(want), "cycle {cycle} round {round}");
+        }
+        assert_clean(&svc, &format!("cycle {cycle} before the crash"));
+
+        svc = Service::recover(svc.crash());
+        verify(&svc, &all, &expected, cycle);
+        assert_clean(&svc, &format!("cycle {cycle} after recovery"));
+    }
 }

@@ -8,6 +8,8 @@
 //! violations, so this is the only way to exercise the sanitizer's
 //! teeth end to end through the shim.
 #![cfg(feature = "locksan")]
+// The lock-across-persist fixtures persist through the raw pool store.
+#![allow(clippy::disallowed_methods)]
 
 use locksan::LocksanMode;
 use parking_lot::{Condvar, Mutex};

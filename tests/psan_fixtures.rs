@@ -8,6 +8,9 @@
 //! violations, so the only way to exercise the sanitizer's teeth is to
 //! misuse the pool on purpose.
 
+// The broken fixtures misuse the pool through its raw store.
+#![allow(clippy::disallowed_methods)]
+
 use pmem::{DiagClass, Diagnostic, EntryRole, PmemConfig, PmemPool, PsanMode};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
