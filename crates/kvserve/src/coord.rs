@@ -159,7 +159,7 @@ impl Coordinator {
             free: Mutex::new(Vec::new()),
             group: Mutex::new(DecisionGroup::default()),
             group_cv: Condvar::new(),
-            metrics: Arc::new(CoordinatorMetrics::new()),
+            metrics: Arc::default(),
         };
         co.free.locksan_label("coord::free", false);
         co.group.locksan_label("coord::group", false);
@@ -297,10 +297,8 @@ impl Coordinator {
                 let guard = GroupAbortGuard(self);
                 let written = self.write_decisions(ltid, &batch);
                 std::mem::forget(guard);
-                let c = &*self.metrics.counters;
-                c.decision_groups.fetch_add(1, Ordering::Relaxed);
-                c.decisions_logged
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                self.metrics.decision_groups.inc();
+                self.metrics.decisions_logged.add(batch.len() as u64);
                 g = self.group.lock();
                 for ((id, _), r) in batch.iter().zip(written) {
                     g.results.insert(*id, r);
@@ -453,11 +451,7 @@ pub(crate) fn drive(eng: Arc<Engine>, rx: Receiver<XRequest>, stop: Arc<AtomicBo
             Err(RecvTimeoutError::Disconnected) => return,
         };
         if Instant::now() >= req.deadline {
-            eng.coord
-                .metrics
-                .counters
-                .abort_timeout
-                .fetch_add(1, Ordering::Relaxed);
+            eng.coord.metrics.abort_timeout.inc();
             req.reply.send(Err(ServeError::Timeout));
             continue;
         }
@@ -490,9 +484,9 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
     // re-partitioned here under the new table (it may even collapse to
     // one group — still a correct, if degenerate, 2PC round).
     let groups = partition_by_table(ops, &eng.router.table());
-    let c = &*co.metrics.counters;
-    c.cross_batches.fetch_add(1, Ordering::Relaxed);
-    c.cross_ops.fetch_add(ops.len() as u64, Ordering::Relaxed);
+    let m = &co.metrics;
+    m.cross_batches.inc();
+    m.cross_ops.add(ops.len() as u64);
 
     let ptid = cfg.workers_per_shard + slot;
     let ltid = slot;
@@ -515,7 +509,7 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
     let mut retry = 0u32;
     'round: loop {
         if Instant::now() >= deadline_at {
-            c.abort_timeout.fetch_add(1, Ordering::Relaxed);
+            m.abort_timeout.inc();
             return Err(ServeError::Timeout);
         }
         let prep_start = Instant::now();
@@ -565,9 +559,9 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
                     for &pgi in &prepared {
                         eng.pools[groups[pgi].0].tm.abort_prepared(ptid);
                     }
-                    c.cross_retries.fetch_add(1, Ordering::Relaxed);
+                    m.cross_retries.inc();
                     if retry >= cfg.max_retries {
-                        c.abort_conflict.fetch_add(1, Ordering::Relaxed);
+                        m.abort_conflict.inc();
                         return Err(ServeError::Aborted);
                     }
                     std::thread::sleep(backoff(retry));
@@ -576,7 +570,7 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
                 }
             }
         }
-        co.metrics.prepare_latency.record(prep_start.elapsed());
+        m.prepare.record(prep_start.elapsed());
         break;
     }
     if eng.probe.fires(Point::Prepared) {
@@ -645,7 +639,7 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
         }
     }
     co.release_entry(entry, cap);
-    co.metrics.commit_latency.record(commit_start.elapsed());
+    m.commit.record(commit_start.elapsed());
 
     // Semi-synchronous ack: wait until every participant's Resolve entry
     // is durably in its follower's receive log (per-shard LSN order makes
@@ -728,9 +722,6 @@ pub(crate) fn replay(
     for e in entries {
         co.release_entry(e.addr, e.cap);
     }
-    co.metrics
-        .counters
-        .replayed
-        .fetch_add(replayed, Ordering::Relaxed);
+    co.metrics.replayed.add(replayed);
     replayed
 }

@@ -26,9 +26,9 @@
 //! level: **every acked write survives; an un-acked request may or may not
 //! have committed, but a multi-op request is never partially visible.**
 //!
-//! [`Service::snapshot`] exposes per-shard op counters, abort-cause
-//! breakdowns from the TM, batch-size distributions, and fixed-bucket
-//! latency histograms — no external dependencies.
+//! [`Service::snapshot`] exposes per-layer counters and fixed-bucket
+//! latency histograms (shard, ring, 2PC coordinator) plus abort-cause
+//! breakdowns from the TM — no external dependencies.
 //!
 //! The front end is completion-based ([`Ring`], see the `ring` module):
 //! the blocking `get`/`put`/`batch` calls are thin wrappers that submit
@@ -38,7 +38,7 @@
 //! threads — no request path ever blocks on a per-request channel.
 
 mod coord;
-pub mod metrics;
+mod metrics;
 pub mod migrate;
 pub mod net;
 pub mod probe;
@@ -552,7 +552,7 @@ impl Service {
                 lanes: Arc::new(Vec::new()),
                 xqueue: xqueue.clone(),
             });
-            (Arc::new(router), Arc::new(RingMetrics::new()))
+            (Arc::new(router), Arc::default())
         });
         let shards: Vec<Shard> = pools
             .iter()
@@ -777,10 +777,14 @@ impl Service {
         Err(ServeError::Rerouted)
     }
 
-    /// Zero every shard's service-level counters and histograms (TM
-    /// statistics are cumulative; diff snapshots with
-    /// [`tm::stats::StatsSnapshot::since`] instead). Lets load
-    /// generators exclude prefill/warm-up from the measurement window.
+    /// Start a new measurement window for the shard, coordinator and
+    /// ring metrics: counters and histograms go to zero, and the ring's
+    /// levels (`in_flight`, `occupied`) keep their live values with
+    /// their high-water marks restarted from them. TM statistics are
+    /// cumulative (diff snapshots with
+    /// [`tm::stats::StatsSnapshot::since`] instead), and so are a
+    /// [`NetServer`]'s counters. Lets load generators exclude
+    /// prefill/warm-up from the measurement window.
     pub fn reset_metrics(&self) {
         for s in &self.shards {
             s.metrics.reset();
@@ -789,9 +793,9 @@ impl Service {
         self.ring_metrics.reset();
     }
 
-    /// Point-in-time observability snapshot: per-shard counters, latency
-    /// and batch-size histograms, TM statistics (abort causes), and the
-    /// cross-shard coordinator's 2PC counters and phase latencies.
+    /// Point-in-time observability snapshot: per-shard counters and
+    /// latency, TM statistics (abort causes), the cross-shard
+    /// coordinator's 2PC counters and phase latencies, and the ring's.
     pub fn snapshot(&self) -> ServiceSnapshot {
         ServiceSnapshot {
             routing_epoch: self.engine.router.epoch(),
@@ -842,13 +846,12 @@ impl Service {
     /// requests. A crash/teardown drops them (each completion handle's
     /// Drop delivers `Stopped` into its ring slot); a migration re-routes
     /// them under the new table instead.
+    ///
+    /// The shippers stop last: a worker or driver finishing its batch
+    /// may be waiting for the follower's ack, which only a running
+    /// shipper delivers. (A crash has already set `down`, which releases
+    /// those waiters.)
     pub(crate) fn halt_threads(&mut self) -> (Vec<shard::ShardRequest>, Vec<XRequest>) {
-        if let Some(rt) = &self.engine.repl {
-            rt.stop.store(true, Ordering::Release);
-            for st in &rt.states {
-                st.notify_all();
-            }
-        }
         self.xstop.store(true, Ordering::Release);
         for s in &self.shards {
             s.stop.store(true, Ordering::Release);
@@ -860,6 +863,12 @@ impl Service {
         }
         for h in self.xdrivers.drain(..) {
             let _ = h.join();
+        }
+        if let Some(rt) = &self.engine.repl {
+            rt.stop.store(true, Ordering::Release);
+            for st in &rt.states {
+                st.notify_all();
+            }
         }
         for h in self.shippers.drain(..) {
             let _ = h.join();
@@ -1418,11 +1427,13 @@ mod tests {
         let puts: u64 = snap.shards.iter().map(|s| s.puts).sum();
         assert_eq!((gets, puts), (32, 32));
         assert_eq!(snap.ops(), 64);
-        assert!(snap.mean_batch() >= 1.0);
+        // One blocking client: every batch carries exactly one request.
+        assert_eq!(snap.mean_batch(), 1.0);
         assert!(snap.latency_quantile(0.5).is_some());
         // Every shard committed at least one transaction.
         for s in &snap.shards {
             assert!(s.tm.commits() > 0);
+            assert_eq!((s.batches, s.mean_batch()), (s.ops(), 1.0));
         }
         // The Display form renders without panicking.
         let _ = format!("{snap}");

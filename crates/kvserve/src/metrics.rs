@@ -1,29 +1,110 @@
-//! Per-shard observability: op counters, fixed-bucket latency histograms,
-//! batch-size distribution, and TM abort-cause plumbing.
+//! Per-layer observability. Each layer — shard, ring, net, 2PC
+//! coordinator — declares its counters, levels and latency histograms
+//! once, in one [`metrics!`] list. The list yields the live type (plain
+//! relaxed atomics aligned to their own cache line), the snapshot type
+//! with the same field names, `snapshot`, `reset`, and a one-line
+//! `name=value` `Display`.
 //!
-//! Everything here is lock-free atomics updated on the hot path and
-//! summed into immutable snapshots on demand, mirroring the cache-padded
-//! sharding discipline of `tm::stats` (counters must never introduce the
-//! coherence traffic they are supposed to measure).
+//! Instrumentation is itself part of what a HyTM pays, so a bump stays
+//! one uncontended relaxed RMW (the discipline of `tm::stats`: counters
+//! must never introduce the coherence traffic they are supposed to
+//! measure). This module is the only place in the crate that picks the
+//! memory ordering of a metric.
 
-use crossbeam::utils::CachePadded;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
-use tm::stats::{Counter, StatsSnapshot};
+use tm::stats::{Counter as TmCounter, StatsSnapshot};
+
+/// One kind of field in a metrics list.
+trait Metric {
+    /// What a snapshot holds for the field.
+    type Snap;
+    /// Point-in-time copy.
+    fn snap(&self) -> Self::Snap;
+    /// Start a new measurement window.
+    fn reset(&self);
+}
+
+/// A count of events. `reset` zeroes it.
+#[derive(Default)]
+pub(crate) struct Counter(AtomicU64);
+
+impl Counter {
+    /// Count one event.
+    pub(crate) fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Count `n` events.
+    pub(crate) fn add(&self, n: u64) {
+        self.0.fetch_add(n, Relaxed);
+    }
+
+    /// Take back one event that was rolled back before anyone saw it.
+    pub(crate) fn undo(&self) {
+        self.0.fetch_sub(1, Relaxed);
+    }
+}
+
+impl Metric for Counter {
+    type Snap = u64;
+    fn snap(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+    fn reset(&self) {
+        self.0.store(0, Relaxed);
+    }
+}
+
+/// A level that moves both ways, with its high-water mark. `reset`
+/// keeps the live value and restarts the mark from it.
+#[derive(Default)]
+pub(crate) struct Level {
+    now: AtomicU64,
+    hwm: AtomicU64,
+}
+
+impl Level {
+    /// One more.
+    pub(crate) fn up(&self) {
+        let now = self.now.fetch_add(1, Relaxed) + 1;
+        self.hwm.fetch_max(now, Relaxed);
+    }
+
+    /// One fewer.
+    pub(crate) fn down(&self) {
+        self.now.fetch_sub(1, Relaxed);
+    }
+
+    /// The live value.
+    pub(crate) fn get(&self) -> u64 {
+        self.now.load(Relaxed)
+    }
+
+    fn hwm(&self) -> u64 {
+        self.hwm.load(Relaxed)
+    }
+}
+
+impl Metric for Level {
+    type Snap = u64;
+    fn snap(&self) -> u64 {
+        self.get()
+    }
+    fn reset(&self) {
+        self.hwm.store(self.get(), Relaxed);
+    }
+}
 
 /// Number of latency buckets: 16 exact sub-16 ns buckets plus 4 buckets
 /// per power of two up to 2^63 ns.
 const LAT_BUCKETS: usize = 16 + 60 * 4;
 
-/// Largest batch size tracked exactly; bigger batches clamp to the top
-/// bucket.
-pub const BATCH_BUCKETS: usize = 64;
-
 /// A fixed-bucket log-scale histogram of durations (no allocation after
 /// construction, ~2-significant-bit resolution — quantiles are upper
-/// bounds of their bucket).
-pub struct Histogram {
+/// bounds of their bucket). `reset` zeroes every bucket.
+pub(crate) struct Histogram {
     buckets: Vec<AtomicU64>,
 }
 
@@ -48,45 +129,36 @@ fn lat_bucket_upper(idx: usize) -> u64 {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: (0..LAT_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
     /// Records one duration.
-    pub fn record(&self, d: Duration) {
+    pub(crate) fn record(&self, d: Duration) {
         let nanos = d.as_nanos().min(u64::MAX as u128) as u64;
-        self.buckets[lat_bucket(nanos)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Zero every bucket.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Immutable copy of the bucket counts.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
+        self.buckets[lat_bucket(nanos)].fetch_add(1, Relaxed);
     }
 }
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram::new()
+        Histogram {
+            buckets: (0..LAT_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+        }
     }
 }
 
-/// Point-in-time copy of a [`Histogram`].
+impl Metric for Histogram {
+    type Snap = HistogramSnapshot;
+    fn snap(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: self.buckets.iter().map(|b| b.load(Relaxed)).collect(),
+        }
+    }
+    fn reset(&self) {
+        for b in &self.buckets {
+            b.store(0, Relaxed);
+        }
+    }
+}
+
+/// Point-in-time copy of a latency histogram.
 #[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
@@ -117,150 +189,228 @@ impl HistogramSnapshot {
     }
 }
 
-/// Atomic counters one shard's workers update on the hot path.
-#[derive(Default)]
-pub struct ShardCounters {
-    /// Completed Get operations.
-    pub gets: AtomicU64,
-    /// Completed Put operations.
-    pub puts: AtomicU64,
-    /// Completed Delete operations.
-    pub dels: AtomicU64,
-    /// Requests answered `Timeout` (deadline passed in queue or retry).
-    pub timeouts: AtomicU64,
-    /// Requests rejected at submit with `Overloaded` (queue full).
-    pub rejected: AtomicU64,
-    /// Requests answered `Aborted` (retry budget exhausted).
-    pub aborted: AtomicU64,
-    /// Batches executed (committed transactions, one per batch attempt).
-    pub batches: AtomicU64,
-    /// Total requests across committed batches (mean batch size =
-    /// `batched_reqs / batches`).
-    pub batched_reqs: AtomicU64,
-    /// Service-level retry rounds (transaction gave up its attempt fuel
-    /// and the worker backed off and retried the batch).
-    pub retries: AtomicU64,
-    /// Requests answered `Rerouted` (stamped with a stale routing epoch
-    /// and no longer owned by this shard after a migration flip).
-    pub rerouted: AtomicU64,
-}
-
-/// One shard's full metrics: counters, histograms, and the TM hook.
-pub struct ShardMetrics {
-    /// Hot-path counters.
-    pub counters: CachePadded<ShardCounters>,
-    /// End-to-end request latency (enqueue to reply).
-    pub latency: Histogram,
-    /// Distribution of committed batch sizes (index = size, clamped).
-    batch_sizes: Vec<AtomicU64>,
-}
-
-impl ShardMetrics {
-    /// Fresh, zeroed metrics.
-    pub fn new() -> ShardMetrics {
-        ShardMetrics {
-            counters: CachePadded::new(ShardCounters::default()),
-            latency: Histogram::new(),
-            batch_sizes: (0..=BATCH_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Records one committed batch of `n` requests.
-    pub fn record_batch(&self, n: usize) {
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .batched_reqs
-            .fetch_add(n as u64, Ordering::Relaxed);
-        self.batch_sizes[n.min(BATCH_BUCKETS)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Zero every counter and histogram (e.g. after a warm-up or prefill
-    /// phase, so a measurement window starts clean).
-    pub fn reset(&self) {
-        let c = &*self.counters;
-        for counter in [
-            &c.gets,
-            &c.puts,
-            &c.dels,
-            &c.timeouts,
-            &c.rejected,
-            &c.aborted,
-            &c.batches,
-            &c.batched_reqs,
-            &c.retries,
-            &c.rerouted,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
-        self.latency.reset();
-        for b in &self.batch_sizes {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot against the shard TM's stats.
-    pub fn snapshot(&self, shard: usize, tm_stats: StatsSnapshot) -> ShardSnapshot {
-        let c = &*self.counters;
-        ShardSnapshot {
-            shard,
-            gets: c.gets.load(Ordering::Relaxed),
-            puts: c.puts.load(Ordering::Relaxed),
-            dels: c.dels.load(Ordering::Relaxed),
-            timeouts: c.timeouts.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            aborted: c.aborted.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_reqs: c.batched_reqs.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            rerouted: c.rerouted.load(Ordering::Relaxed),
-            batch_sizes: self
-                .batch_sizes
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            latency: self.latency.snapshot(),
-            tm: tm_stats,
+/// `p50/p99`, or `-` when empty.
+impl fmt::Display for HistogramSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.quantile(0.50), self.quantile(0.99)) {
+            (Some(p50), Some(p99)) => write!(f, "{}/{}", fmt_dur(p50), fmt_dur(p99)),
+            _ => f.write_str("-"),
         }
     }
 }
 
-impl Default for ShardMetrics {
-    fn default() -> ShardMetrics {
-        ShardMetrics::new()
+/// Writes one `name=value` pair of a report line, with a space before
+/// every pair but the first.
+fn pair(
+    f: &mut fmt::Formatter<'_>,
+    first: &mut bool,
+    name: &str,
+    value: &dyn fmt::Display,
+) -> fmt::Result {
+    if !std::mem::replace(first, false) {
+        f.write_str(" ")?;
+    }
+    write!(f, "{name}={value}")
+}
+
+/// Declares one layer's metrics list: `Live => Snapshot(context) {
+/// entries }`. Each entry is a field and its kind (`Counter`, `Level` or
+/// `Histogram`); a `Level` names the snapshot field of its high-water
+/// mark in brackets. The context fields are snapshot-only values that
+/// `snapshot` takes as arguments.
+macro_rules! metrics {
+    (@snap Counter) => { u64 };
+    (@snap Level) => { u64 };
+    (@snap Histogram) => { HistogramSnapshot };
+    (
+        $(#[$live_doc:meta])*
+        $live:ident =>
+        $(#[$snap_doc:meta])*
+        $snap:ident($($(#[$ctx_doc:meta])* $ctx:ident: $cty:ty),*) {
+            $($(#[$doc:meta])* $field:ident: $kind:ident $([$hwm:ident])?,)*
+        }
+    ) => {
+        $(#[$live_doc])*
+        #[derive(Default)]
+        #[repr(align(128))]
+        pub(crate) struct $live {
+            $($(#[$doc])* pub(crate) $field: $kind,)*
+        }
+
+        $(#[$snap_doc])*
+        #[derive(Clone, Debug)]
+        pub struct $snap {
+            $($(#[$ctx_doc])* pub $ctx: $cty,)*
+            $(
+                $(#[$doc])* pub $field: metrics!(@snap $kind),
+                $(
+                    #[doc = concat!("High-water mark of `", stringify!($field), "` since the last reset.")]
+                    pub $hwm: u64,
+                )?
+            )*
+        }
+
+        impl $live {
+            /// Point-in-time copy of every field.
+            pub(crate) fn snapshot(&self, $($ctx: $cty),*) -> $snap {
+                $snap {
+                    $($ctx,)*
+                    $($field: self.$field.snap(), $($hwm: self.$field.hwm(),)?)*
+                }
+            }
+
+            /// Start a new measurement window: counters and histograms
+            /// go to zero, levels keep their live value and restart
+            /// their high-water mark from it.
+            #[allow(dead_code)] // never called on the net layer: its readers diff snapshots
+            pub(crate) fn reset(&self) {
+                $(self.$field.reset();)*
+            }
+        }
+
+        /// The list's fields as one line of `name=value` pairs.
+        impl fmt::Display for $snap {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let first = &mut true;
+                $(
+                    pair(f, first, stringify!($field), &self.$field)?;
+                    $(pair(f, first, stringify!($hwm), &self.$hwm)?;)?
+                )*
+                Ok(())
+            }
+        }
+    };
+}
+
+metrics! {
+    /// One shard's metrics, shared by its workers.
+    ShardMetrics =>
+    /// Point-in-time view of one shard.
+    ShardSnapshot(
+        /// Shard index.
+        shard: usize,
+        /// The shard TM's statistics (commits, aborts by cause, flushes…).
+        tm: StatsSnapshot
+    ) {
+        /// Completed Get operations.
+        gets: Counter,
+        /// Completed Put operations.
+        puts: Counter,
+        /// Completed Delete operations.
+        dels: Counter,
+        /// Requests answered `Timeout` (deadline passed in queue, in a
+        /// retry, or waiting for the follower's ack).
+        timeouts: Counter,
+        /// Requests rejected at submit with `Overloaded` (queue full).
+        rejected: Counter,
+        /// Requests answered `Aborted` (retry budget exhausted).
+        aborted: Counter,
+        /// Committed batches (one transaction each).
+        batches: Counter,
+        /// Requests summed over committed batches.
+        batched_reqs: Counter,
+        /// Service-level batch retries: the transaction used up its
+        /// attempt fuel, and the worker backed off and retried the batch.
+        retries: Counter,
+        /// Requests answered `Rerouted` (stamped with a stale routing
+        /// epoch and no longer owned by this shard after a migration
+        /// flip).
+        rerouted: Counter,
+        /// Request latency, enqueue to reply.
+        latency: Histogram,
     }
 }
 
-/// Point-in-time view of one shard.
-#[derive(Clone, Debug)]
-pub struct ShardSnapshot {
-    /// Shard index.
-    pub shard: usize,
-    /// Completed Get operations.
-    pub gets: u64,
-    /// Completed Put operations.
-    pub puts: u64,
-    /// Completed Delete operations.
-    pub dels: u64,
-    /// Requests answered `Timeout`.
-    pub timeouts: u64,
-    /// Requests rejected with `Overloaded`.
-    pub rejected: u64,
-    /// Requests answered `Aborted`.
-    pub aborted: u64,
-    /// Committed batches.
-    pub batches: u64,
-    /// Requests summed over committed batches.
-    pub batched_reqs: u64,
-    /// Service-level batch retries.
-    pub retries: u64,
-    /// Requests answered `Rerouted` after a migration flip.
-    pub rerouted: u64,
-    /// Batch-size histogram (index = size, last bucket clamps).
-    pub batch_sizes: Vec<u64>,
-    /// Request latency histogram.
-    pub latency: HistogramSnapshot,
-    /// The shard TM's statistics (commits, aborts by cause, flushes…).
-    pub tm: StatsSnapshot,
+metrics! {
+    /// The completion-ring front end's metrics. Every ring of a service
+    /// (the internal one behind the blocking calls and every ring handed
+    /// out by `Service::ring`) shares one instance, so the levels are
+    /// service-wide.
+    RingMetrics =>
+    /// Point-in-time view of the ring front end.
+    RingSnapshot() {
+        /// Accepted submissions (a ticket was returned).
+        submitted: Counter,
+        /// Delivered completions (acked or errored).
+        completed: Counter,
+        /// Submissions rejected with `RingFull` (no free slot).
+        ring_full: Counter,
+        /// Submitted but not yet completed.
+        in_flight: Level[in_flight_hwm],
+        /// Slots not free: in flight, or completed but not yet reaped.
+        occupied: Level[occupied_hwm],
+        /// Submit-to-complete latency (queue wait, execution and
+        /// replication ack — the client-observable request latency).
+        latency: Histogram,
+    }
+}
+
+metrics! {
+    /// The wire layer's metrics: one instance per `NetServer`, shared by
+    /// every connection it serves. Request latency lives in the ring
+    /// metrics the connections' rings feed.
+    NetMetrics =>
+    /// Point-in-time view of the wire layer.
+    NetSnapshot() {
+        /// Connections accepted.
+        accepted: Counter,
+        /// Connections fully torn down (reader and writer exited, ring
+        /// slots drained).
+        closed: Counter,
+        /// Request frames read off sockets.
+        frames_in: Counter,
+        /// Response frames written to sockets.
+        frames_out: Counter,
+        /// Bytes read (frames only; headers included).
+        bytes_in: Counter,
+        /// Bytes written (frames only; headers included).
+        bytes_out: Counter,
+        /// `Busy` responses: the visible-backpressure path (per-connection
+        /// cap, `RingFull`, or `Overloaded`).
+        busy: Counter,
+        /// Malformed frames from peers (each closes its connection).
+        protocol_errors: Counter,
+        /// Completions reaped after the peer disconnected — slots freed
+        /// with the response suppressed, never written to a dead socket.
+        reaped_after_disconnect: Counter,
+        /// Response writes suppressed because the socket was already dead.
+        dead_socket_suppressed: Counter,
+    }
+}
+
+metrics! {
+    /// The cross-shard 2PC coordinator's metrics.
+    CoordinatorMetrics =>
+    /// Point-in-time view of the 2PC coordinator.
+    CoordinatorSnapshot(
+        /// The decision-log TM's statistics (its flushes and fences are
+        /// part of the service's persistence bill, so benchmark persist
+        /// tallies must fold them in alongside the shard TMs').
+        tm: StatsSnapshot
+    ) {
+        /// Cross-shard batches attempted (any outcome).
+        cross_batches: Counter,
+        /// Ops summed over attempted cross-shard batches.
+        cross_ops: Counter,
+        /// Prepare rounds that cancelled and were retried.
+        cross_retries: Counter,
+        /// Batches answered `Aborted` (prepare retry budget exhausted).
+        abort_conflict: Counter,
+        /// Batches answered `Timeout` before their decision was logged.
+        abort_timeout: Counter,
+        /// Shard-transactions re-applied from the decision log at recovery.
+        replayed: Counter,
+        /// Decision-log group commits (one committed log transaction each).
+        decision_groups: Counter,
+        /// Decisions written across those group commits; the mean group
+        /// size `decisions_logged / decision_groups` is the fence
+        /// amortization factor of the 2PC commit point.
+        decisions_logged: Counter,
+        /// Latency of a successful prepare round (all participants).
+        prepare: Histogram,
+        /// Latency from decision logged to markers dropped.
+        commit: Histogram,
+    }
 }
 
 impl ShardSnapshot {
@@ -276,462 +426,6 @@ impl ShardSnapshot {
         } else {
             self.batched_reqs as f64 / self.batches as f64
         }
-    }
-
-    /// Aborted TM attempts per committed TM transaction.
-    pub fn abort_rate(&self) -> f64 {
-        let commits = self.tm.commits();
-        if commits == 0 {
-            0.0
-        } else {
-            self.tm.aborts() as f64 / commits as f64
-        }
-    }
-}
-
-/// Hot-path counters of the completion ring front end. All rings of a
-/// service (the internal ring behind the blocking API and every ring
-/// handed out by [`Service::ring`](crate::Service::ring)) share one
-/// instance, so the gauges are service-wide.
-#[derive(Default)]
-pub struct RingCounters {
-    /// Accepted submissions (a ticket was returned).
-    pub submitted: AtomicU64,
-    /// Delivered completions (acked or errored).
-    pub completed: AtomicU64,
-    /// Submissions rejected with `RingFull` (no free slot).
-    pub ring_full: AtomicU64,
-    /// Gauge: submitted but not yet completed.
-    pub in_flight: AtomicU64,
-    /// High-water mark of `in_flight`.
-    pub in_flight_hwm: AtomicU64,
-    /// Gauge: slots not free (in flight or completed-but-unreaped).
-    pub occupied: AtomicU64,
-    /// High-water mark of `occupied` — the ring-slot occupancy peak.
-    pub occupied_hwm: AtomicU64,
-}
-
-/// Ring front-end metrics: slot/depth counters plus the
-/// submit-to-complete latency histogram.
-pub struct RingMetrics {
-    /// Hot-path counters.
-    pub counters: CachePadded<RingCounters>,
-    /// Submit-to-complete latency (covers queue wait, execution, and
-    /// replication ack — the client-observable request latency).
-    pub latency: Histogram,
-}
-
-impl RingMetrics {
-    /// Fresh, zeroed metrics.
-    pub fn new() -> RingMetrics {
-        RingMetrics {
-            counters: CachePadded::new(RingCounters::default()),
-            latency: Histogram::new(),
-        }
-    }
-
-    /// A slot was acquired and its request accepted.
-    pub(crate) fn occupy(&self) {
-        let c = &*self.counters;
-        c.submitted.fetch_add(1, Ordering::Relaxed);
-        let inf = c.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        c.in_flight_hwm.fetch_max(inf, Ordering::Relaxed);
-        let occ = c.occupied.fetch_add(1, Ordering::Relaxed) + 1;
-        c.occupied_hwm.fetch_max(occ, Ordering::Relaxed);
-    }
-
-    /// A slot acquisition was rolled back before its ticket escaped.
-    pub(crate) fn vacate_inflight(&self) {
-        let c = &*self.counters;
-        c.submitted.fetch_sub(1, Ordering::Relaxed);
-        c.in_flight.fetch_sub(1, Ordering::Relaxed);
-        c.occupied.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A request's outcome was delivered into its slot.
-    pub(crate) fn complete(&self, submit_to_complete: Duration) {
-        let c = &*self.counters;
-        c.completed.fetch_add(1, Ordering::Relaxed);
-        c.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.latency.record(submit_to_complete);
-    }
-
-    /// A completed slot was reaped and recycled.
-    pub(crate) fn vacate_reaped(&self) {
-        self.counters.occupied.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Current in-flight depth.
-    pub(crate) fn in_flight(&self) -> u64 {
-        self.counters.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Zero the monotonic counters and the histogram; the gauges keep
-    /// their live values and the high-water marks restart from them.
-    pub fn reset(&self) {
-        let c = &*self.counters;
-        c.submitted.store(0, Ordering::Relaxed);
-        c.completed.store(0, Ordering::Relaxed);
-        c.ring_full.store(0, Ordering::Relaxed);
-        c.in_flight_hwm
-            .store(c.in_flight.load(Ordering::Relaxed), Ordering::Relaxed);
-        c.occupied_hwm
-            .store(c.occupied.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.latency.reset();
-    }
-
-    /// Immutable copy.
-    pub fn snapshot(&self) -> RingSnapshot {
-        let c = &*self.counters;
-        RingSnapshot {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            ring_full: c.ring_full.load(Ordering::Relaxed),
-            in_flight: c.in_flight.load(Ordering::Relaxed),
-            in_flight_hwm: c.in_flight_hwm.load(Ordering::Relaxed),
-            occupied_hwm: c.occupied_hwm.load(Ordering::Relaxed),
-            latency: self.latency.snapshot(),
-        }
-    }
-
-    pub(crate) fn reject_ring_full(&self) {
-        self.counters.ring_full.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl Default for RingMetrics {
-    fn default() -> RingMetrics {
-        RingMetrics::new()
-    }
-}
-
-/// Point-in-time view of the ring front end.
-#[derive(Clone, Debug)]
-pub struct RingSnapshot {
-    /// Accepted submissions.
-    pub submitted: u64,
-    /// Delivered completions.
-    pub completed: u64,
-    /// Submissions rejected with `RingFull`.
-    pub ring_full: u64,
-    /// In-flight depth at snapshot time.
-    pub in_flight: u64,
-    /// In-flight depth high-water mark.
-    pub in_flight_hwm: u64,
-    /// Ring-slot occupancy high-water mark.
-    pub occupied_hwm: u64,
-    /// Submit-to-complete latency histogram.
-    pub latency: HistogramSnapshot,
-}
-
-impl fmt::Display for RingSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ring: submitted={} completed={} ring_full={} in_flight={} \
-             inflight_hwm={} occ_hwm={} s2c_p50={} s2c_p99={}",
-            self.submitted,
-            self.completed,
-            self.ring_full,
-            self.in_flight,
-            self.in_flight_hwm,
-            self.occupied_hwm,
-            fmt_dur(self.latency.quantile(0.50)),
-            fmt_dur(self.latency.quantile(0.99)),
-        )
-    }
-}
-
-/// Hot-path counters of the TCP wire layer (`kvserve::net`). One
-/// instance per [`NetServer`](crate::net::NetServer), shared by every
-/// connection it serves.
-#[derive(Default)]
-pub struct NetCounters {
-    /// Connections accepted.
-    pub accepted: AtomicU64,
-    /// Connections fully torn down (reader and writer exited, ring
-    /// slots drained).
-    pub closed: AtomicU64,
-    /// Request frames read off sockets.
-    pub frames_in: AtomicU64,
-    /// Response frames written to sockets.
-    pub frames_out: AtomicU64,
-    /// Bytes read (frames only; headers included).
-    pub bytes_in: AtomicU64,
-    /// Bytes written (frames only; headers included).
-    pub bytes_out: AtomicU64,
-    /// `Busy` responses: the visible-backpressure path (per-connection
-    /// cap, `RingFull`, or `Overloaded`).
-    pub busy: AtomicU64,
-    /// Malformed frames from peers (each closes its connection).
-    pub protocol_errors: AtomicU64,
-    /// Completions reaped after the peer disconnected — slots freed
-    /// with the response suppressed, never written to a dead socket.
-    pub reaped_after_disconnect: AtomicU64,
-    /// Response writes suppressed because the socket was already dead.
-    pub dead_socket_suppressed: AtomicU64,
-}
-
-/// Wire-layer metrics (counter bumps only; latency lives in the shared
-/// ring histogram the connections' rings feed).
-pub struct NetMetrics {
-    /// Hot-path counters.
-    pub counters: CachePadded<NetCounters>,
-}
-
-impl NetMetrics {
-    /// Fresh, zeroed metrics.
-    pub fn new() -> NetMetrics {
-        NetMetrics {
-            counters: CachePadded::new(NetCounters::default()),
-        }
-    }
-
-    pub(crate) fn accepted(&self) {
-        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn closed(&self) {
-        self.counters.closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn frame_in(&self, bytes: u64) {
-        self.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn frame_out(&self, bytes: u64) {
-        self.counters.frames_out.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn busy(&self) {
-        self.counters.busy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn protocol_error(&self) {
-        self.counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn reaped_after_disconnect(&self) {
-        self.counters
-            .reaped_after_disconnect
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn suppressed_dead_write(&self) {
-        self.counters
-            .dead_socket_suppressed
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Immutable copy.
-    pub fn snapshot(&self) -> NetSnapshot {
-        let c = &*self.counters;
-        NetSnapshot {
-            accepted: c.accepted.load(Ordering::Relaxed),
-            closed: c.closed.load(Ordering::Relaxed),
-            frames_in: c.frames_in.load(Ordering::Relaxed),
-            frames_out: c.frames_out.load(Ordering::Relaxed),
-            bytes_in: c.bytes_in.load(Ordering::Relaxed),
-            bytes_out: c.bytes_out.load(Ordering::Relaxed),
-            busy: c.busy.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-            reaped_after_disconnect: c.reaped_after_disconnect.load(Ordering::Relaxed),
-            dead_socket_suppressed: c.dead_socket_suppressed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Default for NetMetrics {
-    fn default() -> NetMetrics {
-        NetMetrics::new()
-    }
-}
-
-/// Immutable copy of the wire-layer counters.
-#[derive(Clone, Debug)]
-pub struct NetSnapshot {
-    /// Connections accepted.
-    pub accepted: u64,
-    /// Connections fully torn down.
-    pub closed: u64,
-    /// Request frames read.
-    pub frames_in: u64,
-    /// Response frames written.
-    pub frames_out: u64,
-    /// Bytes read.
-    pub bytes_in: u64,
-    /// Bytes written.
-    pub bytes_out: u64,
-    /// `Busy` responses (visible backpressure).
-    pub busy: u64,
-    /// Malformed frames from peers.
-    pub protocol_errors: u64,
-    /// Completions reaped after their peer disconnected.
-    pub reaped_after_disconnect: u64,
-    /// Writes suppressed on dead sockets.
-    pub dead_socket_suppressed: u64,
-}
-
-impl fmt::Display for NetSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "net: conns={}/{} frames={}in/{}out bytes={}in/{}out busy={} \
-             proto_err={} reaped_disc={} dead_suppressed={}",
-            self.accepted,
-            self.closed,
-            self.frames_in,
-            self.frames_out,
-            self.bytes_in,
-            self.bytes_out,
-            self.busy,
-            self.protocol_errors,
-            self.reaped_after_disconnect,
-            self.dead_socket_suppressed,
-        )
-    }
-}
-
-/// Hot-path counters of the cross-shard 2PC coordinator.
-#[derive(Default)]
-pub struct CoordinatorCounters {
-    /// Cross-shard batches attempted (any outcome).
-    pub cross_batches: AtomicU64,
-    /// Ops summed over attempted cross-shard batches.
-    pub cross_ops: AtomicU64,
-    /// Prepare rounds that cancelled and were retried.
-    pub cross_retries: AtomicU64,
-    /// Batches answered `Aborted` (prepare retry budget exhausted).
-    pub abort_conflict: AtomicU64,
-    /// Batches answered `Timeout` before their decision was logged.
-    pub abort_timeout: AtomicU64,
-    /// Shard-transactions re-applied from the decision log at recovery.
-    pub replayed: AtomicU64,
-    /// Decision-log group commits (one committed log transaction each).
-    pub decision_groups: AtomicU64,
-    /// Decisions written across those group commits; the mean group
-    /// size `decisions_logged / decision_groups` is the fence
-    /// amortization factor of the 2PC commit point.
-    pub decisions_logged: AtomicU64,
-}
-
-/// Coordinator metrics: 2PC counters plus per-phase latency histograms.
-pub struct CoordinatorMetrics {
-    /// Hot-path counters.
-    pub counters: CachePadded<CoordinatorCounters>,
-    /// Latency of a successful prepare round (all participants).
-    pub prepare_latency: Histogram,
-    /// Latency from decision logged to markers dropped.
-    pub commit_latency: Histogram,
-}
-
-impl CoordinatorMetrics {
-    /// Fresh, zeroed metrics.
-    pub fn new() -> CoordinatorMetrics {
-        CoordinatorMetrics {
-            counters: CachePadded::new(CoordinatorCounters::default()),
-            prepare_latency: Histogram::new(),
-            commit_latency: Histogram::new(),
-        }
-    }
-
-    /// Zero every counter and histogram.
-    pub fn reset(&self) {
-        let c = &*self.counters;
-        for counter in [
-            &c.cross_batches,
-            &c.cross_ops,
-            &c.cross_retries,
-            &c.abort_conflict,
-            &c.abort_timeout,
-            &c.replayed,
-            &c.decision_groups,
-            &c.decisions_logged,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
-        self.prepare_latency.reset();
-        self.commit_latency.reset();
-    }
-
-    /// Snapshot against the decision-log TM's stats.
-    pub fn snapshot(&self, tm_stats: StatsSnapshot) -> CoordinatorSnapshot {
-        let c = &*self.counters;
-        CoordinatorSnapshot {
-            cross_batches: c.cross_batches.load(Ordering::Relaxed),
-            cross_ops: c.cross_ops.load(Ordering::Relaxed),
-            cross_retries: c.cross_retries.load(Ordering::Relaxed),
-            abort_conflict: c.abort_conflict.load(Ordering::Relaxed),
-            abort_timeout: c.abort_timeout.load(Ordering::Relaxed),
-            replayed: c.replayed.load(Ordering::Relaxed),
-            decision_groups: c.decision_groups.load(Ordering::Relaxed),
-            decisions_logged: c.decisions_logged.load(Ordering::Relaxed),
-            prepare: self.prepare_latency.snapshot(),
-            commit: self.commit_latency.snapshot(),
-            tm: tm_stats,
-        }
-    }
-}
-
-impl Default for CoordinatorMetrics {
-    fn default() -> CoordinatorMetrics {
-        CoordinatorMetrics::new()
-    }
-}
-
-/// Point-in-time view of the 2PC coordinator.
-#[derive(Clone, Debug)]
-pub struct CoordinatorSnapshot {
-    /// Cross-shard batches attempted.
-    pub cross_batches: u64,
-    /// Ops summed over attempted cross-shard batches.
-    pub cross_ops: u64,
-    /// Retried prepare rounds.
-    pub cross_retries: u64,
-    /// Batches aborted on conflict (retry budget exhausted).
-    pub abort_conflict: u64,
-    /// Batches timed out before their decision.
-    pub abort_timeout: u64,
-    /// Shard-transactions replayed from the log at recovery.
-    pub replayed: u64,
-    /// Decision-log group commits.
-    pub decision_groups: u64,
-    /// Decisions written across those group commits.
-    pub decisions_logged: u64,
-    /// Prepare-round latency histogram.
-    pub prepare: HistogramSnapshot,
-    /// Decision-to-resolution latency histogram.
-    pub commit: HistogramSnapshot,
-    /// The decision-log TM's statistics (its flushes and fences are
-    /// part of the service's persistence bill, so benchmark persist
-    /// tallies must fold them in alongside the shard TMs').
-    pub tm: StatsSnapshot,
-}
-
-impl fmt::Display for CoordinatorSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "2pc: batches={} ops={} retries={} ab_conflict={} ab_timeout={} \
-             replayed={} groups={} logged={} prep_p50={} prep_p99={} \
-             commit_p50={} commit_p99={}",
-            self.cross_batches,
-            self.cross_ops,
-            self.cross_retries,
-            self.abort_conflict,
-            self.abort_timeout,
-            self.replayed,
-            self.decision_groups,
-            self.decisions_logged,
-            fmt_dur(self.prepare.quantile(0.50)),
-            fmt_dur(self.prepare.quantile(0.99)),
-            fmt_dur(self.commit.quantile(0.50)),
-            fmt_dur(self.commit.quantile(0.99)),
-        )
     }
 }
 
@@ -870,7 +564,7 @@ impl ServiceSnapshot {
     pub fn stripe_contended(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.tm.get(Counter::StripeContended))
+            .map(|s| s.tm.get(TmCounter::StripeContended))
             .sum()
     }
 
@@ -886,72 +580,38 @@ impl ServiceSnapshot {
     }
 }
 
-fn fmt_dur(d: Option<Duration>) -> String {
-    match d {
-        None => "-".to_string(),
-        Some(d) => {
-            let n = d.as_nanos();
-            if n >= 1_000_000_000 {
-                format!("{:.2}s", d.as_secs_f64())
-            } else if n >= 1_000_000 {
-                format!("{:.2}ms", n as f64 / 1e6)
-            } else if n >= 1_000 {
-                format!("{:.1}µs", n as f64 / 1e3)
-            } else {
-                format!("{n}ns")
-            }
-        }
+fn fmt_dur(d: Duration) -> String {
+    let n = d.as_nanos();
+    if n >= 1_000_000_000 {
+        format!("{:.2}s", d.as_secs_f64())
+    } else if n >= 1_000_000 {
+        format!("{:.2}ms", n as f64 / 1e6)
+    } else if n >= 1_000 {
+        format!("{:.1}µs", n as f64 / 1e3)
+    } else {
+        format!("{n}ns")
     }
 }
 
-impl fmt::Display for ShardSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shard {}: ops={} (g={} p={} d={}) to={} rej={} ab={} \
-             batches={} mean_b={:.2} retries={} p50={} p99={} abrt_rate={:.3}",
-            self.shard,
-            self.ops(),
-            self.gets,
-            self.puts,
-            self.dels,
-            self.timeouts,
-            self.rejected,
-            self.aborted,
-            self.batches,
-            self.mean_batch(),
-            self.retries,
-            fmt_dur(self.latency.quantile(0.50)),
-            fmt_dur(self.latency.quantile(0.99)),
-            self.abort_rate(),
-        )?;
-        if self.rerouted > 0 {
-            write!(f, " rerouted={}", self.rerouted)?;
-        }
-        let causes: Vec<String> = self
-            .tm
-            .abort_breakdown()
-            .iter()
-            .filter(|(_, v)| *v != 0)
-            .map(|(c, v)| format!("{}={}", c.label(), v))
-            .collect();
-        if !causes.is_empty() {
-            write!(f, " [{}]", causes.join(" "))?;
-        }
-        Ok(())
-    }
-}
-
+/// One line per shard (its list, then its nonzero TM abort causes), the
+/// 2PC, ring, replication and lock lines when they saw traffic, and a
+/// service-wide total.
 impl fmt::Display for ServiceSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for s in &self.shards {
-            writeln!(f, "{s}")?;
+            write!(f, "shard {}: {s}", s.shard)?;
+            for (cause, n) in s.tm.abort_breakdown() {
+                if n != 0 {
+                    write!(f, " {}={n}", cause.label())?;
+                }
+            }
+            writeln!(f)?;
         }
         if self.coordinator.cross_batches > 0 || self.coordinator.replayed > 0 {
-            writeln!(f, "{}", self.coordinator)?;
+            writeln!(f, "2pc: {}", self.coordinator)?;
         }
         if self.ring.submitted > 0 {
-            writeln!(f, "{}", self.ring)?;
+            writeln!(f, "ring: {}", self.ring)?;
         }
         if let Some(repl) = &self.replication {
             writeln!(f, "{repl}")?;
@@ -965,13 +625,14 @@ impl fmt::Display for ServiceSnapshot {
                 self.stripe_contended(),
             )?;
         }
+        let quantile = |q| self.latency_quantile(q).map_or("-".into(), fmt_dur);
         write!(
             f,
             "total: ops={} mean_batch={:.2} p50={} p99={} abort_rate={:.3}",
             self.ops(),
             self.mean_batch(),
-            fmt_dur(self.latency_quantile(0.50)),
-            fmt_dur(self.latency_quantile(0.99)),
+            quantile(0.50),
+            quantile(0.99),
             self.abort_rate(),
         )
     }
@@ -1000,11 +661,11 @@ mod tests {
 
     #[test]
     fn quantiles_bound_samples() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for us in 1..=1000u64 {
             h.record(Duration::from_micros(us));
         }
-        let snap = h.snapshot();
+        let snap = h.snap();
         assert_eq!(snap.count(), 1000);
         let p50 = snap.quantile(0.5).unwrap();
         let p99 = snap.quantile(0.99).unwrap();
@@ -1016,40 +677,23 @@ mod tests {
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
-        assert!(Histogram::new().snapshot().quantile(0.5).is_none());
-    }
-
-    #[test]
-    fn batch_recording_and_mean() {
-        let m = ShardMetrics::new();
-        m.record_batch(1);
-        m.record_batch(3);
-        m.record_batch(8);
-        let snap = m.snapshot(0, tm::stats::TmStats::new(1).snapshot());
-        assert_eq!(snap.batches, 3);
-        assert_eq!(snap.batched_reqs, 12);
-        assert!((snap.mean_batch() - 4.0).abs() < 1e-9);
-        assert_eq!(snap.batch_sizes[1], 1);
-        assert_eq!(snap.batch_sizes[3], 1);
-        assert_eq!(snap.batch_sizes[8], 1);
-    }
-
-    #[test]
-    fn oversized_batches_clamp() {
-        let m = ShardMetrics::new();
-        m.record_batch(BATCH_BUCKETS + 100);
-        let snap = m.snapshot(0, tm::stats::TmStats::new(1).snapshot());
-        assert_eq!(snap.batch_sizes[BATCH_BUCKETS], 1);
+        assert!(Histogram::default().snap().quantile(0.5).is_none());
     }
 
     #[test]
     fn display_is_stable() {
-        let m = ShardMetrics::new();
-        m.counters.gets.fetch_add(2, Ordering::Relaxed);
-        m.record_batch(2);
+        let m = ShardMetrics::default();
+        m.gets.add(2);
         let snap = m.snapshot(3, tm::stats::TmStats::new(1).snapshot());
         let line = format!("{snap}");
-        assert!(line.contains("shard 3"));
-        assert!(line.contains("ops=2"));
+        assert!(line.starts_with("gets=2 puts=0 dels=0 "), "{line}");
+        assert!(line.ends_with(" latency=-"), "{line}");
+
+        let r = RingMetrics::default();
+        r.in_flight.up();
+        r.in_flight.up();
+        r.in_flight.down();
+        let line = format!("{}", r.snapshot());
+        assert!(line.contains(" in_flight=1 in_flight_hwm=2 "), "{line}");
     }
 }

@@ -494,29 +494,18 @@ mod wire {
     }
 }
 
-/// Tuning for a [`NetServer`].
-#[derive(Clone, Debug)]
+/// Tuning for a [`NetServer`]. Each connection's ring has the
+/// service's `ring_slots`.
+#[derive(Clone, Debug, Default)]
 pub struct NetConfig {
-    /// Slot count of each connection's ring (`0` = the service's
-    /// `ring_slots`).
-    pub ring_slots: usize,
     /// Per-connection in-flight cap; requests over it answer `Busy`.
     /// Clamped to the connection's ring slots (`0` = no extra cap, i.e.
     /// exactly the ring slots).
     pub max_in_flight: usize,
-    /// Retry hint carried on cap-rejection `Busy` frames.
-    pub retry_hint: Duration,
 }
 
-impl Default for NetConfig {
-    fn default() -> NetConfig {
-        NetConfig {
-            ring_slots: 0,
-            max_in_flight: 0,
-            retry_hint: Duration::from_micros(200),
-        }
-    }
-}
+/// Retry hint carried on cap-rejection `Busy` frames.
+const CAP_RETRY_HINT: Duration = Duration::from_micros(200);
 
 /// Everything a connection needs to mint its ring without holding the
 /// (crash-consumable) [`Service`].
@@ -595,23 +584,18 @@ impl NetServer {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let slots = if cfg.ring_slots == 0 {
-            svc.engine.cfg.ring_slots
-        } else {
-            cfg.ring_slots
-        };
         let shared = Arc::new(NetShared {
             stop: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
             probe: svc.engine.probe.clone(),
             conns: parking_lot::Mutex::new(Vec::new()),
             live: AtomicUsize::new(0),
-            metrics: Arc::new(NetMetrics::new()),
+            metrics: Arc::default(),
             cfg,
             rings: RingSource {
                 router: svc.engine.router.clone(),
                 metrics: svc.ring_metrics.clone(),
-                slots,
+                slots: svc.engine.cfg.ring_slots,
                 default_deadline: svc.engine.cfg.default_deadline,
             },
         });
@@ -710,7 +694,7 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
-                shared.metrics.accepted();
+                shared.metrics.accepted.inc();
                 spawn_conn(stream, &shared, &workers);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -740,18 +724,21 @@ impl Conn {
     /// failed write marks it dead so nothing is ever written after.
     fn respond(&self, frame: &[u8]) {
         if self.cs.dead.load(Ordering::Acquire) {
-            self.net.metrics.suppressed_dead_write();
+            self.net.metrics.dead_socket_suppressed.inc();
             return;
         }
         let mut w = self.writer.lock();
         // Re-check under the writer lock: a kill between the check and
         // the lock must still suppress the write.
         if self.cs.dead.load(Ordering::Acquire) {
-            self.net.metrics.suppressed_dead_write();
+            self.net.metrics.dead_socket_suppressed.inc();
             return;
         }
         match w.write_frame(frame) {
-            Ok(()) => self.net.metrics.frame_out(frame.len() as u64),
+            Ok(()) => {
+                self.net.metrics.frames_out.inc();
+                self.net.metrics.bytes_out.add(frame.len() as u64);
+            }
             Err(_) => self.cs.dead.store(true, Ordering::Release),
         }
     }
@@ -822,11 +809,14 @@ fn reader_loop(mut stream: ReadHalf, conn: Arc<Conn>) {
             Err(_) => {
                 // Malformed bytes: frame sync is unrecoverable, drop
                 // the connection (the codec consumed nothing partial).
-                net.metrics.protocol_error();
+                net.metrics.protocol_errors.inc();
                 break;
             }
         };
-        net.metrics.frame_in((HEADER_LEN + scratch.len()) as u64);
+        net.metrics.frames_in.inc();
+        net.metrics
+            .bytes_in
+            .add((HEADER_LEN + scratch.len()) as u64);
         if net.probe.fires(Point::AfterReadFrame) {
             net.crash();
             break;
@@ -835,7 +825,7 @@ fn reader_loop(mut stream: ReadHalf, conn: Arc<Conn>) {
             Frame::Request(r) => r,
             Frame::Response(_) => {
                 // Clients must not send responses.
-                net.metrics.protocol_error();
+                net.metrics.protocol_errors.inc();
                 break;
             }
         };
@@ -845,10 +835,10 @@ fn reader_loop(mut stream: ReadHalf, conn: Arc<Conn>) {
                 &mut busy,
                 req.corr,
                 &Err(ServeError::Overloaded {
-                    retry_after: net.cfg.retry_hint,
+                    retry_after: CAP_RETRY_HINT,
                 }),
             );
-            net.metrics.busy();
+            net.metrics.busy.inc();
             conn.respond(&busy);
             continue;
         }
@@ -880,7 +870,7 @@ fn reader_loop(mut stream: ReadHalf, conn: Arc<Conn>) {
                 ServeError::RingFull | ServeError::Overloaded { .. } => {
                     let mut busy = Vec::new();
                     encode_response(&mut busy, req.corr, &Err(e));
-                    net.metrics.busy();
+                    net.metrics.busy.inc();
                     conn.respond(&busy);
                 }
                 // The service is torn down: a definite no-op verdict,
@@ -957,7 +947,7 @@ fn writer_loop(conn: Arc<Conn>) {
                 Some(c) => {
                     if conn.pending.lock().remove(&c.ticket).is_some() {
                         conn.outstanding.fetch_sub(1, Ordering::AcqRel);
-                        net.metrics.reaped_after_disconnect();
+                        net.metrics.reaped_after_disconnect.inc();
                     }
                 }
                 None => std::thread::sleep(Duration::from_micros(100)),
@@ -966,7 +956,7 @@ fn writer_loop(conn: Arc<Conn>) {
     }
     conn.cs.kill();
     net.live.fetch_sub(1, Ordering::AcqRel);
-    net.metrics.closed();
+    net.metrics.closed.inc();
 }
 
 /// Errors a [`NetClient`] can surface. `Serve` wraps the server's

@@ -30,7 +30,7 @@
 //! `InFlight` slot abandoned by a timed-out [`Ring::wait_deadline`]
 //! recycling straight to `Free` when its completion finally arrives.
 
-use crate::metrics::RingMetrics;
+use crate::metrics::{RingMetrics, ShardMetrics};
 use crate::shard::ShardRequest;
 use crate::{op_key, Reply, Router, ServeError, XRequest, BACKOFF_BASE};
 use crossbeam::channel::{Sender, TrySendError};
@@ -135,7 +135,9 @@ impl RingShared {
                 abandoned: false,
             };
         }
-        self.metrics.occupy();
+        self.metrics.submitted.inc();
+        self.metrics.in_flight.up();
+        self.metrics.occupied.up();
         Some(Ticket { slot: idx, seq })
     }
 
@@ -148,7 +150,9 @@ impl RingShared {
             s.state = SlotState::Free;
         }
         self.free.lock().push(t.slot);
-        self.metrics.vacate_inflight();
+        self.metrics.submitted.undo();
+        self.metrics.in_flight.down();
+        self.metrics.occupied.down();
     }
 
     /// Deliver a request's outcome into its slot (worker side).
@@ -163,7 +167,9 @@ impl RingShared {
                     submitted,
                     abandoned,
                 } => {
-                    self.metrics.complete(submitted.elapsed());
+                    self.metrics.completed.inc();
+                    self.metrics.in_flight.down();
+                    self.metrics.latency.record(submitted.elapsed());
                     if abandoned {
                         s.state = SlotState::Free;
                         true
@@ -179,7 +185,7 @@ impl RingShared {
         };
         if recycle {
             self.free.lock().push(slot);
-            self.metrics.vacate_reaped();
+            self.metrics.occupied.down();
         } else {
             let mut done = self.done.lock();
             done.push_back(slot);
@@ -204,7 +210,7 @@ impl RingShared {
         };
         drop(s);
         self.free.lock().push(idx);
-        self.metrics.vacate_reaped();
+        self.metrics.occupied.down();
         Some(Completion { ticket, result })
     }
 }
@@ -249,7 +255,7 @@ impl Drop for RingCompletion {
 /// A shard's submission lane as the ring sees it.
 pub(crate) struct RingLane {
     pub queue: Sender<ShardRequest>,
-    pub metrics: Arc<crate::metrics::ShardMetrics>,
+    pub metrics: Arc<ShardMetrics>,
 }
 
 /// The completion-based front end. Cheap to clone (clones share the
@@ -294,7 +300,7 @@ impl Ring {
 
     /// Submitted-but-uncompleted requests across the service's rings.
     pub fn in_flight(&self) -> u64 {
-        self.shared.metrics.in_flight()
+        self.shared.metrics.in_flight.get()
     }
 
     /// Submit one operation under the service's default deadline.
@@ -321,7 +327,7 @@ impl Ring {
     ) -> Result<Ticket, ServeError> {
         let now = Instant::now();
         let Some(ticket) = self.shared.acquire(now) else {
-            self.shared.metrics.reject_ring_full();
+            self.shared.metrics.ring_full.inc();
             return Err(ServeError::RingFull);
         };
         let mut sink = RingCompletion {
@@ -356,11 +362,7 @@ impl Ring {
                 match snap.lanes[shard].queue.try_send(req) {
                     Ok(()) => return Ok(ticket),
                     Err(TrySendError::Full(req)) => {
-                        snap.lanes[shard]
-                            .metrics
-                            .counters
-                            .rejected
-                            .fetch_add(1, Ordering::Relaxed);
+                        snap.lanes[shard].metrics.rejected.inc();
                         req.reply.defuse();
                         drop(req);
                         self.shared.cancel(ticket);
@@ -484,7 +486,7 @@ impl Ring {
                         };
                         drop(s);
                         self.shared.free.lock().push(ticket.slot);
-                        self.shared.metrics.vacate_reaped();
+                        self.shared.metrics.occupied.down();
                         return Some(result);
                     }
                     SlotState::InFlight { abandoned, .. } => {
@@ -525,7 +527,7 @@ mod tests {
     use super::*;
 
     fn shared(slots: usize) -> Arc<RingShared> {
-        Arc::new(RingShared::new(slots, Arc::new(RingMetrics::new())))
+        Arc::new(RingShared::new(slots, Arc::default()))
     }
 
     fn sink(sh: &Arc<RingShared>, t: Ticket) -> RingCompletion {

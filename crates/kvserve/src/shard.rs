@@ -171,7 +171,7 @@ impl Shard {
     ) -> Shard {
         let (queue, queue_rx) = channel::bounded::<ShardRequest>(cfg.queue_depth);
         let stop = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(ShardMetrics::new());
+        let metrics = Arc::new(ShardMetrics::default());
         let workers = (0..cfg.workers_per_shard)
             .map(|w| {
                 let ctx = WorkerCtx {
@@ -240,10 +240,7 @@ fn shed_expired(ctx: &WorkerCtx, batch: &mut Vec<ShardRequest>) {
         }
     });
     if expired > 0 {
-        ctx.metrics
-            .counters
-            .timeouts
-            .fetch_add(expired, Ordering::Relaxed);
+        ctx.metrics.timeouts.add(expired);
     }
 }
 
@@ -267,10 +264,7 @@ fn shed_rerouted(ctx: &WorkerCtx, batch: &mut Vec<ShardRequest>) {
         }
     });
     if rerouted > 0 {
-        ctx.metrics
-            .counters
-            .rerouted
-            .fetch_add(rerouted, Ordering::Relaxed);
+        ctx.metrics.rerouted.add(rerouted);
     }
 }
 
@@ -325,16 +319,13 @@ fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
             }
             Err(tm::Cancelled) => {
                 if retry >= ctx.max_retries {
-                    ctx.metrics
-                        .counters
-                        .aborted
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                    ctx.metrics.aborted.add(batch.len() as u64);
                     for r in &batch {
                         r.reply.send(Err(ServeError::Aborted));
                     }
                     return;
                 }
-                ctx.metrics.counters.retries.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics.retries.inc();
                 std::thread::sleep(backoff(retry));
                 retry += 1;
             }
@@ -371,10 +362,7 @@ fn await_replication(ctx: &WorkerCtx, batch: &[ShardRequest], lsn: u64) -> bool 
     if state.wait_received(lsn, deadline) {
         return true;
     }
-    ctx.metrics
-        .counters
-        .timeouts
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+    ctx.metrics.timeouts.add(batch.len() as u64);
     for r in batch {
         r.reply.send(Err(ServeError::Timeout));
     }
@@ -382,19 +370,20 @@ fn await_replication(ctx: &WorkerCtx, batch: &[ShardRequest], lsn: u64) -> bool 
 }
 
 fn reply_batch(ctx: &WorkerCtx, batch: &[ShardRequest], vals: Vec<Option<u64>>) {
-    ctx.metrics.record_batch(batch.len());
-    let c = &*ctx.metrics.counters;
+    let m = &ctx.metrics;
+    m.batches.inc();
+    m.batched_reqs.add(batch.len() as u64);
     let now = Instant::now();
     let mut vi = vals.into_iter();
     for r in batch {
         for op in &r.ops {
             match op {
-                MapOp::Get(_) => c.gets.fetch_add(1, Ordering::Relaxed),
-                MapOp::Insert(..) => c.puts.fetch_add(1, Ordering::Relaxed),
-                MapOp::Remove(_) => c.dels.fetch_add(1, Ordering::Relaxed),
-            };
+                MapOp::Get(_) => m.gets.inc(),
+                MapOp::Insert(..) => m.puts.inc(),
+                MapOp::Remove(_) => m.dels.inc(),
+            }
         }
-        ctx.metrics.latency.record(now.duration_since(r.enqueued));
+        m.latency.record(now.duration_since(r.enqueued));
         let per_req: Vec<Option<u64>> = (&mut vi).take(r.ops.len()).collect();
         // The ack: once this fires the write is durably committed.
         r.reply.send(Ok(per_req));

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tm::policy::HybridPolicy;
 use tm::stats::{Counter, StatsSnapshot, TmStats};
-use tm::{Abort, Addr, Cancelled, Tm, TmPrepare, TxResult, Txn, Word};
+use tm::{Abort, Addr, Cancelled, Tm, TxResult, Txn, Word};
 use txalloc::{AllocConfig, TxAlloc, TxnLog};
 
 /// Trinity configuration.
@@ -76,13 +76,6 @@ struct ThreadState {
     alloc_log: TxnLog,
     pver: u64,
     seed: u64,
-    /// True between a successful `prepare` and its commit/abort decision.
-    prepared: bool,
-    /// Undo list of a prepared transaction: `(addr, old value)` per write.
-    pundo: Vec<(u64, u64)>,
-    /// The commit version drawn at prepare time (locks are stamped with it
-    /// at release, whichever way the decision goes).
-    pwv: u64,
     /// Scratch for the group-commit flush pass: distinct entry lines of the
     /// write set, flushed once each instead of once per entry.
     flush_lines: Vec<usize>,
@@ -140,9 +133,6 @@ impl Trinity {
                     alloc_log: TxnLog::new(),
                     pver: pvers.get(t).copied().unwrap_or(0),
                     seed: (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                    prepared: false,
-                    pundo: Vec::with_capacity(64),
-                    pwv: 0,
                     flush_lines: Vec::with_capacity(64),
                 }));
                 // Commit persists the write set while this cell is held
@@ -388,213 +378,6 @@ impl Trinity {
             self.pmem.sfence(tid);
         }
     }
-
-    /// One *prepare* attempt: like [`Trinity::attempt`] but stops the
-    /// commit protocol at the point of no return — locks stay held and the
-    /// writes are staged durably below the thread's persistent version.
-    fn attempt_prepare<R>(
-        &self,
-        ts: &mut ThreadState,
-        tid: usize,
-        attempt: usize,
-        body: &mut dyn FnMut(&mut dyn Txn) -> Result<R, Abort>,
-    ) -> Result<Option<R>, Cancelled> {
-        ts.rset.clear();
-        ts.wset.clear();
-        debug_assert!(ts.alloc_log.is_empty());
-        let rv = self.gvc.load(Ordering::Acquire);
-        let mut oom = false;
-        let res = {
-            let mut tx = TrinityTxn {
-                tm: self,
-                rv,
-                attempt,
-                rset: &mut ts.rset,
-                wset: &mut ts.wset,
-                alloc_log: &mut ts.alloc_log,
-                oom: &mut oom,
-                tid,
-            };
-            body(&mut tx)
-        };
-        if oom {
-            self.alloc.abort(tid, &mut ts.alloc_log);
-            panic!("transactional heap exhausted (trinity)");
-        }
-        match res {
-            Ok(r) => {
-                if self.do_prepare(tid, ts, rv) {
-                    // The allocation log stays pending (and the commit stat
-                    // unbumped) until the coordinator's decision.
-                    ts.prepared = true;
-                    Ok(Some(r))
-                } else {
-                    self.alloc.abort(tid, &mut ts.alloc_log);
-                    self.stats.bump(tid, Counter::SwAbort);
-                    Ok(None)
-                }
-            }
-            Err(Abort::Retry(_)) => {
-                self.alloc.abort(tid, &mut ts.alloc_log);
-                self.stats.bump(tid, Counter::SwAbort);
-                Ok(None)
-            }
-            Err(Abort::Cancel) => {
-                self.alloc.abort(tid, &mut ts.alloc_log);
-                self.stats.bump(tid, Counter::Cancelled);
-                Err(Cancelled)
-            }
-        }
-    }
-
-    /// Lock acquisition over the write *and* read sets plus durable write
-    /// staging — everything [`Trinity::commit`] does short of the pver bump
-    /// and the lock release.
-    fn do_prepare(&self, tid: usize, ts: &mut ThreadState, rv: u64) -> bool {
-        ts.acquired.clear();
-        let mut idxs: Vec<u32> = ts
-            .wset
-            .iter()
-            .map(|&(a, _)| self.lock_idx(a as usize))
-            .chain(ts.rset.iter().copied())
-            .collect();
-        idxs.sort_unstable();
-        idxs.dedup();
-        #[cfg(feature = "locksan")]
-        locksan::on_stripe_release_all();
-        for idx in idxs {
-            let cell = &self.locks[idx as usize];
-            let pre = cell.load(Ordering::Acquire);
-            // Locking the read set pins it, so no commit-time validation is
-            // needed later; a version past rv means a concurrent writer
-            // already invalidated this attempt.
-            if lock_held(pre)
-                || lock_ver(pre) > rv
-                || cell
-                    .compare_exchange(pre, pre | 1, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_err()
-            {
-                self.stats.bump(tid, Counter::StripeContended);
-                self.release(&ts.acquired, None);
-                ts.acquired.clear();
-                return false;
-            }
-            #[cfg(feature = "locksan")]
-            locksan::on_stripe_acquire(idx as u64, true, "trinity::prepare");
-            ts.acquired.push((idx, pre));
-        }
-        pmem::latency::spin_ns(self.cfg.clock_ns);
-        ts.pwv = self.gvc.fetch_add(1, Ordering::AcqRel) + 1;
-        // Stage the writes durably *below* the current pver: a crash before
-        // the decision recovers them as incomplete and rolls them back.
-        let _psan = self.pmem.pool().psan_scope(tid, "trinity::prepare");
-        self.pmem
-            .preserve_witnesses(tid, ts.wset.iter().map(|&(a, _)| a as usize));
-        ts.pundo.clear();
-        ts.flush_lines.clear();
-        let meta = Meta::pack(tid, ts.pver);
-        for &(a, val) in ts.wset.iter() {
-            let old = self.vol[a as usize].load(Ordering::Acquire);
-            ts.pundo.push((a, old));
-            self.pmem.stage_entry(tid, a as usize, old, val, meta);
-            ts.flush_lines.push(self.pmem.entry_line(a as usize));
-            self.vol[a as usize].store(val, Ordering::Release);
-        }
-        self.pmem.flush_lines(tid, &mut ts.flush_lines);
-        self.pmem.sfence(tid);
-        // The coordinator may record its durable decision as soon as
-        // `prepare` returns: every staged entry must already be fenced.
-        self.pmem
-            .pool()
-            .durability_point(tid, "trinity::prepare_staged");
-        true
-    }
-}
-
-impl TmPrepare for Trinity {
-    fn prepare<R>(
-        &self,
-        tid: usize,
-        body: &mut dyn FnMut(&mut dyn Txn) -> Result<R, Abort>,
-    ) -> TxResult<R> {
-        assert!(tid < self.cfg.max_threads);
-        let mut guard = self.threads[tid].lock();
-        let ts = &mut *guard;
-        assert!(
-            !ts.prepared,
-            "prepare while a prepared transaction is outstanding"
-        );
-        let mut attempt = 0usize;
-        loop {
-            self.pmem.pool().crash_point(tid);
-            match self.attempt_prepare(ts, tid, attempt, body)? {
-                Some(r) => return Ok(r),
-                None => {
-                    ts.seed = ts.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    self.cfg.policy.backoff(ts.seed, attempt);
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    fn commit_prepared(&self, tid: usize) {
-        let mut guard = self.threads[tid].lock();
-        let ts = &mut *guard;
-        assert!(
-            ts.prepared,
-            "commit_prepared without a prepared transaction"
-        );
-        self.pmem.pool().crash_point(tid);
-        let _psan = self.pmem.pool().psan_scope(tid, "trinity::commit_prepared");
-        ts.pver += 1;
-        self.pmem.persist_pver(tid, ts.pver);
-        self.pmem.sfence(tid);
-        self.release(&ts.acquired, Some(ts.pwv << 1));
-        ts.acquired.clear();
-        self.alloc.commit(tid, &mut ts.alloc_log);
-        ts.pundo.clear();
-        ts.prepared = false;
-        self.stats.bump(tid, Counter::SwCommit);
-    }
-
-    fn abort_prepared(&self, tid: usize) {
-        let mut guard = self.threads[tid].lock();
-        let ts = &mut *guard;
-        assert!(ts.prepared, "abort_prepared without a prepared transaction");
-        self.pmem.pool().crash_point(tid);
-        // Durably restore the old values with `back == data` so a later
-        // pver bump by this thread cannot resurrect the aborted writes.
-        let _psan = self.pmem.pool().psan_scope(tid, "trinity::abort_prepared");
-        let meta = Meta::pack(tid, ts.pver);
-        ts.flush_lines.clear();
-        for &(a, old) in ts.pundo.iter() {
-            self.vol[a as usize].store(old, Ordering::Release);
-            self.pmem.stage_entry(tid, a as usize, old, old, meta);
-            ts.flush_lines.push(self.pmem.entry_line(a as usize));
-        }
-        self.pmem.flush_lines(tid, &mut ts.flush_lines);
-        self.pmem.sfence(tid);
-        // Consume the generation the aborted entries are stamped with: a
-        // trusted marker pushes the durable pver past them so they are
-        // neither resurrected by recovery nor miscounted as witnesses of
-        // this thread's *next* (counted, one-fence) commit.
-        if !ts.pundo.is_empty() {
-            ts.pver += 1;
-            self.pmem.persist_pver(tid, ts.pver);
-            self.pmem.sfence(tid);
-        }
-        self.release(&ts.acquired, Some(ts.pwv << 1));
-        ts.acquired.clear();
-        self.alloc.abort(tid, &mut ts.alloc_log);
-        ts.pundo.clear();
-        ts.prepared = false;
-        self.stats.bump(tid, Counter::Cancelled);
-    }
-
-    fn has_prepared(&self, tid: usize) -> bool {
-        self.threads[tid].lock().prepared
-    }
 }
 
 impl Tm for Trinity {
@@ -606,10 +389,6 @@ impl Tm for Trinity {
         assert!(tid < self.cfg.max_threads);
         let mut guard = self.threads[tid].lock();
         let ts = &mut *guard;
-        assert!(
-            !ts.prepared,
-            "txn while a prepared transaction is outstanding"
-        );
         let mut attempt = 0usize;
         loop {
             self.pmem.pool().crash_point(tid);
@@ -864,100 +643,5 @@ mod tests {
         assert_eq!(s.get(Counter::SwCommit), 5);
         assert_eq!(s.get(Counter::HwCommit), 0);
         assert!(s.get(Counter::Flush) > 0);
-    }
-
-    /// A read that gives up after a few conflicting attempts, so tests can
-    /// observe "this address is locked" as `Err(Cancelled)`.
-    fn try_read(t: &Trinity, tid: usize, a: Addr) -> TxResult<Word> {
-        txn(t, tid, |tx| {
-            if tx.attempt() >= 6 {
-                return Err(Abort::Cancel);
-            }
-            tx.read(a)
-        })
-    }
-
-    #[test]
-    fn prepared_writes_are_invisible_until_commit() {
-        let t = small();
-        txn(&t, 0, |tx| tx.write(Addr(3), 1)).unwrap();
-        tm::prepare(&t, 0, |tx| tx.write(Addr(3), 2)).unwrap();
-        assert!(t.has_prepared(0));
-        // Another thread cannot read the prepared address.
-        assert_eq!(try_read(&t, 1, Addr(3)), Err(Cancelled));
-        t.commit_prepared(0);
-        assert!(!t.has_prepared(0));
-        assert_eq!(try_read(&t, 1, Addr(3)), Ok(2));
-    }
-
-    #[test]
-    fn prepare_pins_its_read_set() {
-        let t = small();
-        txn(&t, 0, |tx| tx.write(Addr(4), 7)).unwrap();
-        // Prepare a transaction that only *reads* Addr(4): its lock is held,
-        // so a concurrent writer must fail until the decision.
-        tm::prepare(&t, 0, |tx| tx.read(Addr(4))).unwrap();
-        let w = txn(&t, 1, |tx| {
-            if tx.attempt() >= 6 {
-                return Err(Abort::Cancel);
-            }
-            tx.write(Addr(4), 8)?;
-            tx.read(Addr(4))
-        });
-        assert_eq!(w, Err(Cancelled));
-        t.abort_prepared(0);
-        let w = txn(&t, 1, |tx| {
-            tx.write(Addr(4), 8)?;
-            tx.read(Addr(4))
-        });
-        assert_eq!(w, Ok(8));
-    }
-
-    #[test]
-    fn crash_while_prepared_rolls_back() {
-        let cfg = TrinityConfig::test(1 << 10, 2);
-        let t = Trinity::new(cfg.clone());
-        txn(&t, 0, |tx| tx.write(Addr(6), 10)).unwrap();
-        tm::prepare(&t, 0, |tx| tx.write(Addr(6), 11)).unwrap();
-        t.crash();
-        let rec = Trinity::recover(cfg, &t.crash_image(), []);
-        assert_eq!(rec.read_raw(Addr(6)), 10);
-    }
-
-    #[test]
-    fn commit_prepared_is_durable() {
-        let cfg = TrinityConfig::test(1 << 10, 2);
-        let t = Trinity::new(cfg.clone());
-        tm::prepare(&t, 0, |tx| tx.write(Addr(6), 21)).unwrap();
-        t.commit_prepared(0);
-        t.crash();
-        let rec = Trinity::recover(cfg, &t.crash_image(), []);
-        assert_eq!(rec.read_raw(Addr(6)), 21);
-    }
-
-    #[test]
-    fn abort_prepared_holds_durably_across_later_commits() {
-        let cfg = TrinityConfig::test(1 << 10, 1);
-        let t = Trinity::new(cfg.clone());
-        txn(&t, 0, |tx| tx.write(Addr(3), 1)).unwrap();
-        tm::prepare(&t, 0, |tx| tx.write(Addr(3), 2)).unwrap();
-        t.abort_prepared(0);
-        // Later commits bump this thread's pver past the aborted entry's
-        // version; the rollback must still hold after a crash.
-        for i in 0..4 {
-            txn(&t, 0, |tx| tx.write(Addr(9), i + 1)).unwrap();
-        }
-        t.crash();
-        let rec = Trinity::recover(cfg, &t.crash_image(), []);
-        assert_eq!(rec.read_raw(Addr(3)), 1);
-        assert_eq!(rec.read_raw(Addr(9)), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "prepared transaction is outstanding")]
-    fn txn_panics_while_prepared() {
-        let t = small();
-        tm::prepare(&t, 0, |tx| tx.write(Addr(2), 1)).unwrap();
-        let _ = txn(&t, 0, |tx| tx.read(Addr(2)));
     }
 }

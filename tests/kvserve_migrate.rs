@@ -29,7 +29,9 @@
 mod common;
 
 use common::{assert_psan_clean, fire_at, model_apply, step_rotation, Lcg};
-use kvserve::{MapOp, MigrateSpec, Point, ServeError, Service, ServiceConfig, ROUTE_SLOTS};
+use kvserve::{
+    MapOp, MigrateReport, MigrateSpec, Point, ServeError, Service, ServiceConfig, ROUTE_SLOTS,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -234,7 +236,20 @@ fn double_migrate_and_reissue_are_exact() {
 
 #[test]
 fn live_migration_under_traffic_loses_no_acked_write() {
-    let svc = Service::new(cfg());
+    split_under_traffic(cfg());
+    // Replicated, halting the source's threads must not leave a worker
+    // waiting out its deadline for a follower ack nobody will ship.
+    let pause = split_under_traffic(rcfg()).flip_pause;
+    assert!(
+        pause < Duration::from_millis(500),
+        "replicated flip paused writes for {pause:?}"
+    );
+}
+
+/// Splits shard 0 live under four ring writers, then holds the result
+/// to the per-key ledger.
+fn split_under_traffic(cfg: ServiceConfig) -> MigrateReport {
+    let svc = Service::new(cfg);
     let ring = svc.ring();
 
     const WRITERS: u64 = 4;
@@ -306,6 +321,7 @@ fn live_migration_under_traffic_loses_no_acked_write() {
     // The old ring handle is live on the new topology.
     let t = ring.submit_batch(vec![MapOp::Insert(999, 1)]).unwrap();
     assert_eq!(ring.wait(t), Ok(vec![None]));
+    report
 }
 
 #[test]

@@ -30,7 +30,8 @@ mod common;
 
 use common::{assert_psan_clean, fire_at_nth, model_apply, step_rotation, Lcg};
 use kvserve::{
-    MapOp, MigrateSpec, NetClient, NetConfig, NetError, Point, ServeError, Service, ServiceConfig,
+    MapOp, MigrateSpec, NetClient, NetConfig, NetError, NetServer, Point, ServeError, Service,
+    ServiceConfig,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -131,12 +132,7 @@ fn per_connection_cap_surfaces_as_busy_frames() {
     let mut c = cfg(1);
     c.workers_per_shard = 1;
     let svc = Service::new(c);
-    let server = svc
-        .serve_net(NetConfig {
-            max_in_flight: 1,
-            ..NetConfig::default()
-        })
-        .unwrap();
+    let server = svc.serve_net(NetConfig { max_in_flight: 1 }).unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
 
     const N: u64 = 400;
@@ -195,11 +191,33 @@ fn malformed_frames_close_the_connection_without_panic() {
 
 /// The crash sweep's request load: `depth` single-shard puts to fresh
 /// keys plus one cross-shard batch, all pipelined on one connection.
+#[derive(Default)]
 struct CycleLoad {
-    /// corr → the batch it carried.
+    /// corr → the batch it carried, for every frame that was sent.
     sent: HashMap<u64, Vec<MapOp>>,
-    /// The cross-shard batch's corr.
-    xcorr: u64,
+    /// The cross-shard batch's corr, if it was sent.
+    xcorr: Option<u64>,
+    /// Why sending stopped early. A crash (or a killed client) can shut
+    /// the socket while frames are still going out; the frames not sent
+    /// count as never sent, which the ledger treats like any unacked
+    /// frame.
+    send_error: Option<NetError>,
+}
+
+impl CycleLoad {
+    /// Send one frame and record it, or record why it could not go.
+    fn send(&mut self, client: &mut NetClient, ops: Vec<MapOp>) -> Option<u64> {
+        match client.send_batch(&ops) {
+            Ok(corr) => {
+                self.sent.insert(corr, ops);
+                Some(corr)
+            }
+            Err(e) => {
+                self.send_error = Some(e);
+                None
+            }
+        }
+    }
 }
 
 fn send_cycle_load(
@@ -208,17 +226,27 @@ fn send_cycle_load(
     depth: u64,
     (xa, xb): (u64, u64),
     rng: &mut Lcg,
-) -> Result<CycleLoad, NetError> {
-    let mut sent = HashMap::new();
+) -> CycleLoad {
+    let mut load = CycleLoad::default();
     for i in 0..depth {
         let ops = vec![MapOp::Insert(base + i, base + i + rng.next() % 7)];
-        let corr = client.send_batch(&ops)?;
-        sent.insert(corr, ops);
+        if load.send(client, ops).is_none() {
+            return load;
+        }
     }
     let xops = vec![MapOp::Insert(xa, base), MapOp::Insert(xb, base)];
-    let xcorr = client.send_batch(&xops)?;
-    sent.insert(xcorr, xops);
-    Ok(CycleLoad { sent, xcorr })
+    load.xcorr = load.send(client, xops);
+    load
+}
+
+/// A crash sweep accepts a failed send only from a crashed server.
+fn assert_sent_or_crashed(load: &CycleLoad, server: &NetServer, cycle: u64) {
+    if let Some(e) = &load.send_error {
+        assert!(
+            server.crashed(),
+            "cycle {cycle}: submit failed before the crash: {e}"
+        );
+    }
 }
 
 /// Drain responses until the connection dies (or everything answered),
@@ -245,7 +273,7 @@ fn collect_acks(
                         for &op in ops {
                             model_apply(expected, op);
                         }
-                        if resp.corr == load.xcorr {
+                        if Some(resp.corr) == load.xcorr {
                             acked_x = true;
                         }
                     }
@@ -326,8 +354,8 @@ fn crash_at_every_net_step_keeps_the_ack_contract() {
 
         let base = (cycle + 1) * 1000;
         let depth = 4 + rng.next() % 5;
-        let load = send_cycle_load(&mut client, base, depth, pair, &mut rng)
-            .unwrap_or_else(|e| panic!("cycle {cycle}: submit failed before the crash: {e}"));
+        let load = send_cycle_load(&mut client, base, depth, pair, &mut rng);
+        assert_sent_or_crashed(&load, &server, cycle);
         let acked_x = collect_acks(&mut client, &load, &mut expected, cycle);
         let crash_deadline = Instant::now() + Duration::from_secs(10);
         while !server.crashed() {
@@ -377,9 +405,7 @@ fn disconnect_at_every_net_step_reaps_the_connection() {
         let depth = 3 + rng.next() % 4;
         // The kill can land mid-send; both sides of that race are valid.
         let load = send_cycle_load(&mut client, base, depth, pair, &mut rng);
-        if let Ok(load) = &load {
-            let _ = collect_acks(&mut client, load, &mut expected, cycle);
-        }
+        let _ = collect_acks(&mut client, &load, &mut expected, cycle);
         drop(client);
 
         // The server must reap: connection gone, every ring slot freed.
@@ -464,10 +490,10 @@ fn seeded_fuzz_mixes_disconnects_and_crashes() {
         let base = (cycle + 1) * 100_000;
         let depth = 1 + rng.next() % 8;
         let load = send_cycle_load(&mut client, base, depth, pair, &mut rng);
-        let acked_x = match &load {
-            Ok(load) => collect_acks(&mut client, load, &mut expected, cycle),
-            Err(_) => false,
-        };
+        if !kill_client {
+            assert_sent_or_crashed(&load, &server, cycle);
+        }
+        let acked_x = collect_acks(&mut client, &load, &mut expected, cycle);
         drop(client);
 
         if kill_client {
@@ -503,7 +529,8 @@ fn net_crash_traffic_is_psan_clean() {
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         svc.set_probe(Some(common::fire_at(step)));
         let base = (cycle + 1) * 1000;
-        let load = send_cycle_load(&mut client, base, 4, pair, &mut rng).unwrap();
+        let load = send_cycle_load(&mut client, base, 4, pair, &mut rng);
+        assert_sent_or_crashed(&load, &server, cycle);
         let acked_x = collect_acks(&mut client, &load, &mut expected, cycle);
         server.stop();
         svc.poison();

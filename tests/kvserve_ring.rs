@@ -16,13 +16,17 @@
 //!   in-memory model;
 //! - the scripted traffic with the persist-order sanitizer recording,
 //!   asserting zero correctness diagnostics.
+//!
+//! One more scripted test holds 2PC batches in flight and completions
+//! unreaped across `Service::reset_metrics`.
 
 mod common;
 
 use common::{cross_shard_keys, model_apply, Lcg};
-use kvserve::{MapOp, ServeError, Service, ServiceConfig, Ticket};
+use kvserve::{MapOp, Point, ServeError, Service, ServiceConfig, Ticket};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn cfg(shards: usize) -> ServiceConfig {
     let mut cfg = ServiceConfig::new(shards);
@@ -117,6 +121,104 @@ fn queue_wait_is_charged_against_the_deadline() {
     assert!(coord.abort_timeout >= 1);
     assert_eq!(svc.get(a), Ok(None));
     assert_eq!(svc.get(b), Ok(None));
+}
+
+/// Polls `done` until it holds, failing after 10 s.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Asserts that every `name=value` pair of a layer's report line reads
+/// `0` (a counter) or `-` (an empty histogram), except the `kept` ones.
+fn assert_zeroed(line: &str, kept: &[&str]) {
+    for pair in line.split(' ') {
+        let (name, value) = pair.split_once('=').expect("name=value pair");
+        if !kept.contains(&name) {
+            assert!(
+                value == "0" || value == "-",
+                "{name}={value} survived the reset"
+            );
+        }
+    }
+}
+
+#[test]
+fn reset_metrics_zeroes_every_layer_but_keeps_the_ring_levels() {
+    let svc = Service::new(cfg(2));
+    let (a, b) = cross_shard_keys(&svc);
+    // Traffic on every layer the service resets.
+    svc.put(a, 1).unwrap();
+    svc.get(a).unwrap();
+    svc.del(a).unwrap();
+    svc.batch(vec![MapOp::Insert(a, 1), MapOp::Insert(b, 1)])
+        .unwrap();
+
+    // Both 2PC drivers park at their first step, one per release token.
+    let (reached_tx, reached) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let (reached_tx, release_rx) = (Mutex::new(reached_tx), Mutex::new(release_rx));
+    svc.set_probe(Some(Arc::new(move |p| {
+        if p == Point::BeforePrepare {
+            reached_tx.lock().unwrap().send(()).unwrap();
+            let _ = release_rx.lock().unwrap().recv();
+        }
+        false
+    })));
+    let ring = svc.ring();
+    let long = Duration::from_secs(30);
+    let cross: Vec<Ticket> = (0..2)
+        .map(|v| {
+            let ops = vec![MapOp::Insert(a, v), MapOp::Insert(b, v)];
+            ring.submit_batch_deadline(ops, long).unwrap()
+        })
+        .collect();
+    reached.recv().unwrap();
+    reached.recv().unwrap();
+    // Three single-shard completions left unreaped (occupied peaks at 5).
+    let single: Vec<Ticket> = (0..3)
+        .map(|k| ring.submit(MapOp::Insert(100 + k, k)).unwrap())
+        .collect();
+    wait_until("single-shard completions", || {
+        svc.snapshot().ring.in_flight == 2
+    });
+    // One 2PC batch completes (in_flight falls from 2 to 1) and one
+    // single-shard completion is reaped (occupied falls from 5 to 4).
+    release.send(()).unwrap();
+    wait_until("the released 2PC batch", || {
+        svc.snapshot().ring.in_flight == 1
+    });
+    ring.wait(single[0]).unwrap();
+
+    let before = svc.snapshot();
+    assert!(before.ops() > 0 && before.coordinator.cross_batches > 0);
+    assert!(before.ring.in_flight_hwm >= 2);
+    assert_eq!((before.ring.occupied, before.ring.occupied_hwm), (4, 5));
+
+    svc.reset_metrics();
+    let after = svc.snapshot();
+    for s in &after.shards {
+        assert_zeroed(&s.to_string(), &[]);
+    }
+    assert_zeroed(&after.coordinator.to_string(), &[]);
+    let levels = ["in_flight", "in_flight_hwm", "occupied", "occupied_hwm"];
+    assert_zeroed(&after.ring.to_string(), &levels);
+    assert_eq!((after.ring.in_flight, after.ring.in_flight_hwm), (1, 1));
+    assert_eq!((after.ring.occupied, after.ring.occupied_hwm), (4, 4));
+
+    // Counting resumes from the new window: the parked batch completes
+    // once, and the levels drain to zero without underflowing.
+    release.send(()).unwrap();
+    for t in cross.into_iter().chain(single.into_iter().skip(1)) {
+        ring.wait(t).unwrap();
+    }
+    let end = svc.snapshot().ring;
+    assert_eq!((end.submitted, end.completed), (0, 1));
+    assert_eq!((end.in_flight, end.in_flight_hwm), (0, 1));
+    assert_eq!((end.occupied, end.occupied_hwm), (0, 4));
 }
 
 #[test]
