@@ -354,8 +354,8 @@ metrics! {
     NetSnapshot() {
         /// Connections accepted.
         accepted: Counter,
-        /// Connections fully torn down (reader and writer exited, ring
-        /// slots drained).
+        /// Connections fully torn down (thread exited, ring slots
+        /// drained).
         closed: Counter,
         /// Request frames read off sockets.
         frames_in: Counter,

@@ -44,9 +44,9 @@ use crate::metrics::{NetMetrics, NetSnapshot, RingMetrics};
 use crate::probe::{Point, ProbeCell};
 use crate::{MapOp, Reply, Ring, Router, ServeError, Service, Ticket};
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -104,8 +104,6 @@ pub enum FrameError {
     BadStatus(u8),
     /// The body length disagrees with its announced op/value counts.
     SizeMismatch,
-    /// The underlying socket failed mid-frame.
-    Io(io::ErrorKind),
 }
 
 impl std::fmt::Display for FrameError {
@@ -120,7 +118,6 @@ impl std::fmt::Display for FrameError {
             FrameError::BadTag(t) => write!(f, "unknown op tag {t}"),
             FrameError::BadStatus(s) => write!(f, "unknown response status {s}"),
             FrameError::SizeMismatch => write!(f, "body length disagrees with its counts"),
-            FrameError::Io(k) => write!(f, "socket error: {k:?}"),
         }
     }
 }
@@ -372,50 +369,11 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
     Ok((frame, HEADER_LEN + len))
 }
 
-/// Blocking read of exactly one frame from `r`. Distinguishes a clean
-/// close on a frame boundary ([`FrameError::Closed`]) from a stream
-/// that dies mid-frame ([`FrameError::Truncated`]) — the latter is how
-/// a client sees a `MidWrite` crash: a partial response is *not* an ack.
-pub fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<Frame, FrameError> {
-    let mut hdr = [0u8; HEADER_LEN];
-    let mut at = 0;
-    while at < HEADER_LEN {
-        match r.read(&mut hdr[at..]) {
-            Ok(0) => {
-                return Err(if at == 0 {
-                    FrameError::Closed
-                } else {
-                    FrameError::Truncated
-                })
-            }
-            Ok(n) => at += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e.kind())),
-        }
-    }
-    let (kind, len) = decode_header(&hdr)?;
-    scratch.clear();
-    scratch.resize(len, 0);
-    let mut at = 0;
-    while at < len {
-        match r.read(&mut scratch[at..]) {
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => at += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e.kind())),
-        }
-    }
-    match kind {
-        KIND_REQUEST => Ok(Frame::Request(decode_request_body(scratch)?)),
-        _ => Ok(Frame::Response(decode_response_body(scratch)?)),
-    }
-}
-
 use wire::{split, FramedWriter, ReadHalf};
 
 /// The only code that holds a writable socket. A connected socket is
-/// [`split`] into a [`ReadHalf`], which can read, switch blocking mode
-/// and shut down but has no write method, and a [`FramedWriter`], whose
+/// [`split`] into a [`ReadHalf`], which can read into an accumulator and
+/// shut down but has no write method, and a [`FramedWriter`], whose
 /// only writes are whole frames or the `MidWrite` crash injection's
 /// torn prefix. Every connection, client and kill handle outside this
 /// module holds one of the two, so a raw socket write anywhere else in
@@ -426,35 +384,52 @@ mod wire {
     use std::net::{Shutdown, TcpStream};
     use std::time::Duration;
 
-    /// Split a connected socket into its read half and its writer.
+    /// Split a connected (blocking) socket into its read half and its
+    /// writer.
     pub(super) fn split(stream: TcpStream) -> io::Result<(ReadHalf, FramedWriter)> {
         let writer = FramedWriter {
             stream: stream.try_clone()?,
         };
-        Ok((ReadHalf(stream), writer))
+        Ok((
+            ReadHalf {
+                stream,
+                nonblocking: false,
+            },
+            writer,
+        ))
     }
 
     /// A socket that can be read but never written.
-    pub(super) struct ReadHalf(TcpStream);
+    pub(super) struct ReadHalf {
+        stream: TcpStream,
+        /// The socket's blocking mode as last set through this half.
+        nonblocking: bool,
+    }
 
     impl ReadHalf {
-        pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
-            self.0.set_nonblocking(on)
+        /// Append what one read returns to `acc`; `Ok(0)` means the peer
+        /// closed. The socket's blocking mode is switched only when
+        /// `nonblocking` differs from the last read's.
+        pub fn read_into(&mut self, acc: &mut Vec<u8>, nonblocking: bool) -> io::Result<usize> {
+            if self.nonblocking != nonblocking {
+                self.stream.set_nonblocking(nonblocking)?;
+                self.nonblocking = nonblocking;
+            }
+            let mut chunk = [0u8; 4096];
+            let n = self.stream.read(&mut chunk)?;
+            acc.extend_from_slice(&chunk[..n]);
+            Ok(n)
         }
 
         /// Shut the connection both ways, now (both halves).
         pub fn shutdown(&self) {
-            let _ = self.0.shutdown(Shutdown::Both);
+            let _ = self.stream.shutdown(Shutdown::Both);
         }
 
+        /// A handle for [`ReadHalf::shutdown`] from another thread.
         pub fn try_clone(&self) -> io::Result<ReadHalf> {
-            self.0.try_clone().map(ReadHalf)
-        }
-    }
-
-    impl Read for ReadHalf {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.0.read(buf)
+            let stream = self.stream.try_clone()?;
+            Ok(ReadHalf { stream, ..*self })
         }
     }
 
@@ -464,9 +439,10 @@ mod wire {
     }
 
     impl FramedWriter {
-        /// Write one whole encoded frame. A [`super::NetClient`]'s socket
-        /// is left nonblocking by `try_recv` (its reader and writer share
-        /// one file description), so a full send buffer waits for room
+        /// Write one whole encoded frame. The read half shares this
+        /// socket's file description and may have left it nonblocking
+        /// (a [`super::NetClient`] after `try_recv`, a server connection
+        /// with requests in flight), so a full send buffer waits for room
         /// here instead of failing with part of the frame written.
         pub fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
             let mut rest = frame;
@@ -507,75 +483,61 @@ pub struct NetConfig {
 /// Retry hint carried on cap-rejection `Busy` frames.
 const CAP_RETRY_HINT: Duration = Duration::from_micros(200);
 
-/// Everything a connection needs to mint its ring without holding the
-/// (crash-consumable) [`Service`].
-struct RingSource {
-    router: Arc<Router>,
-    metrics: Arc<RingMetrics>,
-    slots: usize,
-    default_deadline: Duration,
-}
+/// Longest a connection with requests in flight parks on its ring
+/// before it reads its socket again.
+const PARK: Duration = Duration::from_micros(50);
 
-impl RingSource {
-    fn mint(&self) -> Ring {
-        Ring::attach(
-            self.slots,
-            self.router.clone(),
-            self.metrics.clone(),
-            self.default_deadline,
-        )
-    }
-}
-
-/// One accepted connection's shared handle, kept by the server so a
-/// crash (or stop) can shut every socket abruptly.
-struct ConnShared {
-    stream: ReadHalf,
-    /// Once set, no thread writes another byte to this socket.
-    dead: AtomicBool,
-}
-
-impl ConnShared {
-    fn kill(&self) {
-        self.dead.store(true, Ordering::Release);
-        self.stream.shutdown();
-    }
-}
-
+/// What the accept loop and the connection threads share: `Arc`s into
+/// the service, never the (crash-consumable) [`Service`] itself.
 struct NetShared {
+    /// Set before every socket is shut, by a crash or a stop.
     stop: AtomicBool,
     crashed: AtomicBool,
     /// The service's probe cell, asked at every [`Point::NET`] step.
     probe: Arc<ProbeCell>,
-    conns: parking_lot::Mutex<Vec<Arc<ConnShared>>>,
-    live: AtomicUsize,
+    /// A shutdown handle per connection being served, by connection id.
+    /// A connection removes its entry when its thread ends.
+    conns: parking_lot::Mutex<HashMap<u64, ReadHalf>>,
     metrics: Arc<NetMetrics>,
-    cfg: NetConfig,
-    rings: RingSource,
+    /// Per-connection in-flight cap.
+    cap: usize,
+    /// What each connection's ring is made of.
+    router: Arc<Router>,
+    ring_metrics: Arc<RingMetrics>,
+    ring_slots: usize,
+    default_deadline: Duration,
 }
 
 impl NetShared {
+    /// Set `stop`, then shut every connection's socket both ways. A
+    /// connection registered after the shutdowns sees `stop` before it
+    /// first reads.
+    fn halt(&self) {
+        self.stop.store(true, Ordering::Release);
+        for c in self.conns.lock().values() {
+            c.shutdown();
+        }
+    }
+
     /// The network layer's power-failure instant: every socket is shut
     /// both ways, nothing further is read or written. Ring slots the
     /// connections still hold resolve through the ring's own crash
     /// semantics when the service is crashed.
     fn crash(&self) {
         self.crashed.store(true, Ordering::Release);
-        self.stop.store(true, Ordering::Release);
-        for c in self.conns.lock().iter() {
-            c.kill();
-        }
+        self.halt();
     }
 }
 
-/// The TCP front end: an accept loop plus two threads per connection
-/// (a reader that decodes and submits, a writer that reaps and
-/// responds). Start with [`Service::serve_net`] or [`NetServer::start`].
+/// The TCP front end: an accept loop plus one thread per connection,
+/// which reads and submits its requests and reaps and answers them.
+/// Start with [`Service::serve_net`] or [`NetServer::start`].
 pub struct NetServer {
     addr: SocketAddr,
     shared: Arc<NetShared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
+    /// The accept loop; it returns the connection threads still running
+    /// when it stops.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl NetServer {
@@ -583,38 +545,34 @@ impl NetServer {
     pub fn start(svc: &Service, cfg: NetConfig) -> io::Result<NetServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let ring_slots = svc.engine.cfg.ring_slots;
         let shared = Arc::new(NetShared {
             stop: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
             probe: svc.engine.probe.clone(),
-            conns: parking_lot::Mutex::new(Vec::new()),
-            live: AtomicUsize::new(0),
+            conns: parking_lot::Mutex::new(HashMap::new()),
             metrics: Arc::default(),
-            cfg,
-            rings: RingSource {
-                router: svc.engine.router.clone(),
-                metrics: svc.ring_metrics.clone(),
-                slots: svc.engine.cfg.ring_slots,
-                default_deadline: svc.engine.cfg.default_deadline,
+            cap: match cfg.max_in_flight {
+                0 => ring_slots,
+                n => n.min(ring_slots),
             },
+            router: svc.engine.router.clone(),
+            ring_metrics: svc.ring_metrics.clone(),
+            ring_slots,
+            default_deadline: svc.engine.cfg.default_deadline,
         });
         shared.conns.locksan_label("net::conns", false);
-        let workers = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        workers.locksan_label("net::workers", false);
         let accept = {
             let shared = shared.clone();
-            let workers = workers.clone();
             std::thread::Builder::new()
                 .name("kvserve-net-accept".into())
-                .spawn(move || accept_loop(listener, shared, workers))
+                .spawn(move || accept_loop(listener, shared))
                 .expect("spawn accept loop")
         };
         Ok(NetServer {
             addr,
             shared,
             accept: Some(accept),
-            workers,
         })
     }
 
@@ -630,7 +588,7 @@ impl NetServer {
 
     /// Connections currently being served.
     pub fn live_connections(&self) -> usize {
-        self.shared.live.load(Ordering::Acquire)
+        self.shared.conns.lock().len()
     }
 
     /// Counters for the wire layer (frames, bytes, busy rejections,
@@ -652,16 +610,14 @@ impl NetServer {
     }
 
     fn teardown(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        for c in self.shared.conns.lock().iter() {
-            c.kill();
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = self.workers.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        self.shared.halt();
+        // Wake the accept loop, which checks `stop` after every accept.
+        let _ = TcpStream::connect(self.addr);
+        for conn in accept.join().unwrap_or_default() {
+            let _ = conn.join();
         }
     }
 }
@@ -685,278 +641,266 @@ impl Service {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<NetShared>,
-    workers: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                shared.metrics.accepted.inc();
-                spawn_conn(stream, &shared, &workers);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => std::thread::sleep(Duration::from_micros(500)),
+/// Accept connections until `stop`, one thread each. Returns the
+/// threads that had not finished by then.
+fn accept_loop(listener: TcpListener, net: Arc<NetShared>) -> Vec<JoinHandle<()>> {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    for id in 0u64.. {
+        let accepted = listener.accept();
+        if net.stop.load(Ordering::Acquire) {
+            break;
+        }
+        let Ok((stream, _peer)) = accepted else {
+            // Out of descriptors, say: back off instead of spinning.
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        };
+        threads.retain(|t| !t.is_finished());
+        net.metrics.accepted.inc();
+        if let Ok(conn) = Conn::register(stream, id, &net) {
+            threads.push(
+                std::thread::Builder::new()
+                    .name("kvserve-net-conn".into())
+                    .spawn(move || conn.run())
+                    .expect("spawn connection thread"),
+            );
         }
     }
+    threads
 }
 
-/// Per-connection state shared by its reader and writer threads.
+/// A connection's loop ended because the layer crashed: nothing more
+/// is written.
+struct Crashed;
+
+/// One accepted connection, owned by the one thread that serves it.
+/// Each pass of its loop reads what the socket has and acts on every
+/// whole request frame in it, then reaps every ready completion and
+/// writes its response.
 struct Conn {
     net: Arc<NetShared>,
-    cs: Arc<ConnShared>,
+    /// This connection's key in [`NetShared::conns`].
+    id: u64,
+    stream: ReadHalf,
+    writer: FramedWriter,
     ring: Ring,
-    /// Ticket → correlation id for in-flight requests. Submission
-    /// inserts under this lock *around* the ring submit, so the writer
-    /// can never reap a ticket it cannot correlate.
-    pending: parking_lot::Mutex<HashMap<Ticket, u64>>,
-    outstanding: AtomicUsize,
-    reader_done: AtomicBool,
-    writer: parking_lot::Mutex<FramedWriter>,
+    /// Ticket → correlation id of every request in flight.
+    pending: HashMap<Ticket, u64>,
+    /// Bytes read but not yet decoded: less than a frame between passes.
+    acc: Vec<u8>,
+    /// The encoded response being written.
+    out: Vec<u8>,
+    /// Whether request frames are still read; once not, the loop only
+    /// reaps what is in flight.
+    reading: bool,
+    /// Nothing more is written: a write failed, or the server stopped
+    /// and shut the socket.
+    dead: bool,
 }
 
 impl Conn {
-    /// Write one whole response frame unless the socket is dead; a
-    /// failed write marks it dead so nothing is ever written after.
-    fn respond(&self, frame: &[u8]) {
-        if self.cs.dead.load(Ordering::Acquire) {
+    /// Enter an accepted socket in the server's map and mint its ring.
+    fn register(stream: TcpStream, id: u64, net: &Arc<NetShared>) -> io::Result<Conn> {
+        let _ = stream.set_nodelay(true);
+        let (stream, writer) = split(stream)?;
+        net.conns.lock().insert(id, stream.try_clone()?);
+        let ring = Ring::attach(
+            net.ring_slots,
+            net.router.clone(),
+            net.ring_metrics.clone(),
+            net.default_deadline,
+        );
+        Ok(Conn {
+            net: net.clone(),
+            id,
+            stream,
+            writer,
+            ring,
+            pending: HashMap::new(),
+            acc: Vec::new(),
+            out: Vec::new(),
+            reading: true,
+            dead: false,
+        })
+    }
+
+    /// Serve the connection, close its socket, then leave the map: once
+    /// `live_connections()` reads 0, every socket it counted is closed.
+    fn run(mut self) {
+        let _ = self.serve();
+        let (net, id) = (self.net.clone(), self.id);
+        drop(self);
+        net.metrics.closed.inc();
+        net.conns.lock().remove(&id);
+    }
+
+    /// Loop until reading has stopped and nothing is in flight, or the
+    /// layer crashes. The socket blocks while nothing is in flight, so
+    /// an idle connection sleeps in `read`; otherwise the loop parks on
+    /// the ring for at most [`PARK`] between nonblocking reads.
+    fn serve(&mut self) -> Result<(), Crashed> {
+        loop {
+            if self.net.crashed.load(Ordering::Acquire) {
+                return Err(Crashed);
+            }
+            if self.net.stop.load(Ordering::Acquire) {
+                self.reading = false;
+                self.dead = true;
+            }
+            let read = self.reading && self.read()?;
+            let reaped = self.reap()?;
+            if !self.reading && self.pending.is_empty() {
+                return Ok(());
+            }
+            if !read && !reaped {
+                self.ring.park(PARK);
+            }
+        }
+    }
+
+    /// Read what the socket has, then act on every whole frame in it.
+    /// Returns whether any bytes arrived.
+    fn read(&mut self) -> Result<bool, Crashed> {
+        let in_flight = !self.pending.is_empty();
+        match self.stream.read_into(&mut self.acc, in_flight) {
+            Ok(n) if n > 0 => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(false),
+            // The peer closed, or the socket failed.
+            _ => {
+                self.reading = false;
+                return Ok(false);
+            }
+        }
+        let mut used = 0;
+        while self.reading {
+            match decode_frame(&self.acc[used..]) {
+                Ok((frame, len)) => {
+                    used += len;
+                    self.on_frame(frame, len)?;
+                }
+                Err(FrameError::Closed | FrameError::Truncated) => break,
+                Err(_) => {
+                    // Malformed bytes: frame sync is unrecoverable, drop
+                    // the connection.
+                    self.net.metrics.protocol_errors.inc();
+                    self.reading = false;
+                }
+            }
+        }
+        self.acc.drain(..used);
+        Ok(true)
+    }
+
+    /// One decoded frame, `len` bytes on the wire: `Busy` over the cap,
+    /// else into the ring.
+    fn on_frame(&mut self, frame: Frame, len: usize) -> Result<(), Crashed> {
+        self.net.metrics.frames_in.inc();
+        self.net.metrics.bytes_in.add(len as u64);
+        self.probe(Point::AfterReadFrame)?;
+        let Frame::Request(req) = frame else {
+            // Clients must not send responses.
+            self.net.metrics.protocol_errors.inc();
+            self.reading = false;
+            return Ok(());
+        };
+        let submitted = if self.pending.len() >= self.net.cap {
+            Err(ServeError::Overloaded {
+                retry_after: CAP_RETRY_HINT,
+            })
+        } else {
+            self.probe(Point::BeforeSubmit)?;
+            match req.deadline_micros {
+                0 => self.ring.submit_batch(req.ops),
+                us => self
+                    .ring
+                    .submit_batch_deadline(req.ops, Duration::from_micros(us)),
+            }
+        };
+        match submitted {
+            Ok(ticket) => {
+                self.pending.insert(ticket, req.corr);
+            }
+            // The cap, a full ring and a full shard queue all surface as
+            // Busy frames.
+            Err(e @ (ServeError::RingFull | ServeError::Overloaded { .. })) => {
+                self.net.metrics.busy.inc();
+                self.respond(req.corr, &Err(e));
+            }
+            // The service is torn down: a definite no-op verdict, then
+            // no more reading.
+            Err(e) => {
+                self.respond(req.corr, &Err(e));
+                self.reading = false;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reap every ready completion and write its response. Returns
+    /// whether any completed.
+    fn reap(&mut self) -> Result<bool, Crashed> {
+        let mut any = false;
+        while let Some(c) = self.ring.complete() {
+            any = true;
+            let corr = self
+                .pending
+                .remove(&c.ticket)
+                .expect("only this connection submits to its ring");
+            if !self.reading && self.dead {
+                // Reap-or-die: the slot is free again, the response has
+                // nowhere to go.
+                self.net.metrics.reaped_after_disconnect.inc();
+                continue;
+            }
+            self.probe(Point::AfterComplete)?;
+            self.probe(Point::BeforeWriteResponse)?;
+            self.out.clear();
+            encode_response(&mut self.out, corr, &c.result);
+            if self.net.probe.fires(Point::MidWrite) {
+                // The injected torn write: a strict prefix of the
+                // response, then the crash. The client must read this as
+                // no-ack.
+                let upto = HEADER_LEN + (self.out.len() - HEADER_LEN) / 2;
+                let _ = self.writer.write_partial(&self.out, upto);
+                self.net.crash();
+                return Err(Crashed);
+            }
+            self.write_out();
+        }
+        Ok(any)
+    }
+
+    /// Ask the probe at `point`; if it fires, the layer crashes.
+    fn probe(&self, point: Point) -> Result<(), Crashed> {
+        if self.net.probe.fires(point) {
+            self.net.crash();
+            return Err(Crashed);
+        }
+        Ok(())
+    }
+
+    /// Encode one response and write it.
+    fn respond(&mut self, corr: u64, reply: &Reply) {
+        self.out.clear();
+        encode_response(&mut self.out, corr, reply);
+        self.write_out();
+    }
+
+    /// Write the encoded response unless the socket is dead.
+    fn write_out(&mut self) {
+        if self.dead {
             self.net.metrics.dead_socket_suppressed.inc();
             return;
         }
-        let mut w = self.writer.lock();
-        // Re-check under the writer lock: a kill between the check and
-        // the lock must still suppress the write.
-        if self.cs.dead.load(Ordering::Acquire) {
-            self.net.metrics.dead_socket_suppressed.inc();
-            return;
-        }
-        match w.write_frame(frame) {
+        match self.writer.write_frame(&self.out) {
             Ok(()) => {
                 self.net.metrics.frames_out.inc();
-                self.net.metrics.bytes_out.add(frame.len() as u64);
+                self.net.metrics.bytes_out.add(self.out.len() as u64);
             }
-            Err(_) => self.cs.dead.store(true, Ordering::Release),
+            Err(_) => self.dead = true,
         }
     }
-}
-
-fn spawn_conn(
-    stream: TcpStream,
-    shared: &Arc<NetShared>,
-    workers: &Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let Ok((stream, writer)) = split(stream) else {
-        return;
-    };
-    let cs = Arc::new(ConnShared {
-        stream: match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        },
-        dead: AtomicBool::new(false),
-    });
-    shared.conns.lock().push(cs.clone());
-    shared.live.fetch_add(1, Ordering::AcqRel);
-    let conn = Arc::new(Conn {
-        net: shared.clone(),
-        cs,
-        ring: shared.rings.mint(),
-        pending: parking_lot::Mutex::new(HashMap::new()),
-        outstanding: AtomicUsize::new(0),
-        reader_done: AtomicBool::new(false),
-        writer: parking_lot::Mutex::new(writer),
-    });
-    conn.pending.locksan_label("net::pending", false);
-    conn.writer.locksan_label("net::writer", false);
-    let mut guard = workers.lock();
-    {
-        let conn = conn.clone();
-        guard.push(
-            std::thread::Builder::new()
-                .name("kvserve-net-read".into())
-                .spawn(move || reader_loop(stream, conn))
-                .expect("spawn conn reader"),
-        );
-    }
-    guard.push(
-        std::thread::Builder::new()
-            .name("kvserve-net-write".into())
-            .spawn(move || writer_loop(conn))
-            .expect("spawn conn writer"),
-    );
-}
-
-fn reader_loop(mut stream: ReadHalf, conn: Arc<Conn>) {
-    let net = conn.net.clone();
-    let mut scratch = Vec::new();
-    let cap = {
-        let slots = conn.ring.capacity();
-        if net.cfg.max_in_flight == 0 {
-            slots
-        } else {
-            net.cfg.max_in_flight.min(slots)
-        }
-    };
-    while !net.stop.load(Ordering::Acquire) {
-        let frame = match read_frame(&mut stream, &mut scratch) {
-            Ok(f) => f,
-            Err(FrameError::Closed) => break,
-            Err(FrameError::Truncated) | Err(FrameError::Io(_)) => break,
-            Err(_) => {
-                // Malformed bytes: frame sync is unrecoverable, drop
-                // the connection (the codec consumed nothing partial).
-                net.metrics.protocol_errors.inc();
-                break;
-            }
-        };
-        net.metrics.frames_in.inc();
-        net.metrics
-            .bytes_in
-            .add((HEADER_LEN + scratch.len()) as u64);
-        if net.probe.fires(Point::AfterReadFrame) {
-            net.crash();
-            break;
-        }
-        let req = match frame {
-            Frame::Request(r) => r,
-            Frame::Response(_) => {
-                // Clients must not send responses.
-                net.metrics.protocol_errors.inc();
-                break;
-            }
-        };
-        if conn.outstanding.load(Ordering::Acquire) >= cap {
-            let mut busy = Vec::new();
-            encode_response(
-                &mut busy,
-                req.corr,
-                &Err(ServeError::Overloaded {
-                    retry_after: CAP_RETRY_HINT,
-                }),
-            );
-            net.metrics.busy.inc();
-            conn.respond(&busy);
-            continue;
-        }
-        if net.probe.fires(Point::BeforeSubmit) {
-            net.crash();
-            break;
-        }
-        let deadline = if req.deadline_micros == 0 {
-            net.rings.default_deadline
-        } else {
-            Duration::from_micros(req.deadline_micros)
-        };
-        // Insert-under-lock around the submit: a completion cannot be
-        // reaped before its correlation id is recorded.
-        let verdict = {
-            let mut pending = conn.pending.lock();
-            match conn.ring.submit_batch_deadline(req.ops, deadline) {
-                Ok(ticket) => {
-                    pending.insert(ticket, req.corr);
-                    conn.outstanding.fetch_add(1, Ordering::AcqRel);
-                    None
-                }
-                Err(e) => Some(e),
-            }
-        };
-        if let Some(e) = verdict {
-            match e {
-                // Structural backpressure surfaces as Busy frames.
-                ServeError::RingFull | ServeError::Overloaded { .. } => {
-                    let mut busy = Vec::new();
-                    encode_response(&mut busy, req.corr, &Err(e));
-                    net.metrics.busy.inc();
-                    conn.respond(&busy);
-                }
-                // The service is torn down: a definite no-op verdict,
-                // then the connection closes.
-                other => {
-                    let mut f = Vec::new();
-                    encode_response(&mut f, req.corr, &Err(other));
-                    conn.respond(&f);
-                    break;
-                }
-            }
-        }
-    }
-    conn.reader_done.store(true, Ordering::Release);
-}
-
-fn writer_loop(conn: Arc<Conn>) {
-    let net = conn.net.clone();
-    let mut frame = Vec::new();
-    loop {
-        if net.crashed.load(Ordering::Acquire) {
-            break;
-        }
-        let Some(completion) = conn.ring.complete() else {
-            let reader_done = conn.reader_done.load(Ordering::Acquire);
-            if reader_done && conn.outstanding.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            if net.stop.load(Ordering::Acquire) && conn.ring.in_flight() == 0 {
-                // Stopping and nothing left to resolve for anyone.
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-            continue;
-        };
-        let corr = conn.pending.lock().remove(&completion.ticket);
-        conn.outstanding.fetch_sub(1, Ordering::AcqRel);
-        let Some(corr) = corr else {
-            // Cannot happen (insertion is under the pending lock around
-            // the submit), but never write an uncorrelatable response.
-            continue;
-        };
-        if net.probe.fires(Point::AfterComplete) {
-            net.crash();
-            break;
-        }
-        if net.probe.fires(Point::BeforeWriteResponse) {
-            net.crash();
-            break;
-        }
-        frame.clear();
-        encode_response(&mut frame, corr, &completion.result);
-        if net.probe.fires(Point::MidWrite) {
-            net.crash();
-            // The injected torn write: flush a strict prefix of the
-            // response, then die. The client must read this as no-ack.
-            let upto = HEADER_LEN + (frame.len() - HEADER_LEN) / 2;
-            let _ = conn.writer.lock().write_partial(&frame, upto);
-            break;
-        }
-        conn.respond(&frame);
-    }
-    // Reap-or-die: past this point the connection is closing. If the
-    // layer is still alive (client disconnect, graceful stop), drain
-    // the connection's remaining completions so every ring slot is
-    // freed — without ever writing to the (possibly dead) socket.
-    if !net.crashed.load(Ordering::Acquire) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while conn.outstanding.load(Ordering::Acquire) > 0 {
-            if net.crashed.load(Ordering::Acquire) || std::time::Instant::now() >= deadline {
-                break;
-            }
-            match conn.ring.complete() {
-                Some(c) => {
-                    if conn.pending.lock().remove(&c.ticket).is_some() {
-                        conn.outstanding.fetch_sub(1, Ordering::AcqRel);
-                        net.metrics.reaped_after_disconnect.inc();
-                    }
-                }
-                None => std::thread::sleep(Duration::from_micros(100)),
-            }
-        }
-    }
-    conn.cs.kill();
-    net.live.fetch_sub(1, Ordering::AcqRel);
-    net.metrics.closed.inc();
 }
 
 /// Errors a [`NetClient`] can surface. `Serve` wraps the server's
@@ -1007,7 +951,7 @@ pub struct NetClient {
     stream: ReadHalf,
     writer: FramedWriter,
     scratch: Vec<u8>,
-    /// Accumulator for nonblocking reads (partial frames span calls).
+    /// Bytes read but not yet decoded (partial frames span calls).
     acc: Vec<u8>,
     next_corr: u64,
     in_flight: usize,
@@ -1066,23 +1010,8 @@ impl NetClient {
     /// Block until the next response arrives. `Disconnected` means the
     /// server went away with no verdict for whatever was in flight.
     pub fn recv(&mut self) -> Result<ResponseFrame, NetError> {
-        // Serve from the accumulator first (a blocking read may have
-        // been preceded by nonblocking reads that buffered frames).
-        if let Some(r) = self.take_buffered()? {
-            return Ok(r);
-        }
-        self.stream
-            .set_nonblocking(false)
-            .map_err(|e| NetError::Io(e.kind()))?;
         loop {
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(NetError::Disconnected),
-                Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(NetError::Io(e.kind())),
-            }
-            if let Some(r) = self.take_buffered()? {
+            if let Some(r) = self.poll(true)? {
                 return Ok(r);
             }
         }
@@ -1091,23 +1020,21 @@ impl NetClient {
     /// Nonblocking reap: `Ok(None)` when no complete response has
     /// arrived yet.
     pub fn try_recv(&mut self) -> Result<Option<ResponseFrame>, NetError> {
-        if let Some(r) = self.take_buffered()? {
-            return Ok(Some(r));
-        }
-        self.stream
-            .set_nonblocking(true)
-            .map_err(|e| NetError::Io(e.kind()))?;
+        self.poll(false)
+    }
+
+    /// The next response, from the accumulator while it holds a whole
+    /// one, else read off the socket; `Ok(None)` when a nonblocking read
+    /// finds nothing.
+    fn poll(&mut self, block: bool) -> Result<Option<ResponseFrame>, NetError> {
         loop {
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            if let Some(r) = self.take_buffered()? {
+                return Ok(Some(r));
+            }
+            match self.stream.read_into(&mut self.acc, !block) {
                 Ok(0) => return Err(NetError::Disconnected),
-                Ok(n) => {
-                    self.acc.extend_from_slice(&chunk[..n]);
-                    if let Some(r) = self.take_buffered()? {
-                        return Ok(Some(r));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) => return Err(NetError::Io(e.kind())),
             }

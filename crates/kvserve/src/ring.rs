@@ -443,6 +443,14 @@ impl Ring {
         }
     }
 
+    /// Sleep until a completion is ready to reap or `timeout` passes.
+    pub(crate) fn park(&self, timeout: Duration) {
+        let mut done = self.shared.done.lock();
+        if done.is_empty() {
+            let _ = self.shared.cv.wait_for(&mut done, timeout);
+        }
+    }
+
     /// Reap everything currently ready. Non-blocking.
     pub fn drain(&self) -> Drain<'_> {
         Drain(self)

@@ -25,6 +25,11 @@
 //! - one recording probe on a replicated service served over the wire,
 //!   which must see the net, 2PC, replication and migration points of
 //!   each request in protocol order, before and after a live split.
+//!
+//! Two Linux-only tests read the whole process through `/proc`: closed
+//! connections give back their descriptors, and an idle server's
+//! threads sleep. They run alone ([`whole_process`]); every other test
+//! holds [`shared_process`].
 
 mod common;
 
@@ -34,8 +39,21 @@ use kvserve::{
     ServiceConfig,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
+
+/// Held shared by every test here and exclusively by the tests that
+/// measure the whole process, so no other server's sockets or threads
+/// show up in their `/proc` readings.
+static PROCESS: RwLock<()> = RwLock::new(());
+
+fn shared_process() -> RwLockReadGuard<'static, ()> {
+    PROCESS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn whole_process() -> RwLockWriteGuard<'static, ()> {
+    PROCESS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn cfg(shards: usize) -> ServiceConfig {
     let mut cfg = ServiceConfig::new(shards);
@@ -52,6 +70,7 @@ fn cross_pair(svc: &Service) -> (u64, u64) {
 
 #[test]
 fn wire_batches_agree_with_the_blocking_api() {
+    let _process = shared_process();
     let svc = Service::new(cfg(2));
     let server = svc.serve_net(NetConfig::default()).unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
@@ -73,8 +92,8 @@ fn wire_batches_agree_with_the_blocking_api() {
     // The wire state and the in-process state are the same state.
     assert_eq!(svc.get(xa), Ok(model.get(&xa).copied()));
     assert_eq!(svc.get(xb), Ok(model.get(&xb).copied()));
-    // The client can observe a response before the writer thread bumps
-    // the counter, so the metric asserts get a bounded settle.
+    // The client can observe a response before the connection thread
+    // bumps the counter, so the metric asserts get a bounded settle.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let m = server.metrics();
@@ -94,6 +113,7 @@ fn pipelined_wire_requests_complete_in_submission_order() {
     // One shard, one worker, one connection: the shard queue is FIFO
     // and the response stream preserves completion order, so responses
     // must arrive in submission order with model-exact values.
+    let _process = shared_process();
     let mut c = cfg(1);
     c.workers_per_shard = 1;
     let svc = Service::new(c);
@@ -124,11 +144,12 @@ fn pipelined_wire_requests_complete_in_submission_order() {
 fn per_connection_cap_surfaces_as_busy_frames() {
     // Cap 1: while one request is in flight, further frames answer
     // `Busy` instead of queueing server-side. The client floods 400
-    // single-op requests without reading; the reader (pulling frames
-    // from an already-full socket buffer) laps both the durable-txn
-    // worker and the reaper's idle backoff, so Busy responses are
+    // single-op requests without reading. The connection thread acts on
+    // every frame a socket read returns before it reaps, and a durable
+    // transaction outlasts several frame sends, so Busy responses are
     // structurally unavoidable — and every one is a definite no-op
     // verdict, so retrying just those converges on the full model.
+    let _process = shared_process();
     let mut c = cfg(1);
     c.workers_per_shard = 1;
     let svc = Service::new(c);
@@ -171,6 +192,7 @@ fn per_connection_cap_surfaces_as_busy_frames() {
 
 #[test]
 fn malformed_frames_close_the_connection_without_panic() {
+    let _process = shared_process();
     let svc = Service::new(cfg(1));
     let server = svc.serve_net(NetConfig::default()).unwrap();
     // Raw socket: send garbage that parses as a hostile header.
@@ -186,6 +208,85 @@ fn malformed_frames_close_the_connection_without_panic() {
     let mut client = NetClient::connect(server.local_addr()).unwrap();
     assert_eq!(client.batch(&[MapOp::Insert(3, 4)]).unwrap(), vec![None]);
     assert_eq!(svc.get(3), Ok(Some(4)));
+    server.stop();
+}
+
+/// Wait until `server` serves no connection.
+fn await_no_connections(server: &NetServer) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.live_connections() > 0 {
+        assert!(Instant::now() < deadline, "connections never closed");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    let _process = whole_process();
+    let svc = Service::new(cfg(1));
+    let server = svc.serve_net(NetConfig::default()).unwrap();
+    let cycle = |k: u64| {
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        assert_eq!(client.batch(&[MapOp::Insert(k, k)]).unwrap(), vec![None]);
+    };
+    let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+
+    cycle(0); // warm-up
+    await_no_connections(&server);
+    let start = open_fds();
+    for k in 1..=200 {
+        cycle(k);
+    }
+    await_no_connections(&server);
+    let end = open_fds();
+    assert!(
+        end <= start + 2,
+        "200 closed connections left descriptors open: {start} before, {end} after"
+    );
+    server.stop();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_server_sleeps() {
+    let _process = whole_process();
+    /// Voluntary context switches summed over this process's
+    /// `kvserve-net-*` threads.
+    fn net_thread_switches() -> u64 {
+        let mut sum = 0;
+        for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+            // A thread that exits mid-scan has no status to read.
+            let Ok(status) = std::fs::read_to_string(task.path().join("status")) else {
+                continue;
+            };
+            let field = |name: &str| {
+                status
+                    .lines()
+                    .find_map(|l| l.strip_prefix(name))
+                    .map(str::trim)
+            };
+            if field("Name:").is_some_and(|n| n.starts_with("kvserve-net-")) {
+                sum += field("voluntary_ctxt_switches:").map_or(0, |v| v.parse::<u64>().unwrap());
+            }
+        }
+        sum
+    }
+
+    let svc = Service::new(cfg(1));
+    let server = svc.serve_net(NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    assert_eq!(client.batch(&[MapOp::Insert(1, 1)]).unwrap(), vec![None]);
+    // The accept and connection threads may still be on their way into
+    // a blocking call: one switch each, well inside the budget.
+    let before = net_thread_switches();
+    std::thread::sleep(Duration::from_millis(200));
+    let switches = net_thread_switches().saturating_sub(before);
+    assert!(
+        switches <= 10,
+        "idle net threads switched {switches} times in 200 ms"
+    );
+    drop(client);
     server.stop();
 }
 
@@ -338,6 +439,7 @@ fn settle_cycle(
 
 #[test]
 fn crash_at_every_net_step_keeps_the_ack_contract() {
+    let _process = shared_process();
     let mut rng = Lcg::from_env("KVSERVE_NET_SEED", 0x9e7_5eed);
     let mut svc = Service::new(cfg(3));
     let pair = cross_pair(&svc);
@@ -383,6 +485,7 @@ fn crash_at_every_net_step_keeps_the_ack_contract() {
 
 #[test]
 fn disconnect_at_every_net_step_reaps_the_connection() {
+    let _process = shared_process();
     let mut rng = Lcg::from_env("KVSERVE_NET_SEED", 0xd15c_5eed);
     let svc = Service::new(cfg(3));
     let pair = cross_pair(&svc);
@@ -463,6 +566,7 @@ fn seeded_fuzz_mixes_disconnects_and_crashes() {
     // Randomized composition of the two sweeps: random load, random
     // step, random victim (client or whole layer), fixed seed unless
     // KVSERVE_NET_SEED overrides.
+    let _process = shared_process();
     let mut rng = Lcg::from_env("KVSERVE_NET_SEED", 0xf022_5eed);
     let mut svc = Service::new(cfg(2));
     let pair = cross_pair(&svc);
@@ -517,6 +621,7 @@ fn seeded_fuzz_mixes_disconnects_and_crashes() {
 
 #[test]
 fn net_crash_traffic_is_psan_clean() {
+    let _process = shared_process();
     let mut c = cfg(2);
     c.nvhalt.pm.psan = pmem::PsanMode::Record;
     let mut svc = Service::new(c);
@@ -555,6 +660,7 @@ fn net_crash_traffic_is_psan_clean() {
 
 #[test]
 fn one_probe_sees_every_layer_across_a_migration() {
+    let _process = shared_process();
     use Point::*;
     let mut c = cfg(2);
     c.replication = true;
