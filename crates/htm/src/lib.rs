@@ -38,6 +38,16 @@
 //! paper's own protocols (e.g. NV-HALT acquires a word's lock before
 //! writing the word, Figure 5).
 //!
+//! A committer publishes *after* validating its read set, holding only
+//! its written slots locked while it does. So a lock-based fallback path
+//! that shuts hardware transactions out by writing a lock word they
+//! subscribe to is not yet alone once that write lands: a transaction
+//! that validated just before may still be publishing. Such a path reads
+//! through [`Htm::nt_load_settled`], which waits while the cell's slot
+//! is locked by a committer, and writes through [`Htm::nt_store`], which
+//! waits too. A plain load could return a value the publication is about
+//! to overwrite, and the fallback's own write would then be lost.
+//!
 //! # What cannot happen inside a transaction
 //!
 //! Persistent-memory flushes abort real hardware transactions, which is the
@@ -195,6 +205,30 @@ impl Htm {
         cell.load(Ordering::Acquire)
     }
 
+    /// Non-transactional load that never overtakes a committer: waits
+    /// while `cell`'s slot is locked by one, and re-checks the slot after
+    /// the load. The returned value is then one no publication already
+    /// past validation will overwrite — what a lock-based fallback path
+    /// must read (see the crate docs).
+    pub fn nt_load_settled(&self, cell: &AtomicU64) -> u64 {
+        let slot = &self.slots[self.slot_of(cell)];
+        let mut tries = 0u32;
+        loop {
+            let ver = slot.load(Ordering::Acquire);
+            if ver & 1 == 0 {
+                let v = cell.load(Ordering::Acquire);
+                if slot.load(Ordering::Acquire) == ver {
+                    return v;
+                }
+            }
+            std::hint::spin_loop();
+            tries += 1;
+            if tries & 0x3f == 0 {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     /// A monotonically increasing timestamp, usable inside transactions
     /// without entering any tracking set — the simulator's `rdtsc` (SPHT
     /// orders commits with such timestamps).
@@ -263,6 +297,25 @@ mod tests {
         let before = htm.slot(idx).load(Ordering::Relaxed);
         assert!(htm.nt_cas(&cell, 99, 100).is_err());
         assert_eq!(htm.slot(idx).load(Ordering::Relaxed), before);
+    }
+
+    #[test]
+    fn settled_load_waits_out_a_locked_slot() {
+        let htm = Arc::new(Htm::new(HtmConfig::test()));
+        let cell = Arc::new(AtomicU64::new(1));
+        let idx = htm.slot_of(&cell);
+        // Play a committer mid-publication: slot locked, new value not
+        // yet stored.
+        let pre = htm.nt_lock_slot(idx);
+        let reader = {
+            let (htm, cell) = (htm.clone(), cell.clone());
+            std::thread::spawn(move || htm.nt_load_settled(&cell))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        cell.store(2, Ordering::Release);
+        htm.slot(idx).store(pre + 2, Ordering::Release);
+        assert_eq!(reader.join().unwrap(), 2, "read overtook the publication");
+        assert_eq!(htm.nt_load_settled(&cell), 2);
     }
 
     #[test]

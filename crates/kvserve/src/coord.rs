@@ -3,33 +3,38 @@
 //!
 //! A multi-op request whose keys route to several shards is queued to a
 //! dedicated 2PC driver thread ([`drive`]) and executed there as one
-//! **distributed transaction**:
+//! **distributed transaction**. Driver `c` owns coordinator slot `c` and
+//! runs one batch at a time:
 //!
 //! 1. **Prepare** — per participating shard, run the shard's ops plus a
-//!    *marker* insert (`meta[txid] = 1`) as a prepared transaction
-//!    ([`tm::TmPrepare`]): the writes are durably staged below the
-//!    shard's persistent version and every touched address stays locked,
-//!    so the staged state is invisible to other transactions and a crash
-//!    rolls it back.
-//! 2. **Decide** — append a `COMMITTED` entry (txid + the full op list)
-//!    to the decision log, a linked list in its own NV-HALT instance,
-//!    as one committed transaction. *This commit is the commit point of
-//!    the whole batch.* Aborts are presumed: no entry is ever written
-//!    for them.
+//!    write of the slot's *commit word* (`commits[c] = txid`) as a
+//!    prepared transaction ([`tm::TmPrepare`]): the writes are durably
+//!    staged below the shard's persistent version and every touched
+//!    address stays locked, so the staged state is invisible to other
+//!    transactions and a crash rolls it back.
+//! 2. **Decide** — overwrite slot `c`'s *decision record* (txid, routing
+//!    epoch, the full op list) in the decision log, its own NV-HALT
+//!    instance, as one committed transaction. *This commit is the commit
+//!    point of the whole batch.* Aborts are presumed: nothing is ever
+//!    written for them.
 //! 3. **Commit fan-out** — `commit_prepared` on every participant makes
-//!    the staged writes (and the marker) durable and visible.
-//! 4. **Resolve** — flip the entry to `RESOLVED`, then delete the
-//!    markers, then recycle the entry: later decisions rewrite resolved
-//!    blocks in place, so the log's footprint tracks in-flight batches,
-//!    not batches ever committed.
+//!    the staged writes (and the commit word) durable and visible. The
+//!    batch is acked right after; there is nothing to clean up.
 //!
-//! Recovery replays the log: for every unresolved `COMMITTED` entry, any
-//! shard whose marker is missing lost its prepared state in the crash
-//! and gets the entry's ops re-applied (with the marker) in one
-//! transaction; shards whose marker survived already committed and are
-//! skipped — that is what makes replay idempotent and safe against
-//! *later* committed writes to the same keys. The entry is then resolved
-//! and the markers dropped.
+//! Recovery replays the records ([`replay`]): a participant whose commit
+//! word for the record's slot is below the record's txid lost its
+//! prepared state in the crash and gets the record's ops re-applied
+//! (with the word) in one transaction; a participant whose word reached
+//! the txid already committed and is skipped — that is what makes
+//! replay idempotent and safe against *later* committed writes to the
+//! same keys. A slot's record is only overwritten by the slot's next
+//! decision, after every participant of the previous one committed, so
+//! no older decision can still need replay. Txids never repeat (the
+//! counter recovers past every record), so a commit word never sits
+//! above a live record's txid. Only records of the recovered routing
+//! epoch are replayed: a migration flip joins the drivers first, so
+//! every older record is fully committed, and re-partitioned under the
+//! new table it could land on a split's target, whose words are zero.
 //!
 //! Phase 1 can deadlock with a concurrent coordinator preparing the same
 //! shards in a different order; every prepare is therefore fuel-bounded
@@ -48,31 +53,30 @@ use crossbeam::channel::{Receiver, RecvTimeoutError};
 use nvhalt::NvHalt;
 use parking_lot::{Condvar, Mutex};
 use pmem::pool::DurableImage;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tm::{Abort, Addr, Tm, TmPrepare};
 use txstructs::MapOp;
 
-/// Decision-log entry layout (word offsets within an entry block):
-/// `[next, txid, state, nops, cap, (tag, key, val) × cap]`.
-/// `cap` is the block's op capacity; resolved entries are recycled in
-/// place for later decisions with `nops <= cap`, so the log's footprint
-/// tracks the number of *in-flight* cross-shard batches, not the number
-/// ever committed.
-const E_NEXT: u64 = 0;
-const E_TXID: u64 = 1;
-const E_STATE: u64 = 2;
-const E_NOPS: u64 = 3;
-const E_CAP: u64 = 4;
-const E_OPS: u64 = 5;
+/// Decision-record layout (word offsets within a record block):
+/// `[cap, txid, epoch, nops, (tag, key, val) × cap]`. `cap` is the
+/// block's op capacity: the slot's next decision overwrites the record
+/// in place, and only one with more ops moves it to a bigger block.
+/// Every other word a decision writes is contiguous, so its commit
+/// flushes the fewest log-entry lines.
+const D_CAP: u64 = 0;
+const D_TXID: u64 = 1;
+const D_EPOCH: u64 = 2;
+const D_NOPS: u64 = 3;
+const D_OPS: u64 = 4;
 const OP_WORDS: u64 = 3;
 
-/// Entry state: decision taken, fan-out possibly incomplete.
-const STATE_COMMITTED: u64 = 1;
-/// Entry state: every participant durably committed; skip at recovery.
-const STATE_RESOLVED: u64 = 2;
+/// A record block's size in words.
+fn record_words(cap: u64) -> usize {
+    (D_OPS + cap * OP_WORDS) as usize
+}
 
 /// Routing-root layout inside the decision log's pool:
 /// `[epoch, nslots, assign[0..ROUTE_SLOTS]]`. Rewritten whole by one
@@ -87,36 +91,45 @@ const ROUTE_WORDS: usize = 2 + ROUTE_SLOTS;
 /// The cross-shard commit coordinator: the decision log shared by the
 /// 2PC driver threads. Driver `c` exclusively owns coordinator slot `c`,
 /// which grants TM thread id `workers_per_shard + c` on every shard and
-/// `c` on the log.
+/// `c` on the log, commit word `c` on every shard, and decision record
+/// `c`.
 pub(crate) struct Coordinator {
     /// The decision log's own NV-HALT instance (crashed and recovered
     /// together with the shards).
     pub log: Arc<NvHalt>,
-    /// Head word of the decision-entry linked list.
-    pub head: Addr,
+    /// The slot table: word `c` points at slot `c`'s decision record (0
+    /// until the slot's first decision).
+    records: Addr,
     /// The durable routing-table root block (same pool as the log).
     pub route: Addr,
     /// Next transaction id to hand out (recovered as max seen + 1).
     pub next_txid: AtomicU64,
-    /// Recyclable `RESOLVED` entries, as `(addr, op capacity)`. Entries
-    /// enter only after their markers are dropped (a recycled entry must
-    /// never still be needed to dedupe replay).
-    free: Mutex<Vec<(Addr, u64)>>,
     /// The decision-log group-commit queue (see [`Coordinator::log_decision`]).
     group: Mutex<DecisionGroup>,
     group_cv: Condvar,
     pub metrics: Arc<CoordinatorMetrics>,
 }
 
+/// One slot's commit decision: what the group commit writes into the
+/// slot's record, and what recovery reads back out of it for
+/// [`replay`].
+pub(crate) struct Decision {
+    pub slot: u64,
+    pub txid: u64,
+    /// The routing epoch the batch was partitioned under.
+    pub epoch: u64,
+    pub ops: Vec<MapOp>,
+}
+
 /// Shared state of the decision-log group commit: decisions queued for
-/// the next leader, and the results a leader publishes back to its
-/// waiters.
+/// the next leader, and the ones a leader has written for its waiters
+/// to pick up.
 #[derive(Default)]
 struct DecisionGroup {
-    /// Decisions waiting to be written, as `(txid, ops)`.
-    queue: Vec<(u64, Vec<MapOp>)>,
-    /// Written decisions not yet picked up: txid → `(entry, cap)`.
-    results: HashMap<u64, (Addr, u64)>,
+    /// Decisions waiting to be written.
+    queue: Vec<Decision>,
+    /// Txids of written decisions not yet picked up.
+    written: HashSet<u64>,
     /// A leader is writing the current batch.
     leader_busy: bool,
     /// The leader's write crash-unwound (pool poisoned mid-commit);
@@ -139,29 +152,27 @@ impl Drop for GroupAbortGuard<'_> {
 }
 
 impl Coordinator {
-    /// Fresh coordinator: new log TM, head allocated and durably zero,
-    /// the initial routing table durably written.
+    /// Fresh coordinator: new log TM, slot table allocated and durably
+    /// zero, the initial routing table durably written.
     pub fn new(cfg: &ServiceConfig, table: &RoutingTable) -> Coordinator {
         let log = Arc::new(NvHalt::new(cfg.log_nvhalt()));
-        let head = log.alloc_raw(0, 1);
+        let records = log.alloc_raw(0, cfg.coordinators);
         let route = log.alloc_raw(0, ROUTE_WORDS);
-        let co = Coordinator::assemble(log, head, route, 1);
+        let co = Coordinator::assemble(log, records, route, 1);
         co.write_route(0, table);
         co
     }
 
-    fn assemble(log: Arc<NvHalt>, head: Addr, route: Addr, next_txid: u64) -> Coordinator {
+    fn assemble(log: Arc<NvHalt>, records: Addr, route: Addr, next_txid: u64) -> Coordinator {
         let co = Coordinator {
             log,
-            head,
+            records,
             route,
             next_txid: AtomicU64::new(next_txid),
-            free: Mutex::new(Vec::new()),
             group: Mutex::new(DecisionGroup::default()),
             group_cv: Condvar::new(),
             metrics: Arc::default(),
         };
-        co.free.locksan_label("coord::free", false);
         co.group.locksan_label("coord::group", false);
         co
     }
@@ -201,35 +212,63 @@ fn read_route_raw(log: &NvHalt, route: Addr) -> RoutingTable {
 }
 
 /// The decision log's durable remains after a crash: its pool image
-/// plus the two roots inside it, the entry-list head and the routing
-/// root.
+/// plus the two roots inside it, the slot table and the routing root.
 pub(crate) struct LogImage {
     image: DurableImage,
-    head: Addr,
+    records: Addr,
     route: Addr,
 }
 
 impl LogImage {
     /// Recover the decision log: TM recovery, an allocator rebuild from
-    /// a walk of the entry list (plus the head word and the routing
-    /// root), and the txid counter past every logged txid. Returns the
-    /// coordinator, the durable routing table, and the entries for
-    /// [`replay`] to resolve.
+    /// the slot table, every record it points at and the routing root,
+    /// and the txid counter past every recorded txid. Returns the
+    /// coordinator, the durable routing table, and the decisions for
+    /// [`replay`].
     pub fn recover(
         &self,
         cfg: &ServiceConfig,
-    ) -> (Arc<Coordinator>, Arc<RoutingTable>, Vec<DecisionEntry>) {
+    ) -> (Arc<Coordinator>, Arc<RoutingTable>, Vec<Decision>) {
         let log = Arc::new(NvHalt::recover_with(cfg.log_nvhalt(), &self.image));
-        let entries = walk_log(&log, self.head);
-        log.rebuild_allocator(
-            std::iter::once((self.head.0, 1))
-                .chain(std::iter::once((self.route.0, ROUTE_WORDS)))
-                .chain(entries.iter().map(|e| (e.addr.0, e.words()))),
-        );
+        let mut blocks = vec![
+            (self.records.0, cfg.coordinators),
+            (self.route.0, ROUTE_WORDS),
+        ];
+        let mut decisions = Vec::new();
+        for slot in 0..cfg.coordinators as u64 {
+            let r = Addr(log.read_raw(self.records.offset(slot)));
+            if !r.is_null() {
+                blocks.push((r.0, record_words(log.read_raw(r.offset(D_CAP)))));
+                decisions.push(read_record_raw(&log, slot, r));
+            }
+        }
+        log.rebuild_allocator(blocks);
         let table = Arc::new(read_route_raw(&log, self.route));
-        let next_txid = entries.iter().map(|e| e.txid).max().unwrap_or(0) + 1;
-        let co = Coordinator::assemble(log, self.head, self.route, next_txid);
-        (Arc::new(co), table, entries)
+        let next_txid = decisions.iter().map(|d| d.txid).max().unwrap_or(0) + 1;
+        let co = Coordinator::assemble(log, self.records, self.route, next_txid);
+        (Arc::new(co), table, decisions)
+    }
+}
+
+/// Decode slot `slot`'s record at `r`. Only valid on a quiescent TM
+/// (recovery).
+fn read_record_raw(log: &NvHalt, slot: u64, r: Addr) -> Decision {
+    let nops = log.read_raw(r.offset(D_NOPS));
+    let ops = (0..nops)
+        .map(|i| {
+            let base = r.offset(D_OPS + i * OP_WORDS);
+            decode_op(
+                log.read_raw(base),
+                log.read_raw(base.offset(1)),
+                log.read_raw(base.offset(2)),
+            )
+        })
+        .collect();
+    Decision {
+        slot,
+        txid: log.read_raw(r.offset(D_TXID)),
+        epoch: log.read_raw(r.offset(D_EPOCH)),
+        ops,
     }
 }
 
@@ -238,50 +277,26 @@ impl Coordinator {
     pub fn image(&self) -> LogImage {
         LogImage {
             image: self.log.crash_image(),
-            head: self.head,
+            records: self.records,
             route: self.route,
         }
     }
 
-    /// Best-fit pop from the recycle list: the smallest resolved entry
-    /// that can hold `nops` ops.
-    fn take_free(&self, nops: u64) -> Option<(Addr, u64)> {
-        let mut free = self.free.lock();
-        let mut best: Option<usize> = None;
-        for (i, &(_, cap)) in free.iter().enumerate() {
-            if cap >= nops {
-                let better = match best {
-                    Some(b) => cap < free[b].1,
-                    None => true,
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        best.map(|i| free.swap_remove(i))
-    }
-
-    /// Hand a fully resolved entry (markers already dropped) back for
-    /// recycling.
-    pub fn release_entry(&self, entry: Addr, cap: u64) {
-        self.free.lock().push((entry, cap));
-    }
-
-    /// Durably log a `COMMITTED` entry — the batch's commit point — as a
-    /// **group commit**: the decision is queued, and the first driver to
-    /// find no leader writing becomes the leader, writing *every* queued
-    /// decision in one committed log transaction (one flush pass, one
-    /// fence) and publishing the entries back to the waiting drivers.
-    /// Concurrently-resolving cross-shard batches thus share a single
-    /// commit's persist cost instead of paying one fence each. Returns
-    /// this decision's entry and its op capacity.
-    fn log_decision(&self, ltid: usize, txid: u64, ops: &[MapOp]) -> (Addr, u64) {
+    /// Durably write `d` into its slot's record — the batch's commit
+    /// point — as a **group commit**: the decision is queued, and the
+    /// first driver to find no leader writing becomes the leader,
+    /// writing *every* queued decision in one committed log transaction
+    /// (one flush pass, one fence) and handing the written txids back to
+    /// the waiting drivers. Concurrently-deciding cross-shard batches
+    /// thus share a single commit's persist cost instead of paying one
+    /// fence each.
+    fn log_decision(&self, ltid: usize, d: Decision) {
+        let txid = d.txid;
         let mut g = self.group.lock();
-        g.queue.push((txid, ops.to_vec()));
+        g.queue.push(d);
         loop {
-            if let Some(r) = g.results.remove(&txid) {
-                return r;
+            if g.written.remove(&txid) {
+                return;
             }
             if g.poisoned {
                 // The leader's transaction died in a simulated power
@@ -295,14 +310,12 @@ impl Coordinator {
                 let batch = std::mem::take(&mut g.queue);
                 drop(g);
                 let guard = GroupAbortGuard(self);
-                let written = self.write_decisions(ltid, &batch);
+                self.write_decisions(ltid, &batch);
                 std::mem::forget(guard);
                 self.metrics.decision_groups.inc();
                 self.metrics.decisions_logged.add(batch.len() as u64);
                 g = self.group.lock();
-                for ((id, _), r) in batch.iter().zip(written) {
-                    g.results.insert(*id, r);
-                }
+                g.written.extend(batch.iter().map(|d| d.txid));
                 g.leader_busy = false;
                 self.group_cv.notify_all();
             } else {
@@ -311,59 +324,46 @@ impl Coordinator {
         }
     }
 
-    /// The group leader's write: every queued decision in **one**
-    /// committed log transaction. Per decision, recycles a resolved
-    /// entry in place when one is large enough, otherwise appends a new
-    /// block. Returns one `(entry, cap)` per batch element, in order.
-    fn write_decisions(&self, ltid: usize, batch: &[(u64, Vec<MapOp>)]) -> Vec<(Addr, u64)> {
-        let head = self.head;
-        // Pick recycled blocks before the transaction so an internal
-        // retry does not take more of them.
-        let reuse: Vec<Option<(Addr, u64)>> = batch
-            .iter()
-            .map(|(_, ops)| self.take_free(ops.len() as u64))
-            .collect();
+    /// The group leader's write: every queued decision into its slot's
+    /// record, in **one** committed log transaction. A decision with
+    /// more ops than its record holds moves the record to a new block
+    /// and frees the old one in the same transaction.
+    fn write_decisions(&self, ltid: usize, batch: &[Decision]) {
         let _psan = self
             .log
             .pmem()
             .pool()
             .psan_scope(ltid, "kvserve::coord::log_decision");
         tm::txn(&*self.log, ltid, |tx| {
-            let mut out = Vec::with_capacity(batch.len());
-            for ((txid, ops), reuse) in batch.iter().zip(&reuse) {
-                let nops = ops.len() as u64;
-                let (e, cap) = match *reuse {
-                    Some((e, cap)) => (e, cap),
-                    None => {
-                        let e = tx.alloc((E_OPS + nops * OP_WORDS) as usize)?;
-                        tx.write(e.offset(E_CAP), nops)?;
-                        let prev = tx.read(head)?;
-                        tx.write(e.offset(E_NEXT), prev)?;
-                        tx.write(head, e.0)?;
-                        (e, nops)
-                    }
+            for d in batch {
+                let nops = d.ops.len() as u64;
+                let root = self.records.offset(d.slot);
+                let mut r = Addr(tx.read(root)?);
+                let cap = if r.is_null() {
+                    0
+                } else {
+                    tx.read(r.offset(D_CAP))?
                 };
-                tx.write(e.offset(E_TXID), *txid)?;
-                tx.write(e.offset(E_NOPS), nops)?;
-                for (i, &op) in ops.iter().enumerate() {
+                if r.is_null() || cap < nops {
+                    if !r.is_null() {
+                        tx.free(r, record_words(cap))?;
+                    }
+                    r = tx.alloc(record_words(nops))?;
+                    tx.write(r.offset(D_CAP), nops)?;
+                    tx.write(root, r.0)?;
+                }
+                tx.write(r.offset(D_TXID), d.txid)?;
+                tx.write(r.offset(D_EPOCH), d.epoch)?;
+                tx.write(r.offset(D_NOPS), nops)?;
+                for (i, &op) in d.ops.iter().enumerate() {
                     let (tag, k, v) = encode_op(op);
-                    let base = e.offset(E_OPS + i as u64 * OP_WORDS);
+                    let base = r.offset(D_OPS + i as u64 * OP_WORDS);
                     tx.write(base, tag)?;
                     tx.write(base.offset(1), k)?;
                     tx.write(base.offset(2), v)?;
                 }
-                tx.write(e.offset(E_STATE), STATE_COMMITTED)?;
-                out.push((e, cap));
             }
-            Ok(out)
-        })
-        .expect("decision-log transactions never cancel")
-    }
-
-    /// Durably flip `entry` to `RESOLVED` (recovery will skip it).
-    pub fn resolve(&self, ltid: usize, entry: Addr) {
-        tm::txn(&*self.log, ltid, |tx| {
-            tx.write(entry.offset(E_STATE), STATE_RESOLVED)
+            Ok(())
         })
         .expect("decision-log transactions never cancel");
     }
@@ -384,57 +384,6 @@ fn decode_op(tag: u64, k: u64, v: u64) -> MapOp {
         2 => MapOp::Remove(k),
         _ => unreachable!("corrupt decision-log op tag {tag}"),
     }
-}
-
-/// One decoded decision-log entry.
-pub(crate) struct DecisionEntry {
-    pub addr: Addr,
-    pub txid: u64,
-    pub state: u64,
-    pub cap: u64,
-    pub ops: Vec<MapOp>,
-}
-
-impl DecisionEntry {
-    /// The entry's block size in words (for allocator rebuild).
-    pub fn words(&self) -> usize {
-        (E_OPS + self.cap * OP_WORDS) as usize
-    }
-}
-
-/// Decode the whole log. Only valid on a quiescent TM (recovery).
-///
-/// List position carries no ordering (resolved entries are recycled in
-/// place), and none is needed: per shard and key at most one unresolved
-/// entry can be missing its marker — any later conflicting prepare
-/// required the earlier commit to release its locks, which also made
-/// its marker durable — so replay never re-applies two entries to the
-/// same key.
-fn walk_log(log: &NvHalt, head: Addr) -> Vec<DecisionEntry> {
-    let mut entries = Vec::new();
-    let mut a = Addr(log.read_raw(head));
-    while !a.is_null() {
-        let nops = log.read_raw(a.offset(E_NOPS)) as usize;
-        let ops = (0..nops)
-            .map(|i| {
-                let base = a.offset(E_OPS + i as u64 * OP_WORDS);
-                decode_op(
-                    log.read_raw(base),
-                    log.read_raw(base.offset(1)),
-                    log.read_raw(base.offset(2)),
-                )
-            })
-            .collect();
-        entries.push(DecisionEntry {
-            addr: a,
-            txid: log.read_raw(a.offset(E_TXID)),
-            state: log.read_raw(a.offset(E_STATE)),
-            cap: log.read_raw(a.offset(E_CAP)),
-            ops,
-        });
-        a = Addr(log.read_raw(a.offset(E_NEXT)));
-    }
-    entries
 }
 
 /// 2PC driver loop: drains the cross-shard queue, sheds requests whose
@@ -482,8 +431,10 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
     // after joining the 2PC drivers, so the table cannot change under a
     // batch mid-protocol, and a batch re-routed across a flip is simply
     // re-partitioned here under the new table (it may even collapse to
-    // one group — still a correct, if degenerate, 2PC round).
-    let groups = partition_by_table(ops, &eng.router.table());
+    // one group — still a correct, if degenerate, 2PC round). The
+    // decision records the table's epoch for replay.
+    let table = eng.router.table();
+    let groups = partition_by_table(ops, &table);
     let m = &co.metrics;
     m.cross_batches.inc();
     m.cross_ops.add(ops.len() as u64);
@@ -520,7 +471,7 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
                 tm::crash::crash_unwind();
             }
             let sh = &eng.pools[*s];
-            let (map, meta, log_hdr) = (sh.map, sh.meta, sh.hdr);
+            let (map, commit, log_hdr) = (sh.map, sh.commits.offset(slot as u64), sh.hdr);
             let gops: Vec<MapOp> = idxs.iter().map(|&i| ops[i]).collect();
             let muts = repl::mutations(&gops);
             let _psan = sh
@@ -536,15 +487,16 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
                 for &op in &gops {
                     out.push(map.apply_in(tx, op)?);
                 }
-                // The marker commits or rolls back atomically with the
-                // ops; recovery uses it to make replay idempotent.
-                meta.insert_in(tx, txid, 1)?;
+                // The commit word commits or rolls back atomically with
+                // the ops; recovery compares it with the slot's decision
+                // record to make replay idempotent.
+                tx.write(commit, txid)?;
                 // When the shard's op log is armed (replicating, or a
                 // live migration is streaming it), the follower mirrors
-                // the marker too — via the Prepare entry — so
-                // decision-log replay stays idempotent across a
-                // promotion or migration boundary.
-                let lsn = repl::append_armed_in(tx, log_hdr, LogKind::Prepare, txid, &muts)?;
+                // the word too — via the Prepare entry — so decision-log
+                // replay stays idempotent across a promotion.
+                let lsn =
+                    repl::append_armed_in(tx, log_hdr, LogKind::Prepare, slot as u64, txid, &muts)?;
                 Ok((out, lsn))
             });
             match res {
@@ -579,7 +531,15 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
     }
 
     // Commit point.
-    let (entry, cap) = co.log_decision(ltid, txid, ops);
+    co.log_decision(
+        ltid,
+        Decision {
+            slot: slot as u64,
+            txid,
+            epoch: table.epoch(),
+            ops: ops.to_vec(),
+        },
+    );
     if eng.probe.fires(Point::DecisionLogged) {
         eng.poison();
         tm::crash::crash_unwind();
@@ -611,43 +571,19 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
             }
         }
     }
+    m.commit.record(commit_start.elapsed());
     if eng.probe.fires(Point::Committed) {
         eng.poison();
         tm::crash::crash_unwind();
     }
 
-    // Resolve, then drop the markers (in that order: a marker may only
-    // disappear once the log no longer needs it to dedupe replay), and
-    // only then recycle the entry — a recycled entry overwritten by a
-    // new decision must not leave this txid's markers behind.
-    co.resolve(ltid, entry);
-    let mut resolve_lsns = vec![0u64; groups.len()];
-    for (gi, (s, _)) in groups.iter().enumerate() {
-        let sh = &eng.pools[*s];
-        let (meta, log_hdr) = (sh.meta, sh.hdr);
-        let lsn = tm::txn(&*sh.tm, ptid, |tx| {
-            meta.remove_in(tx, txid)?;
-            repl::append_armed_in(tx, log_hdr, LogKind::Resolve, txid, &[])
-        })
-        .expect("marker cleanup never cancels");
-        resolve_lsns[gi] = lsn;
-        if let Some(r) = rt {
-            if lsn > 0 {
-                r.states[*s].appended.fetch_max(lsn, Ordering::AcqRel);
-                r.states[*s].signal_work();
-            }
-        }
-    }
-    co.release_entry(entry, cap);
-    m.commit.record(commit_start.elapsed());
-
-    // Semi-synchronous ack: wait until every participant's Resolve entry
-    // is durably in its follower's receive log (per-shard LSN order makes
-    // that cover the Prepare entry too). A miss answers `Timeout` — the
-    // batch committed, but a committed-yet-unacked request is legal.
+    // Semi-synchronous ack: wait until every participant's Prepare entry
+    // is durably in its follower's receive log. A miss answers `Timeout`
+    // — the batch committed, but a committed-yet-unacked request is
+    // legal.
     if let Some(r) = rt {
         for (gi, (s, _)) in groups.iter().enumerate() {
-            if resolve_lsns[gi] > 0 && !r.states[*s].wait_received(resolve_lsns[gi], deadline_at) {
+            if prep_lsns[gi] > 0 && !r.states[*s].wait_received(prep_lsns[gi], deadline_at) {
                 return Err(ServeError::Timeout);
             }
         }
@@ -655,72 +591,51 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
     Ok(results)
 }
 
-/// Replay the decision log over recovered, quiescent shard pools:
-/// re-apply every unresolved committed entry on the shards that lost
-/// it, resolve it, and drop markers. Entries partition under `table` —
-/// sound because a migration flip only commits with the decision log
-/// fully resolved (the flip joins the 2PC drivers first), so every entry
-/// still needing replay was logged under the recovered table. Every
-/// replay transaction appends the matching Prepare/Resolve entry to the
-/// pool's op log when it is armed, so the follower re-converges too.
-/// Replay leaves every entry resolved with its markers dropped, so all
-/// of them go back to the recycle list. Returns (and counts in the
-/// coordinator's metrics) how many shard-transactions were re-applied.
+/// Replay the decision records over recovered, quiescent shard pools.
+/// Only records logged under `table`'s epoch are replayed: a migration
+/// flip joins the 2PC drivers first, so every older record is fully
+/// committed, and re-partitioned under the new table it could land on a
+/// split's target, whose commit words are zero. A participant whose
+/// commit word for the record's slot is below its txid gets the ops
+/// re-applied, the word written and, when its op log is armed, the
+/// matching Prepare entry appended — in one transaction, so the
+/// follower re-converges too. Returns (and counts in the coordinator's
+/// metrics) how many shard-transactions were re-applied.
 pub(crate) fn replay(
     co: &Coordinator,
     pools: &[ShardPool],
     table: &RoutingTable,
-    entries: &[DecisionEntry],
+    decisions: &[Decision],
 ) -> u64 {
     let mut replayed = 0u64;
-    for e in entries {
-        let by_shard = partition_by_table(&e.ops, table);
-        if e.state == STATE_COMMITTED {
-            for (s, idxs) in &by_shard {
-                let p = &pools[*s];
-                // A surviving marker means this shard committed its part
-                // before the crash; re-applying would clobber later writes.
-                let done = p
-                    .meta
-                    .get(&*p.tm, 0, e.txid)
-                    .expect("recovery reads never cancel")
-                    .is_some();
-                if done {
-                    continue;
-                }
-                let sops: Vec<MapOp> = idxs.iter().map(|&i| e.ops[i]).collect();
-                tm::txn(&*p.tm, 0, |tx| {
-                    for &op in &sops {
-                        p.map.apply_in(tx, op)?;
-                    }
-                    p.meta.insert_in(tx, e.txid, 1)?;
-                    repl::append_armed_in(
-                        tx,
-                        p.hdr,
-                        LogKind::Prepare,
-                        e.txid,
-                        &repl::mutations(&sops),
-                    )?;
-                    Ok(())
-                })
-                .expect("recovery replay never cancels");
-                replayed += 1;
+    for d in decisions.iter().filter(|d| d.epoch == table.epoch()) {
+        for (s, idxs) in partition_by_table(&d.ops, table) {
+            let p = &pools[s];
+            let word = p.commits.offset(d.slot);
+            // A word at the txid means this shard committed its part
+            // before the crash; re-applying would clobber later writes.
+            if p.tm.read_raw(word) >= d.txid {
+                continue;
             }
-            co.resolve(0, e.addr);
-        }
-        // Resolved either way now: markers are garbage, drop them.
-        for (s, _) in &by_shard {
-            let p = &pools[*s];
+            let sops: Vec<MapOp> = idxs.iter().map(|&i| d.ops[i]).collect();
             tm::txn(&*p.tm, 0, |tx| {
-                p.meta.remove_in(tx, e.txid)?;
-                repl::append_armed_in(tx, p.hdr, LogKind::Resolve, e.txid, &[])?;
+                for &op in &sops {
+                    p.map.apply_in(tx, op)?;
+                }
+                tx.write(word, d.txid)?;
+                repl::append_armed_in(
+                    tx,
+                    p.hdr,
+                    LogKind::Prepare,
+                    d.slot,
+                    d.txid,
+                    &repl::mutations(&sops),
+                )?;
                 Ok(())
             })
-            .expect("marker cleanup never cancels");
+            .expect("recovery replay never cancels");
+            replayed += 1;
         }
-    }
-    for e in entries {
-        co.release_entry(e.addr, e.cap);
     }
     co.metrics.replayed.add(replayed);
     replayed

@@ -509,6 +509,10 @@ impl Service {
         assert!(cfg.queue_depth >= 1, "queue_depth must be positive");
         assert!(cfg.ring_slots >= 1, "ring_slots must be positive");
         assert!(cfg.coordinators >= 1, "need at least one coordinator slot");
+        assert!(
+            cfg.coordinators <= repl::META_SLOTS,
+            "coordinator slots overflow the op log's slot field"
+        );
         let table = Arc::new(RoutingTable::fresh(cfg.shards));
         let pools: Vec<ShardPool> = (0..cfg.shards).map(|_| ShardPool::primary(&cfg)).collect();
         let coord = Arc::new(Coordinator::new(&cfg, &table));
@@ -979,7 +983,7 @@ impl Service {
             followers,
             log,
         } = dump;
-        let (coord, table, entries) = log.recover(&cfg);
+        let (coord, table, decisions) = log.recover(&cfg);
         let fs: Vec<Follower> = followers
             .iter()
             .map(|img| Follower {
@@ -1034,11 +1038,11 @@ impl Service {
                 ..f.pool.clone()
             })
             .collect();
-        // Resolve cross-shard batches in flight at the failover: the
-        // followers mirror the primaries' 2PC markers (via Prepare
+        // Finish cross-shard batches in flight at the failover: the
+        // followers mirror the primaries' 2PC commit words (via Prepare
         // entries), so the same replay that repairs a restart repairs a
         // promotion.
-        let replayed = coord::replay(&coord, &pools, &table, &entries);
+        let replayed = coord::replay(&coord, &pools, &table, &decisions);
         if probe.fires(Point::Replayed) {
             return Err(crash(&fs, &coord));
         }
@@ -1110,7 +1114,7 @@ impl Service {
         // flip transaction (old table, old shard count — the dump never
         // saw the target) or after it (new table, dump carries the
         // target shard). Never a torn mix.
-        let (coord, table, entries) = log.recover(&cfg);
+        let (coord, table, decisions) = log.recover(&cfg);
         debug_assert_eq!(table.shards(), shards.len(), "routing table vs dump");
 
         // Shard pools next, still quiescent (no workers yet).
@@ -1133,10 +1137,10 @@ impl Service {
             }
         }
 
-        // Replay undecided cross-shard commits before any new traffic
-        // (appending the matching Prepare/Resolve entries to the armed
-        // op logs, so the followers re-converge too).
-        coord::replay(&coord, &pools, &table, &entries);
+        // Finish decided cross-shard commits before any new traffic
+        // (appending the matching Prepare entries to the armed op logs,
+        // so the followers re-converge too).
+        coord::replay(&coord, &pools, &table, &decisions);
 
         // Followers last (after replay, so the ship states see the final
         // appended watermarks).
@@ -1271,9 +1275,11 @@ mod tests {
         let snap = svc.snapshot();
         assert_eq!(snap.coordinator.cross_batches, 2);
         assert_eq!(snap.coordinator.cross_ops, 5);
-        // No markers leak: resolution removed them all.
-        for p in &svc.engine.pools {
-            assert!(p.meta.collect_raw(&*p.tm).is_empty());
+        // Both participants' commit words name the last batch (txid 2).
+        for s in [svc.shard_of(a), svc.shard_of(b)] {
+            let p = &svc.engine.pools[s];
+            let words = (0..p.slots as u64).map(|c| p.tm.read_raw(p.commits.offset(c)));
+            assert_eq!(words.max(), Some(2));
         }
     }
 

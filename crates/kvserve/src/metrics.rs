@@ -408,7 +408,7 @@ metrics! {
         decisions_logged: Counter,
         /// Latency of a successful prepare round (all participants).
         prepare: Histogram,
-        /// Latency from decision logged to markers dropped.
+        /// Latency from decision logged to the last participant's commit.
         commit: Histogram,
     }
 }

@@ -20,8 +20,8 @@
 //!    shippers (collecting, not dropping, the queued requests), replay
 //!    the final quiescent tail, and sync the target's follower so an
 //!    immediate post-flip failover cannot lose a moved acked write.
-//!    Halting the 2PC drivers first is also what makes the decision
-//!    log fully resolved at the flip — the whole prepared-transaction
+//!    Halting the 2PC drivers first is also what makes every decision
+//!    record fully committed at the flip — the whole prepared-transaction
 //!    interaction with a migrating shard reduces to "there are none".
 //! 5. **Flip** — one committed transaction rewrites the durable
 //!    routing-table root (`coord::write_route`) with
@@ -220,7 +220,7 @@ impl Service {
                     target.map.insert_in(tx, k, v)?;
                     muts.push(MapOp::Insert(k, v));
                 }
-                repl::append_armed_in(tx, target.hdr, LogKind::Batch, 0, &muts)?;
+                repl::append_armed_in(tx, target.hdr, LogKind::Batch, 0, 0, &muts)?;
                 Ok(())
             })
             .expect("target-side migration transactions never cancel");
@@ -269,7 +269,8 @@ impl Service {
         let pause_start = Instant::now();
         let (mut reqs, mut xreqs) = self.halt_threads();
         // Quiescent now (workers, 2PC drivers and shippers joined): the
-        // decision log is fully resolved, the logs can no longer grow.
+        // decision records are fully committed, the logs can no longer
+        // grow.
         let tail = repl::read_after(&stm, mig_tid, shdr.offset(repl::P_HEAD), cursor)
             .expect("a quiescent log read cannot lose its race");
         catchup_entries += apply_entries(&target, &tail, &mask);
@@ -412,7 +413,7 @@ impl Service {
                     }
                 }
                 if !muts.is_empty() {
-                    repl::append_armed_in(tx, hdr, LogKind::Batch, 0, &muts)?;
+                    repl::append_armed_in(tx, hdr, LogKind::Batch, 0, 0, &muts)?;
                 }
                 Ok(muts.len() as u64)
             })
@@ -425,10 +426,10 @@ impl Service {
 
 /// Replay log entries into the target: apply the moving mutations and
 /// append them to the target's (armed-iff-replicating) log in the same
-/// transaction. 2PC markers are deliberately not migrated — the flip
-/// happens with the decision log fully resolved, so every `Prepare` in
-/// the stream has its `Resolve` before the final tail ends and the
-/// markers net to nothing, and the target's marker map stays empty.
+/// transaction. 2PC commit words are deliberately not migrated: the flip
+/// happens with every decision record fully committed, and recovery
+/// only replays records of the recovered table's epoch, so nothing ever
+/// compares a pre-flip record with the target's (zero) words.
 /// Returns how many entries contributed.
 fn apply_entries(target: &ShardPool, entries: &[LogEntry], mask: &[bool; ROUTE_SLOTS]) -> u64 {
     let mut applied = 0u64;
@@ -446,7 +447,7 @@ fn apply_entries(target: &ShardPool, entries: &[LogEntry], mask: &[bool; ROUTE_S
             for &op in &muts {
                 target.map.apply_in(tx, op)?;
             }
-            repl::append_armed_in(tx, target.hdr, LogKind::Batch, 0, &muts)?;
+            repl::append_armed_in(tx, target.hdr, LogKind::Batch, 0, 0, &muts)?;
             Ok(())
         })
         .expect("target-side migration transactions never cancel");

@@ -38,7 +38,7 @@ pub enum Point {
     /// 2PC: between two participants' commits (some visible, some still
     /// prepared).
     MidCommit,
-    /// 2PC: all participants committed, entry not yet resolved.
+    /// 2PC: all participants committed, the batch not yet acked.
     Committed,
     /// Replication worker: before the batch transaction (nothing durable
     /// anywhere).

@@ -14,7 +14,7 @@
 //! see `P_ARMED`).
 //! Every committed mutation reaches the log **inside the transaction that
 //! performs it** (`append_in` is called from the worker's batch
-//! transaction and from the 2PC prepare/resolve transactions), so the log
+//! transaction and from the 2PC prepare and replay transactions), so the log
 //! entry and the data it describes commit or roll back atomically — a
 //! post-commit hook could tear (batch durable, entry lost) and was
 //! deliberately rejected. Because the header's `last_lsn` word is written
@@ -26,11 +26,10 @@
 //! Entry kinds mirror everything the follower needs to stay a drop-in
 //! replacement across a promotion:
 //! - [`LogKind::Batch`] — a worker batch's mutations;
-//! - [`LogKind::Prepare`] — a 2PC participant's mutations plus its marker
-//!   (`meta[txid] = 1`), so the follower's marker map mirrors the
-//!   primary's and the coordinator's decision-log replay stays idempotent
-//!   over promoted shards;
-//! - [`LogKind::Resolve`] — drops the marker again.
+//! - [`LogKind::Prepare`] — a 2PC participant's mutations plus its commit
+//!   word (`commits[slot] = txid`), so the follower's commit words mirror
+//!   the primary's and the coordinator's decision-log replay stays
+//!   idempotent over promoted shards.
 //!
 //! ## Shipping
 //!
@@ -74,7 +73,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tm::{Abort, Addr, Tm, Txn};
-use txstructs::{HashMapTx, MapOp};
+use txstructs::MapOp;
 
 /// Primary log header layout: `[head, last_lsn, armed]`.
 pub(crate) const P_HEAD: u64 = 0;
@@ -105,11 +104,12 @@ const ROLE_PRIMARY: u64 = 1;
 /// Log entry layout (word offsets within an entry block):
 /// `[next, lsn, meta, tagword × ⌈nops/32⌉, (key, val) × nops]`.
 ///
-/// `meta` packs the entry kind (2 bits), the op count (14 bits) and the
-/// 2PC transaction id (48 bits) into one word, and each op's tag takes
-/// 2 bits of the packed tag words — 3 + ⌈n/32⌉ + 2n words per entry
-/// against the naive 5 + 3n. Every persisted word is a flushed cache
-/// line eventually, so the diet feeds directly into flushes/op.
+/// `meta` packs the entry kind (2 bits), the op count (14 bits), the 2PC
+/// coordinator slot (8 bits) and transaction id (40 bits) into one word,
+/// and each op's tag takes 2 bits of the packed tag words —
+/// 3 + ⌈n/32⌉ + 2n words per entry against the naive 5 + 3n. Every
+/// persisted word is a flushed cache line eventually, so the diet feeds
+/// directly into flushes/op.
 const L_NEXT: u64 = 0;
 const L_LSN: u64 = 1;
 const L_META: u64 = 2;
@@ -121,15 +121,21 @@ const TAGS_PER_WORD: u64 = 32;
 
 const META_KIND_BITS: u64 = 2;
 const META_NOPS_BITS: u64 = 14;
+const META_SLOT_BITS: u64 = 8;
+const META_SLOT_SHIFT: u64 = META_KIND_BITS + META_NOPS_BITS;
+const META_TXID_SHIFT: u64 = META_SLOT_SHIFT + META_SLOT_BITS;
 /// Ops an entry can carry (14-bit count field).
 const META_NOPS_MAX: u64 = (1 << META_NOPS_BITS) - 1;
-/// Largest representable 2PC transaction id (48-bit field).
-const META_TXID_MAX: u64 = (1 << (64 - META_KIND_BITS - META_NOPS_BITS)) - 1;
+/// Coordinator slots an entry can name (8-bit field).
+pub(crate) const META_SLOTS: usize = 1 << META_SLOT_BITS;
+/// Largest representable 2PC transaction id (40-bit field).
+const META_TXID_MAX: u64 = (1 << (64 - META_TXID_SHIFT)) - 1;
 
-fn pack_meta(kind: LogKind, txid: u64, nops: u64) -> u64 {
+fn pack_meta(kind: LogKind, slot: u64, txid: u64, nops: u64) -> u64 {
     debug_assert!(nops <= META_NOPS_MAX, "log entry op count overflow");
+    debug_assert!(slot < META_SLOTS as u64, "log slot overflows meta field");
     debug_assert!(txid <= META_TXID_MAX, "log txid overflows meta field");
-    kind.encode() | (nops << META_KIND_BITS) | (txid << (META_KIND_BITS + META_NOPS_BITS))
+    kind.encode() | (nops << META_KIND_BITS) | (slot << META_SLOT_SHIFT) | (txid << META_TXID_SHIFT)
 }
 
 fn meta_kind(meta: u64) -> LogKind {
@@ -140,8 +146,12 @@ fn meta_nops(meta: u64) -> u64 {
     (meta >> META_KIND_BITS) & META_NOPS_MAX
 }
 
+fn meta_slot(meta: u64) -> u64 {
+    (meta >> META_SLOT_SHIFT) & (META_SLOTS as u64 - 1)
+}
+
 fn meta_txid(meta: u64) -> u64 {
-    meta >> (META_KIND_BITS + META_NOPS_BITS)
+    meta >> META_TXID_SHIFT
 }
 
 /// Packed tag words needed for `nops` ops.
@@ -159,10 +169,9 @@ fn entry_words(nops: u64) -> u64 {
 pub enum LogKind {
     /// A worker batch's mutations.
     Batch,
-    /// A 2PC participant's mutations plus its `meta[txid] = 1` marker.
+    /// A 2PC participant's mutations plus its `commits[slot] = txid`
+    /// commit word.
     Prepare,
-    /// Drop the 2PC marker for `txid` (batch resolved).
-    Resolve,
 }
 
 impl LogKind {
@@ -170,7 +179,6 @@ impl LogKind {
         match self {
             LogKind::Batch => 0,
             LogKind::Prepare => 1,
-            LogKind::Resolve => 2,
         }
     }
 
@@ -178,7 +186,6 @@ impl LogKind {
         match w {
             0 => LogKind::Batch,
             1 => LogKind::Prepare,
-            2 => LogKind::Resolve,
             _ => unreachable!("corrupt replication-log kind {w}"),
         }
     }
@@ -191,7 +198,9 @@ pub struct LogEntry {
     pub lsn: u64,
     /// What the entry carries.
     pub kind: LogKind,
-    /// The 2PC transaction id for `Prepare`/`Resolve`; 0 for batches.
+    /// The 2PC coordinator slot for `Prepare`; 0 for batches.
+    pub slot: u64,
+    /// The 2PC transaction id for `Prepare`; 0 for batches.
     pub txid: u64,
     /// The mutations (never `Get`s — reads are not replicated).
     pub ops: Vec<MapOp>,
@@ -212,12 +221,13 @@ fn write_entry_in<Tx: Txn + ?Sized>(
     e: Addr,
     lsn: u64,
     kind: LogKind,
+    slot: u64,
     txid: u64,
     ops: &[MapOp],
 ) -> Result<(), Abort> {
     let nops = ops.len() as u64;
     tx.write(e.offset(L_LSN), lsn)?;
-    tx.write(e.offset(L_META), pack_meta(kind, txid, nops))?;
+    tx.write(e.offset(L_META), pack_meta(kind, slot, txid, nops))?;
     for (w, chunk) in ops.chunks(TAGS_PER_WORD as usize).enumerate() {
         let mut word = 0u64;
         for (j, &op) in chunk.iter().enumerate() {
@@ -264,17 +274,19 @@ pub(crate) fn mutations(ops: &[MapOp]) -> Vec<MapOp> {
 /// Append a log entry inside the caller's transaction: allocate the
 /// block, link it at the head, and advance `last_lsn`. Returns the LSN.
 /// Because this runs inside the data transaction, the entry commits (or
-/// rolls back) atomically with the mutations it describes.
+/// rolls back) atomically with the mutations it describes. `slot` and
+/// `txid` name a `Prepare`'s 2PC transaction; batches pass zeros.
 pub(crate) fn append_in<Tx: Txn + ?Sized>(
     tx: &mut Tx,
     hdr: Addr,
     kind: LogKind,
+    slot: u64,
     txid: u64,
     ops: &[MapOp],
 ) -> Result<u64, Abort> {
     let lsn = tx.read(hdr.offset(P_LAST))? + 1;
     let e = tx.alloc(entry_words(ops.len() as u64) as usize)?;
-    write_entry_in(tx, e, lsn, kind, txid, ops)?;
+    write_entry_in(tx, e, lsn, kind, slot, txid, ops)?;
     let prev = tx.read(hdr.offset(P_HEAD))?;
     tx.write(e.offset(L_NEXT), prev)?;
     tx.write(hdr.offset(P_HEAD), e.0)?;
@@ -285,19 +297,20 @@ pub(crate) fn append_in<Tx: Txn + ?Sized>(
 /// Append to the log **iff it is armed**, reading the armed word inside
 /// the caller's transaction (see [`P_ARMED`]). Returns the LSN, or 0
 /// when the log is disarmed (LSNs start at 1, so 0 is never a real
-/// entry). Note `Resolve` entries legitimately carry no ops — skipping
-/// empty batches is the caller's business.
+/// entry). Note a read-only 2PC participant's `Prepare` legitimately
+/// carries no ops — skipping empty batches is the caller's business.
 pub(crate) fn append_armed_in<Tx: Txn + ?Sized>(
     tx: &mut Tx,
     hdr: Addr,
     kind: LogKind,
+    slot: u64,
     txid: u64,
     ops: &[MapOp],
 ) -> Result<u64, Abort> {
     if tx.read(hdr.offset(P_ARMED))? == 0 {
         return Ok(0);
     }
-    append_in(tx, hdr, kind, txid, ops)
+    append_in(tx, hdr, kind, slot, txid, ops)
 }
 
 /// Durably set the log's armed word in its own transaction.
@@ -314,24 +327,12 @@ pub(crate) fn armed_raw(tm: &NvHalt, hdr: Addr) -> bool {
 /// Replay one log entry's effect through the follower's transactional
 /// structures — the shared core of [`Follower::apply_entry`],
 /// [`Follower::apply_batch`], and [`Follower::receive_apply_batch`].
-fn apply_ops_in(
-    tx: &mut dyn Txn,
-    data: &HashMapTx,
-    meta: &HashMapTx,
-    e: &LogEntry,
-) -> Result<(), Abort> {
-    match e.kind {
-        LogKind::Batch | LogKind::Prepare => {
-            for &op in &e.ops {
-                data.apply_in(tx, op)?;
-            }
-            if e.kind == LogKind::Prepare {
-                meta.insert_in(tx, e.txid, 1)?;
-            }
-        }
-        LogKind::Resolve => {
-            meta.remove_in(tx, e.txid)?;
-        }
+fn apply_ops_in(tx: &mut dyn Txn, pool: &ShardPool, e: &LogEntry) -> Result<(), Abort> {
+    for &op in &e.ops {
+        pool.map.apply_in(tx, op)?;
+    }
+    if e.kind == LogKind::Prepare {
+        tx.write(pool.commits.offset(e.slot), e.txid)?;
     }
     Ok(())
 }
@@ -353,6 +354,7 @@ fn read_entry_in<Tx: Txn + ?Sized>(tx: &mut Tx, a: Addr) -> Result<LogEntry, Abo
     Ok(LogEntry {
         lsn: tx.read(a.offset(L_LSN))?,
         kind: meta_kind(meta),
+        slot: meta_slot(meta),
         txid: meta_txid(meta),
         ops,
     })
@@ -444,11 +446,11 @@ pub(crate) fn last_lsn_raw(tm: &NvHalt, hdr: Addr) -> u64 {
 // Follower
 // ---------------------------------------------------------------------
 
-/// A shard's follower: its own shard pool, whose maps mirror the
-/// primary's data and 2PC markers and whose header holds the receive
-/// log and the durable `received`/`applied` watermarks. Only the shard's
-/// shipper thread (or promotion, with the shipper gone) touches it,
-/// always as TM thread 0.
+/// A shard's follower: its own shard pool, whose map and commit words
+/// mirror the primary's and whose header holds the receive log and the
+/// durable `received`/`applied` watermarks. Only the shard's shipper
+/// thread (or promotion, with the shipper gone) touches it, always as TM
+/// thread 0.
 pub struct Follower {
     pub(crate) pool: ShardPool,
 }
@@ -507,7 +509,7 @@ impl Follower {
             };
             for e in &fresh {
                 let a = tx.alloc(e.words())?;
-                write_entry_in(tx, a, e.lsn, e.kind, e.txid, &e.ops)?;
+                write_entry_in(tx, a, e.lsn, e.kind, e.slot, e.txid, &e.ops)?;
                 let prev = tx.read(self.pool.hdr.offset(F_HEAD))?;
                 tx.write(a.offset(L_NEXT), prev)?;
                 tx.write(self.pool.hdr.offset(F_HEAD), a.0)?;
@@ -543,7 +545,7 @@ impl Follower {
                 return Ok((received, applied));
             };
             for e in &fresh {
-                apply_ops_in(tx, &self.pool.map, &self.pool.meta, e)?;
+                apply_ops_in(tx, &self.pool, e)?;
             }
             tx.write(self.pool.hdr.offset(F_RECEIVED), last.lsn)?;
             tx.write(self.pool.hdr.offset(F_APPLIED), last.lsn)?;
@@ -566,7 +568,7 @@ impl Follower {
                 return Ok(0);
             };
             for e in &fresh {
-                apply_ops_in(tx, &self.pool.map, &self.pool.meta, e)?;
+                apply_ops_in(tx, &self.pool, e)?;
             }
             tx.write(self.pool.hdr.offset(F_APPLIED), last.lsn)?;
             Ok(fresh.len())
@@ -599,18 +601,18 @@ impl Follower {
         .expect("follower transactions never cancel")
     }
 
-    /// Apply one entry through the same [`HashMapTx`] path the primary
-    /// used and advance the durable `applied_lsn` in the same
-    /// transaction (the watermark check is what makes re-application
-    /// idempotent). Followed by a psan durability point: the applied
-    /// state must be fully fenced before the watermark can be trusted.
-    /// Returns whether the entry was actually applied.
+    /// Apply one entry through the same [`txstructs::HashMapTx`] path
+    /// the primary used and advance the durable `applied_lsn` in the
+    /// same transaction (the watermark check is what makes
+    /// re-application idempotent). Followed by a psan durability point:
+    /// the applied state must be fully fenced before the watermark can
+    /// be trusted. Returns whether the entry was actually applied.
     pub(crate) fn apply_entry(&self, e: &LogEntry) -> bool {
         let applied = tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
             if tx.read(self.pool.hdr.offset(F_APPLIED))? >= e.lsn {
                 return Ok(false);
             }
-            apply_ops_in(tx, &self.pool.map, &self.pool.meta, e)?;
+            apply_ops_in(tx, &self.pool, e)?;
             tx.write(self.pool.hdr.offset(F_APPLIED), e.lsn)?;
             Ok(true)
         })
@@ -667,17 +669,12 @@ impl Follower {
         v
     }
 
-    /// The mirrored 2PC marker map's keys, sorted. Quiescent only.
-    pub fn markers(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .pool
-            .meta
-            .collect_raw(&*self.pool.tm)
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        v.sort_unstable();
-        v
+    /// The mirrored 2PC commit words, one per coordinator slot.
+    /// Quiescent only.
+    pub fn commit_words(&self) -> Vec<u64> {
+        (0..self.pool.slots as u64)
+            .map(|s| self.pool.tm.read_raw(self.pool.commits.offset(s)))
+            .collect()
     }
 }
 
@@ -1009,10 +1006,11 @@ mod tests {
     use super::*;
     use nvhalt::NvHaltConfig;
 
-    fn entry(lsn: u64, kind: LogKind, txid: u64, ops: Vec<MapOp>) -> LogEntry {
+    fn entry(lsn: u64, kind: LogKind, slot: u64, txid: u64, ops: Vec<MapOp>) -> LogEntry {
         LogEntry {
             lsn,
             kind,
+            slot,
             txid,
             ops,
         }
@@ -1021,10 +1019,10 @@ mod tests {
     #[test]
     fn ingest_is_idempotent_across_the_watermark() {
         let log = vec![
-            entry(1, LogKind::Batch, 0, vec![MapOp::Insert(1, 10)]),
-            entry(2, LogKind::Prepare, 7, vec![MapOp::Insert(2, 20)]),
-            entry(3, LogKind::Batch, 0, vec![MapOp::Remove(1)]),
-            entry(4, LogKind::Resolve, 7, vec![]),
+            entry(1, LogKind::Batch, 0, 0, vec![MapOp::Insert(1, 10)]),
+            entry(2, LogKind::Prepare, 1, 7, vec![MapOp::Insert(2, 20)]),
+            entry(3, LogKind::Batch, 0, 0, vec![MapOp::Remove(1)]),
+            entry(4, LogKind::Prepare, 1, 9, vec![]),
         ];
         let whole = Follower::fresh(1 << 12);
         whole.ingest(&log);
@@ -1032,11 +1030,11 @@ mod tests {
         split.ingest(&log[..2]);
         split.ingest(&log); // overlapping re-send: prefix must be skipped
         assert_eq!(whole.contents(), split.contents());
-        assert_eq!(whole.markers(), split.markers());
+        assert_eq!(whole.commit_words(), split.commit_words());
         assert_eq!(whole.applied_lsn(), 4);
         assert_eq!(split.applied_lsn(), 4);
         assert_eq!(whole.contents(), vec![(2, 20)]);
-        assert!(whole.markers().is_empty());
+        assert_eq!(whole.commit_words(), vec![0, 9]);
     }
 
     #[test]
@@ -1045,7 +1043,7 @@ mod tests {
         let hdr = tm.alloc_raw(0, PRIMARY_HDR_WORDS);
         for i in 1..=5u64 {
             let lsn = tm::txn(&tm, 0, |tx| {
-                append_in(tx, hdr, LogKind::Batch, 0, &[MapOp::Insert(i, i * 10)])
+                append_in(tx, hdr, LogKind::Batch, 0, 0, &[MapOp::Insert(i, i * 10)])
             })
             .unwrap();
             assert_eq!(lsn, i);

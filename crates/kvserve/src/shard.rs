@@ -31,25 +31,24 @@ use txstructs::{HashMapTx, MapOp};
 /// How often an idle worker re-checks the stop flag.
 pub(crate) const POLL: Duration = Duration::from_millis(2);
 
-/// Buckets of each pool's 2PC marker map (tiny: it only ever holds the
-/// markers of in-flight cross-shard transactions).
-const META_BUCKETS: usize = 64;
-
 /// One shard pool's durable state: an NV-HALT instance and the three
-/// roots in its heap — the data map, the 2PC marker map (`txid -> 1`
-/// while a cross-shard transaction's commit on this pool awaits
-/// resolution, see `coord`) and a log header. A primary's header roots
-/// its op log ([`repl::PRIMARY_HDR_WORDS`] words), a follower's its
-/// receive log and watermarks ([`repl::FOLLOWER_HDR_WORDS`]); both keep
-/// the entry list's head at word 0. Primary shards, followers, promoted
-/// followers and migration targets are all shard pools: each is
-/// provisioned by [`ShardPool::create`], captured after a crash by
-/// [`ShardPool::image`] and rebuilt by [`ShardPool::recover`].
+/// roots in its heap — the data map, the 2PC commit words (one per
+/// coordinator slot: the txid of the last cross-shard batch that slot
+/// committed here, 0 if none, see `coord`) and a log header. A
+/// primary's header roots its op log ([`repl::PRIMARY_HDR_WORDS`]
+/// words), a follower's its receive log and watermarks
+/// ([`repl::FOLLOWER_HDR_WORDS`]); both keep the entry list's head at
+/// word 0. Primary shards, followers, promoted followers and migration
+/// targets are all shard pools: each is provisioned by
+/// [`ShardPool::create`], captured after a crash by [`ShardPool::image`]
+/// and rebuilt by [`ShardPool::recover`].
 #[derive(Clone)]
 pub(crate) struct ShardPool {
     pub tm: Arc<NvHalt>,
     pub map: HashMapTx,
-    pub meta: HashMapTx,
+    pub commits: Addr,
+    /// Words in the `commits` block (`cfg.coordinators`).
+    pub slots: usize,
     pub hdr: Addr,
 }
 
@@ -58,22 +57,28 @@ pub(crate) struct ShardPool {
 pub(crate) struct PoolImage {
     image: DurableImage,
     map: HashMapTx,
-    meta: HashMapTx,
+    commits: Addr,
     hdr: Addr,
     hdr_words: usize,
 }
 
 impl ShardPool {
-    /// A fresh pool over a new TM configured for `cfg`'s shards: empty
-    /// maps and a durably zero `hdr_words`-word header.
+    /// A fresh pool over a new TM configured for `cfg`'s shards: an
+    /// empty map, and durably zero commit words and `hdr_words`-word
+    /// header.
     pub fn create(cfg: &ServiceConfig, hdr_words: usize) -> ShardPool {
         let tm = Arc::new(NvHalt::new(cfg.shard_nvhalt()));
         let map = HashMapTx::create(&*tm, 0, cfg.buckets_per_shard)
             .expect("creating a map on a fresh TM cannot cancel");
-        let meta = HashMapTx::create(&*tm, 0, META_BUCKETS)
-            .expect("creating a map on a fresh TM cannot cancel");
+        let commits = tm.alloc_raw(0, cfg.coordinators);
         let hdr = tm.alloc_raw(0, hdr_words);
-        ShardPool { tm, map, meta, hdr }
+        ShardPool {
+            tm,
+            map,
+            commits,
+            slots: cfg.coordinators,
+            hdr,
+        }
     }
 
     /// A fresh primary pool. Every primary has an op-log header; its
@@ -93,30 +98,34 @@ impl ShardPool {
         PoolImage {
             image: self.tm.crash_image(),
             map: self.map,
-            meta: self.meta,
+            commits: self.commits,
             hdr: self.hdr,
             hdr_words,
         }
     }
 
     /// Rebuild a pool from its remains: TM recovery, then an allocator
-    /// rebuild from every block still reachable from the roots — both
-    /// maps, the header and its entry list. Any other block (a promoted
-    /// follower's old header, say) is free again afterwards.
+    /// rebuild from every block still reachable from the roots — the
+    /// map, the commit words, the header and its entry list. Any other
+    /// block (a promoted follower's old header, say) is free again
+    /// afterwards.
     pub fn recover(cfg: &ServiceConfig, img: &PoolImage) -> ShardPool {
         let tm = Arc::new(NvHalt::recover_with(cfg.shard_nvhalt(), &img.image));
         tm.rebuild_allocator(
             img.map
                 .used_blocks(&*tm)
                 .into_iter()
-                .chain(img.meta.used_blocks(&*tm))
-                .chain(std::iter::once((img.hdr.0, img.hdr_words)))
+                .chain([
+                    (img.commits.0, cfg.coordinators),
+                    (img.hdr.0, img.hdr_words),
+                ])
                 .chain(repl::walk_blocks_raw(&tm, img.hdr)),
         );
         ShardPool {
             tm,
             map: img.map,
-            meta: img.meta,
+            commits: img.commits,
+            slots: cfg.coordinators,
             hdr: img.hdr,
         }
     }
@@ -302,7 +311,7 @@ fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
             let lsn = if muts.is_empty() {
                 0
             } else {
-                repl::append_armed_in(tx, ctx.pool.hdr, LogKind::Batch, 0, &muts)?
+                repl::append_armed_in(tx, ctx.pool.hdr, LogKind::Batch, 0, 0, &muts)?
             };
             Ok((out, lsn))
         });

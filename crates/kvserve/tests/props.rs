@@ -370,12 +370,19 @@ proptest! {
     }
 }
 
-fn log_entry_strategy() -> impl Strategy<Value = (u8, u64, Vec<MapOp>)> {
+fn log_entry_strategy() -> impl Strategy<Value = (bool, u64, u64, Vec<MapOp>)> {
     let mutation = (1u8..3, 0u64..32, 0u64..1000).prop_map(|(tag, k, v)| match tag {
         1 => MapOp::Insert(k, v),
         _ => MapOp::Remove(k),
     });
-    (0u8..3, 1u64..8, proptest::collection::vec(mutation, 1..4))
+    // Slots stay below `ServiceConfig::new`'s two coordinators, which
+    // size the fresh follower's commit words.
+    (
+        any::<bool>(),
+        0u64..2,
+        1u64..8,
+        proptest::collection::vec(mutation, 1..4),
+    )
 }
 
 proptest! {
@@ -396,15 +403,13 @@ proptest! {
         let entries: Vec<LogEntry> = raw
             .iter()
             .enumerate()
-            .map(|(i, (kind, txid, muts))| {
-                let (kind, txid, ops) = match kind {
-                    0 => (LogKind::Batch, 0, muts.clone()),
-                    1 => (LogKind::Prepare, *txid, muts.clone()),
-                    // Resolve entries carry no mutations; resolving an
-                    // absent marker is legal (idempotent replay).
-                    _ => (LogKind::Resolve, *txid, Vec::new()),
+            .map(|(i, (prepare, slot, txid, ops))| {
+                let (kind, slot, txid) = if *prepare {
+                    (LogKind::Prepare, *slot, *txid)
+                } else {
+                    (LogKind::Batch, 0, 0)
                 };
-                LogEntry { lsn: i as u64 + 1, kind, txid, ops }
+                LogEntry { lsn: i as u64 + 1, kind, slot, txid, ops: ops.clone() }
             })
             .collect();
         let split = split_seed % (entries.len() + 1);
@@ -418,7 +423,7 @@ proptest! {
         parts.ingest(&entries[from..]);
 
         prop_assert_eq!(whole.contents(), parts.contents());
-        prop_assert_eq!(whole.markers(), parts.markers());
+        prop_assert_eq!(whole.commit_words(), parts.commit_words());
         prop_assert_eq!(whole.applied_lsn(), parts.applied_lsn());
         prop_assert_eq!(whole.applied_lsn(), entries.len() as u64);
     }

@@ -632,9 +632,10 @@ impl Spht {
                 Out::Committed(r)
             }
             Err(abort) => {
-                // Roll back in-place writes.
+                // Roll back in-place writes (through the HTM unit, like
+                // the writes themselves: see `SwTxn`).
                 for &(a, old) in ts.undo.iter().rev() {
-                    self.vol[a as usize].store(old, Ordering::Release);
+                    self.htm.nt_store(&self.vol[a as usize], old);
                 }
                 if self.cfg.persist_hw {
                     let s = self.slots[tid].load(Ordering::Relaxed);
@@ -806,6 +807,13 @@ impl<'a, 'env, 't> Txn for HwTxn<'a, 'env, 't> {
     }
 }
 
+/// A software-path transaction: exclusive under the global lock, it
+/// reads and writes the heap in place. A hardware transaction that
+/// validated before the lock was taken may still be publishing, so reads
+/// go through [`Htm::nt_load_settled`] and writes through
+/// [`Htm::nt_store`], both of which wait for it (see the `htm` crate
+/// docs); plain accesses could let that publication overwrite this
+/// transaction's writes.
 struct SwTxn<'a> {
     tm: &'a Spht,
     tid: usize,
@@ -820,7 +828,7 @@ impl<'a> Txn for SwTxn<'a> {
         if idx == 0 || idx >= self.tm.cfg.heap_words {
             return Err(Abort::CONFLICT);
         }
-        Ok(self.tm.vol[idx].load(Ordering::Acquire))
+        Ok(self.tm.htm.nt_load_settled(&self.tm.vol[idx]))
     }
 
     fn write(&mut self, a: Addr, v: Word) -> Result<(), Abort> {
@@ -829,9 +837,9 @@ impl<'a> Txn for SwTxn<'a> {
             return Err(Abort::CONFLICT);
         }
         // Exclusive (global lock): write in place, log undo and redo.
-        self.undo
-            .push((a.0, self.tm.vol[idx].load(Ordering::Acquire)));
-        self.tm.vol[idx].store(v, Ordering::Release);
+        let cell = &self.tm.vol[idx];
+        self.undo.push((a.0, self.tm.htm.nt_load_settled(cell)));
+        self.tm.htm.nt_store(cell, v);
         if self.tm.cfg.persist_hw {
             if let Some(e) = self.redo.iter_mut().rev().find(|e| e.0 == a.0) {
                 e.1 = v;

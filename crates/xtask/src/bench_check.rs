@@ -1,5 +1,6 @@
-//! `cargo xtask check-bench FILE... [--min-depth N]` — schema-validate
-//! `kvserve-bench-v1` benchmark artifacts (`BENCH_*.json`).
+//! `cargo xtask check-bench FILE... [--min-depth N] [--max-flushes-per-op X]
+//! [--max-fences-per-op X]` — schema-validate `kvserve-bench-v1` benchmark
+//! artifacts (`BENCH_*.json`).
 //!
 //! CI runs this over the committed artifacts and over the artifact of
 //! every bench smoke run, so the artifact schema cannot drift from what
@@ -13,7 +14,9 @@
 //! cell that committed work to stay at or under X flushes per committed
 //! op — the persist-path efficiency gate: a regression that re-inflates
 //! flush traffic (losing the group-commit coalescing) fails CI like a
-//! latency regression would.
+//! latency regression would. `--max-fences-per-op X` is the same gate
+//! over fences per committed op — what the cross-shard smoke holds the
+//! 2PC commit path to.
 //!
 //! Dependency-free by design (the workspace has no serde): a ~100-line
 //! recursive-descent parser over the JSON subset the bench emits.
@@ -257,9 +260,22 @@ fn require_num(v: &Val, path: &str, errors: &mut Vec<String>) -> f64 {
     }
 }
 
-/// Validate one parsed artifact against the `kvserve-bench-v1` schema.
-/// Returns the violations (empty = valid).
-pub fn validate(doc: &Val, min_depth: Option<u64>, max_flushes: Option<f64>) -> Vec<String> {
+/// The optional gates of a `check-bench` run, on top of the schema.
+#[derive(Clone, Copy, Default)]
+pub struct Gates {
+    /// `--min-depth N`: `summary.max_in_flight >= N`.
+    pub min_depth: Option<u64>,
+    /// `--max-flushes-per-op X`: every cell at or under X flushes per
+    /// committed op.
+    pub max_flushes: Option<f64>,
+    /// `--max-fences-per-op X`: every cell at or under X fences per
+    /// committed op.
+    pub max_fences: Option<f64>,
+}
+
+/// Validate one parsed artifact against the `kvserve-bench-v1` schema
+/// and `gates`. Returns the violations (empty = valid).
+pub fn validate(doc: &Val, gates: Gates) -> Vec<String> {
     let mut errors = Vec::new();
     match doc.get("schema").and_then(Val::str) {
         Some("kvserve-bench-v1") => {}
@@ -301,15 +317,18 @@ pub fn validate(doc: &Val, min_depth: Option<u64>, max_flushes: Option<f64>) -> 
                     }
                 }
                 let flushes = require_num(cell, "persist.flushes_per_op", &mut cell_errors);
-                require_num(cell, "persist.fences_per_op", &mut cell_errors);
+                let fences = require_num(cell, "persist.fences_per_op", &mut cell_errors);
                 require_num(cell, "max_in_flight", &mut cell_errors);
-                if let Some(max) = max_flushes {
+                for (what, per_op, max) in [
+                    ("flushes", flushes, gates.max_flushes),
+                    ("fences", fences, gates.max_fences),
+                ] {
                     // Idle cells report 0 and pass trivially; NaN from a
                     // missing field is already an error above.
-                    if flushes > max {
+                    if let Some(max) = max.filter(|&max| per_op > max) {
                         cell_errors.push(format!(
-                            "persist.flushes_per_op = {flushes} above \
-                             required --max-flushes-per-op {max}"
+                            "persist.{what}_per_op = {per_op} above \
+                             required --max-{what}-per-op {max}"
                         ));
                     }
                 }
@@ -319,7 +338,7 @@ pub fn validate(doc: &Val, min_depth: Option<u64>, max_flushes: Option<f64>) -> 
         _ => errors.push("missing or empty `cells`".into()),
     }
     let depth = require_num(doc, "summary.max_in_flight", &mut errors);
-    if let Some(min) = min_depth {
+    if let Some(min) = gates.min_depth {
         if depth.is_nan() || depth < min as f64 {
             errors.push(format!(
                 "summary.max_in_flight = {depth} below required --min-depth {min}"
@@ -332,22 +351,26 @@ pub fn validate(doc: &Val, min_depth: Option<u64>, max_flushes: Option<f64>) -> 
 /// Entry point for `cargo xtask check-bench`.
 pub fn run(args: &[String]) -> ExitCode {
     let mut files = Vec::new();
-    let mut min_depth = None;
-    let mut max_flushes = None;
+    let mut gates = Gates::default();
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--min-depth" {
-            min_depth = args.get(i + 1).and_then(|s| s.parse().ok());
-            if min_depth.is_none() {
+            gates.min_depth = args.get(i + 1).and_then(|s| s.parse().ok());
+            if gates.min_depth.is_none() {
                 eprintln!("--min-depth needs an integer");
                 return ExitCode::FAILURE;
             }
             i += 2;
-        } else if args[i] == "--max-flushes-per-op" {
-            max_flushes = args.get(i + 1).and_then(|s| s.parse().ok());
-            if max_flushes.is_none() {
-                eprintln!("--max-flushes-per-op needs a number");
+        } else if args[i] == "--max-flushes-per-op" || args[i] == "--max-fences-per-op" {
+            let max = args.get(i + 1).and_then(|s| s.parse().ok());
+            if max.is_none() {
+                eprintln!("{} needs a number", args[i]);
                 return ExitCode::FAILURE;
+            }
+            if args[i] == "--max-flushes-per-op" {
+                gates.max_flushes = max;
+            } else {
+                gates.max_fences = max;
             }
             i += 2;
         } else {
@@ -358,7 +381,7 @@ pub fn run(args: &[String]) -> ExitCode {
     if files.is_empty() {
         eprintln!(
             "usage: cargo xtask check-bench FILE... [--min-depth N] \
-             [--max-flushes-per-op X]"
+             [--max-flushes-per-op X] [--max-fences-per-op X]"
         );
         return ExitCode::FAILURE;
     }
@@ -373,7 +396,7 @@ pub fn run(args: &[String]) -> ExitCode {
             }
         };
         let errors = match parse(&text) {
-            Ok(doc) => validate(&doc, min_depth, max_flushes),
+            Ok(doc) => validate(&doc, gates),
             Err(e) => vec![format!("not valid JSON: {e}")],
         };
         if errors.is_empty() {
@@ -415,33 +438,40 @@ mod tests {
         )
     }
 
+    fn depth(min: u64) -> Gates {
+        Gates {
+            min_depth: Some(min),
+            ..Gates::default()
+        }
+    }
+
     #[test]
     fn valid_artifact_passes() {
         let v = parse(&doc(4096)).unwrap();
-        assert_eq!(validate(&v, None, None), Vec::<String>::new());
-        assert_eq!(validate(&v, Some(1024), None), Vec::<String>::new());
+        assert_eq!(validate(&v, Gates::default()), Vec::<String>::new());
+        assert_eq!(validate(&v, depth(1024)), Vec::<String>::new());
     }
 
     #[test]
     fn net_open_loop_mode_accepted() {
         let text = doc(4096).replace("\"open-loop\"", "\"net-open-loop\"");
         let v = parse(&text).unwrap();
-        assert_eq!(validate(&v, Some(1024), None), Vec::<String>::new());
+        assert_eq!(validate(&v, depth(1024)), Vec::<String>::new());
         let closed = doc(4096).replace("\"open-loop\"", "\"net-closed-loop\"");
         assert_eq!(
-            validate(&parse(&closed).unwrap(), None, None),
+            validate(&parse(&closed).unwrap(), Gates::default()),
             Vec::<String>::new()
         );
         let bogus = doc(4096).replace("\"open-loop\"", "\"net-half-open-loop\"");
-        let errs = validate(&parse(&bogus).unwrap(), None, None);
+        let errs = validate(&parse(&bogus).unwrap(), Gates::default());
         assert!(errs.iter().any(|e| e.contains("unknown mode")), "{errs:?}");
     }
 
     #[test]
     fn min_depth_gate_enforced() {
         let v = parse(&doc(512)).unwrap();
-        assert!(validate(&v, None, None).is_empty());
-        let errs = validate(&v, Some(1024), None);
+        assert!(validate(&v, Gates::default()).is_empty());
+        let errs = validate(&v, depth(1024));
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("below required"), "{errs:?}");
     }
@@ -450,11 +480,32 @@ mod tests {
     fn max_flushes_gate_enforced() {
         // The fixture cell reports 1.29 flushes per op.
         let v = parse(&doc(4096)).unwrap();
-        assert!(validate(&v, None, Some(4.0)).is_empty());
-        let errs = validate(&v, None, Some(1.0));
+        let max = |x| Gates {
+            max_flushes: Some(x),
+            ..Gates::default()
+        };
+        assert!(validate(&v, max(4.0)).is_empty());
+        let errs = validate(&v, max(1.0));
         assert_eq!(errs.len(), 1);
         assert!(
             errs[0].contains("above required --max-flushes-per-op"),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn max_fences_gate_enforced() {
+        // The fixture cell reports 0.86 fences per op.
+        let v = parse(&doc(4096)).unwrap();
+        let max = |x| Gates {
+            max_fences: Some(x),
+            ..Gates::default()
+        };
+        assert!(validate(&v, max(3.0)).is_empty());
+        let errs = validate(&v, max(0.5));
+        assert_eq!(errs.len(), 1);
+        assert!(
+            errs[0].contains("persist.fences_per_op = 0.86 above required --max-fences-per-op 0.5"),
             "{errs:?}"
         );
     }
@@ -468,7 +519,7 @@ mod tests {
   "summary": {"max_in_flight": 8},
   "cells": [{"tput_ops_per_sec": 100, "max_in_flight": 8, "latency_us": {"p50": 1}}]
 }"#;
-        let errs = validate(&parse(text).unwrap(), None, None);
+        let errs = validate(&parse(text).unwrap(), Gates::default());
         assert!(
             errs.iter().any(|e| e.contains("latency_us.p95")),
             "{errs:?}"
@@ -482,7 +533,7 @@ mod tests {
     #[test]
     fn wrong_schema_and_empty_cells_flagged() {
         let text = r#"{"schema": "v0", "mode": "open-loop", "cells": []}"#;
-        let errs = validate(&parse(text).unwrap(), None, None);
+        let errs = validate(&parse(text).unwrap(), Gates::default());
         assert!(errs.iter().any(|e| e.contains("unknown schema")));
         assert!(errs.iter().any(|e| e.contains("cells")));
     }

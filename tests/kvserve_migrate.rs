@@ -19,6 +19,8 @@
 //! - double-migrate: split, then split the split, then re-issue the
 //!   first spec (a no-op detected as already applied) — routing and
 //!   data stay exact throughout;
+//! - a cross-shard batch decided before a split, whose decision record
+//!   recovery must not replay onto the split's target;
 //! - a seeded random fuzz (`KVSERVE_MIGRATE_SEED` overrides the seed)
 //!   interleaving random batches with randomly-crashed migrations,
 //!   checking the store against a sequential model after every cycle;
@@ -30,7 +32,8 @@ mod common;
 
 use common::{assert_psan_clean, fire_at, model_apply, step_rotation, Lcg};
 use kvserve::{
-    MapOp, MigrateReport, MigrateSpec, Point, ServeError, Service, ServiceConfig, ROUTE_SLOTS,
+    MapOp, MigrateReport, MigrateSpec, Point, RoutingTable, ServeError, Service, ServiceConfig,
+    ROUTE_SLOTS,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -232,6 +235,34 @@ fn double_migrate_and_reissue_are_exact() {
         expected.insert(k, k * 2 + 9);
     }
     verify_all(&svc, &expected, "post-traffic");
+}
+
+/// A decision record logged before a split is never replayed after it.
+/// Re-partitioned under the new table, the record's op on a moved slot
+/// lands on the target, whose commit words are all zero; only the
+/// record's routing epoch tells recovery that the batch committed long
+/// ago, so replay must not clobber the newer acked write.
+#[test]
+fn records_from_before_a_split_are_never_replayed() {
+    let svc = Service::new(cfg());
+    let spec = MigrateSpec::split(&svc.routing(), 1);
+    let k0 = (0..).find(|&k| svc.shard_of(k) == 0).unwrap();
+    let k1 = (0..)
+        .find(|&k| spec.slots.contains(&RoutingTable::slot_of(k)))
+        .unwrap();
+    svc.batch(vec![MapOp::Insert(k0, 1), MapOp::Insert(k1, 1)])
+        .unwrap();
+    assert_eq!(svc.snapshot().coordinator.cross_batches, 1);
+    let (svc, _) = svc.migrate(spec).expect("no probe installed");
+    assert_eq!(svc.shard_of(k1), 2);
+    assert_eq!(svc.put(k1, 2), Ok(Some(1)));
+    let svc = Service::recover(svc.crash());
+    assert_eq!(svc.get(k0), Ok(Some(1)));
+    assert_eq!(
+        svc.get(k1),
+        Ok(Some(2)),
+        "a pre-split decision was replayed onto the target"
+    );
 }
 
 #[test]

@@ -166,9 +166,9 @@ fn crash_at_every_repl_step_never_loses_an_acked_write() {
             }
         }
 
-        // An acked cross-shard batch between crash cycles (Prepare +
-        // Resolve entries through the coordinator) must survive whatever
-        // the next cycle does to the deployment.
+        // An acked cross-shard batch between crash cycles (Prepare
+        // entries through the coordinator) must survive whatever the
+        // next cycle does to the deployment.
         let acked: Vec<(u64, u64)> = keys.iter().map(|&kk| (kk, cycle * 1_000 + kk)).collect();
         let ops: Vec<MapOp> = acked
             .iter()
@@ -194,7 +194,7 @@ fn crash_at_every_promotion_step_re_promotes_idempotently() {
 
     for (i, &step) in Point::FAILOVER.iter().enumerate() {
         // Leave an acked cross-shard batch right before the failover:
-        // its Prepare/Resolve entries must survive a *crashed* promotion
+        // its Prepare entries must survive a *crashed* promotion
         // and the subsequent re-promotion.
         let acked: Vec<(u64, u64)> = keys.iter().map(|&k| (k, i as u64 * 100 + k)).collect();
         let ops: Vec<MapOp> = acked.iter().map(|&(k, v)| MapOp::Insert(k, v)).collect();

@@ -14,7 +14,9 @@
 //! | NV-HALT | 2       | 1      | one coalesced entry-line pass + the counted commit marker, one post-marker fence |
 //! | Trinity | 2       | 1      | same counted one-fence protocol over its redo entries |
 //! | SPHT    | 4       | 3      | record body+truncation pass, validity marker (fence each), marker-word advance (fence) — the paper's 2-fence-per-commit baseline plus marker traffic |
+//! | kvserve 2PC put, 2 shards | 14 | 5 | three TM commits: two prepared participants (staged, then committed: a fence each) and one decision-record write; nothing after the fan-out |
 
+use kvserve::{MapOp, Service, ServiceConfig, ServiceSnapshot};
 use nv_halt::prelude::*;
 use nvhalt::NvHaltConfig;
 use tm::stats::Counter;
@@ -84,5 +86,54 @@ fn first_commit_budget() {
         flushes <= 2 && fences <= 2,
         "Trinity first put: {flushes} flushes / {fences} fences \
          (budget 2 / 2)"
+    );
+}
+
+/// `(flushes, fences, TM commits)` summed over every shard TM and the
+/// decision log.
+fn service_persist(snap: &ServiceSnapshot) -> (u64, u64, u64) {
+    let tms = snap
+        .shards
+        .iter()
+        .map(|s| &s.tm)
+        .chain(std::iter::once(&snap.coordinator.tm));
+    tms.fold((0, 0, 0), |(f, n, c), tm| {
+        (
+            f + tm.get(Counter::Flush),
+            n + tm.get(Counter::Fence),
+            c + tm.commits(),
+        )
+    })
+}
+
+/// One cross-shard put — one key overwritten on each of two shards in
+/// one batch — costs three TM commits in all: the two prepared
+/// participants and the decision record. One coordinator slot keeps the
+/// count exact: with two, a batch served by the other driver overwrites
+/// log entries stamped by another thread, and witness preservation adds
+/// a flush and a fence per such entry.
+#[test]
+fn cross_shard_put_budget() {
+    let mut cfg = ServiceConfig::new(2);
+    cfg.coordinators = 1;
+    let svc = Service::new(cfg);
+    let a = 1u64;
+    let b = (2..).find(|&k| svc.shard_of(k) != svc.shard_of(a)).unwrap();
+    let put = |v| {
+        svc.batch(vec![MapOp::Insert(a, v), MapOp::Insert(b, v)])
+            .unwrap()
+    };
+    // Warm-up: the keys exist and every thread has committed before.
+    for v in 0..3 {
+        put(v);
+    }
+    let before = service_persist(&svc.snapshot());
+    put(3);
+    let after = service_persist(&svc.snapshot());
+    let (flushes, fences, commits) = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+    assert!(
+        flushes <= 14 && fences <= 5 && commits == 3,
+        "cross-shard put: {flushes} flushes / {fences} fences / {commits} \
+         TM commits (budget 14 / 5 / exactly 3)"
     );
 }
