@@ -2,24 +2,34 @@
 //! instances.
 //!
 //! A multi-op request whose keys route to several shards is queued to a
-//! dedicated 2PC driver thread ([`drive`]) and executed there as one
-//! **distributed transaction**. Driver `c` owns coordinator slot `c` and
-//! runs one batch at a time:
+//! dedicated 2PC driver thread ([`drive`]). Driver `c` owns coordinator
+//! slot `c` and runs one **round** at a time: it takes its requests the
+//! way a shard worker takes a batch — the first one queued, then
+//! whatever else is already waiting, up to `batch_max` in all — and runs
+//! their ops, concatenated in queue order, as one **distributed
+//! transaction**:
 //!
-//! 1. **Prepare** — per participating shard, run the shard's ops plus a
-//!    write of the slot's *commit word* (`commits[c] = txid`) as a
-//!    prepared transaction ([`tm::TmPrepare`]): the writes are durably
-//!    staged below the shard's persistent version and every touched
-//!    address stays locked, so the staged state is invisible to other
-//!    transactions and a crash rolls it back.
+//! 1. **Prepare** — per participating shard, run the round's ops for
+//!    that shard plus a write of the slot's *commit word*
+//!    (`commits[c] = txid`) as a prepared transaction
+//!    ([`tm::TmPrepare`]): the writes are durably staged below the
+//!    shard's persistent version and every touched address stays
+//!    locked, so the staged state is invisible to other transactions and
+//!    a crash rolls it back.
 //! 2. **Decide** — overwrite slot `c`'s *decision record* (txid, routing
-//!    epoch, the full op list) in the decision log, its own NV-HALT
-//!    instance, as one committed transaction. *This commit is the commit
-//!    point of the whole batch.* Aborts are presumed: nothing is ever
-//!    written for them.
+//!    epoch, the round's full op list) in the decision log, its own
+//!    NV-HALT instance, as one committed transaction. *This commit is
+//!    the commit point of every request in the round.* Aborts are
+//!    presumed: nothing is ever written for them.
 //! 3. **Commit fan-out** — `commit_prepared` on every participant makes
-//!    the staged writes (and the commit word) durable and visible. The
-//!    batch is acked right after; there is nothing to clean up.
+//!    the staged writes (and the commit word) durable and visible. Each
+//!    request is acked right after with its own values; there is
+//!    nothing to clean up.
+//!
+//! A round pays the persist cost of one request — three TM commits and
+//! five fences for two shards — however many requests it carries.
+//! Deadlines stay per request: at every prepare attempt, a request whose
+//! deadline passed is answered `Timeout` and leaves the round.
 //!
 //! Recovery replays the records ([`replay`]): a participant whose commit
 //! word for the record's slot is below the record's txid lost its
@@ -38,22 +48,20 @@
 //!
 //! Phase 1 can deadlock with a concurrent coordinator preparing the same
 //! shards in a different order; every prepare is therefore fuel-bounded
-//! and a cancelled round aborts all prepared participants, backs off and
-//! retries, up to `max_retries`.
+//! and a cancelled attempt aborts all prepared participants, backs off
+//! and retries, up to `max_retries`.
 
 use crate::metrics::CoordinatorMetrics;
 use crate::probe::Point;
 use crate::repl::{self, LogKind};
-use crate::shard::ShardPool;
+use crate::shard::{self, shed_expired, ShardPool, ShardRequest};
 use crate::{
-    backoff, partition_by_table, Engine, Reply, RoutingTable, ServeError, ServiceConfig, XRequest,
-    ATTEMPT_FUEL, ROUTE_SLOTS,
+    backoff, partition_by_table, Engine, RoutingTable, ServeError, ServiceConfig, ATTEMPT_FUEL,
+    ROUTE_SLOTS,
 };
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::Receiver;
 use nvhalt::NvHalt;
-use parking_lot::{Condvar, Mutex};
 use pmem::pool::DurableImage;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,51 +112,17 @@ pub(crate) struct Coordinator {
     pub route: Addr,
     /// Next transaction id to hand out (recovered as max seen + 1).
     pub next_txid: AtomicU64,
-    /// The decision-log group-commit queue (see [`Coordinator::log_decision`]).
-    group: Mutex<DecisionGroup>,
-    group_cv: Condvar,
     pub metrics: Arc<CoordinatorMetrics>,
 }
 
-/// One slot's commit decision: what the group commit writes into the
-/// slot's record, and what recovery reads back out of it for
-/// [`replay`].
+/// One slot's commit decision: what a round writes into the slot's
+/// record, and what recovery reads back out of it for [`replay`].
 pub(crate) struct Decision {
     pub slot: u64,
     pub txid: u64,
-    /// The routing epoch the batch was partitioned under.
+    /// The routing epoch the round was partitioned under.
     pub epoch: u64,
     pub ops: Vec<MapOp>,
-}
-
-/// Shared state of the decision-log group commit: decisions queued for
-/// the next leader, and the ones a leader has written for its waiters
-/// to pick up.
-#[derive(Default)]
-struct DecisionGroup {
-    /// Decisions waiting to be written.
-    queue: Vec<Decision>,
-    /// Txids of written decisions not yet picked up.
-    written: HashSet<u64>,
-    /// A leader is writing the current batch.
-    leader_busy: bool,
-    /// The leader's write crash-unwound (pool poisoned mid-commit);
-    /// every waiter must unwind too instead of blocking forever.
-    poisoned: bool,
-}
-
-/// Unwind-safety for the group leader: if the decision-log transaction
-/// crash-unwinds (simulated power failure), flag the group and wake the
-/// waiters so they unwind as well.
-struct GroupAbortGuard<'a>(&'a Coordinator);
-
-impl Drop for GroupAbortGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.group.lock().poisoned = true;
-            self.0.group_cv.notify_all();
-        }
-    }
 }
 
 impl Coordinator {
@@ -164,17 +138,13 @@ impl Coordinator {
     }
 
     fn assemble(log: Arc<NvHalt>, records: Addr, route: Addr, next_txid: u64) -> Coordinator {
-        let co = Coordinator {
+        Coordinator {
             log,
             records,
             route,
             next_txid: AtomicU64::new(next_txid),
-            group: Mutex::new(DecisionGroup::default()),
-            group_cv: Condvar::new(),
             metrics: Arc::default(),
-        };
-        co.group.locksan_label("coord::group", false);
-        co
+        }
     }
 
     /// Durably (re)write the routing root as **one committed
@@ -282,86 +252,44 @@ impl Coordinator {
         }
     }
 
-    /// Durably write `d` into its slot's record — the batch's commit
-    /// point — as a **group commit**: the decision is queued, and the
-    /// first driver to find no leader writing becomes the leader,
-    /// writing *every* queued decision in one committed log transaction
-    /// (one flush pass, one fence) and handing the written txids back to
-    /// the waiting drivers. Concurrently-deciding cross-shard batches
-    /// thus share a single commit's persist cost instead of paying one
-    /// fence each.
-    fn log_decision(&self, ltid: usize, d: Decision) {
-        let txid = d.txid;
-        let mut g = self.group.lock();
-        g.queue.push(d);
-        loop {
-            if g.written.remove(&txid) {
-                return;
-            }
-            if g.poisoned {
-                // The leader's transaction died in a simulated power
-                // failure; this decision is not durable and never will
-                // be. Unwind like any other crashed transaction.
-                drop(g);
-                tm::crash::crash_unwind();
-            }
-            if !g.leader_busy {
-                g.leader_busy = true;
-                let batch = std::mem::take(&mut g.queue);
-                drop(g);
-                let guard = GroupAbortGuard(self);
-                self.write_decisions(ltid, &batch);
-                std::mem::forget(guard);
-                self.metrics.decision_groups.inc();
-                self.metrics.decisions_logged.add(batch.len() as u64);
-                g = self.group.lock();
-                g.written.extend(batch.iter().map(|d| d.txid));
-                g.leader_busy = false;
-                self.group_cv.notify_all();
-            } else {
-                self.group_cv.wait(&mut g);
-            }
-        }
-    }
-
-    /// The group leader's write: every queued decision into its slot's
-    /// record, in **one** committed log transaction. A decision with
-    /// more ops than its record holds moves the record to a new block
-    /// and frees the old one in the same transaction.
-    fn write_decisions(&self, ltid: usize, batch: &[Decision]) {
+    /// Durably write `d` into its slot's record — the round's commit
+    /// point — as one committed log transaction on the driver's own log
+    /// thread id `ltid`. Each driver writes only its own slot's record,
+    /// so it never overwrites log entries another thread stamped. A
+    /// decision with more ops than its record holds moves the record to
+    /// a new block and frees the old one in the same transaction.
+    fn log_decision(&self, ltid: usize, d: &Decision) {
         let _psan = self
             .log
             .pmem()
             .pool()
             .psan_scope(ltid, "kvserve::coord::log_decision");
+        let nops = d.ops.len() as u64;
+        let root = self.records.offset(d.slot);
         tm::txn(&*self.log, ltid, |tx| {
-            for d in batch {
-                let nops = d.ops.len() as u64;
-                let root = self.records.offset(d.slot);
-                let mut r = Addr(tx.read(root)?);
-                let cap = if r.is_null() {
-                    0
-                } else {
-                    tx.read(r.offset(D_CAP))?
-                };
-                if r.is_null() || cap < nops {
-                    if !r.is_null() {
-                        tx.free(r, record_words(cap))?;
-                    }
-                    r = tx.alloc(record_words(nops))?;
-                    tx.write(r.offset(D_CAP), nops)?;
-                    tx.write(root, r.0)?;
+            let mut r = Addr(tx.read(root)?);
+            let cap = if r.is_null() {
+                0
+            } else {
+                tx.read(r.offset(D_CAP))?
+            };
+            if r.is_null() || cap < nops {
+                if !r.is_null() {
+                    tx.free(r, record_words(cap))?;
                 }
-                tx.write(r.offset(D_TXID), d.txid)?;
-                tx.write(r.offset(D_EPOCH), d.epoch)?;
-                tx.write(r.offset(D_NOPS), nops)?;
-                for (i, &op) in d.ops.iter().enumerate() {
-                    let (tag, k, v) = encode_op(op);
-                    let base = r.offset(D_OPS + i as u64 * OP_WORDS);
-                    tx.write(base, tag)?;
-                    tx.write(base.offset(1), k)?;
-                    tx.write(base.offset(2), v)?;
-                }
+                r = tx.alloc(record_words(nops))?;
+                tx.write(r.offset(D_CAP), nops)?;
+                tx.write(root, r.0)?;
+            }
+            tx.write(r.offset(D_TXID), d.txid)?;
+            tx.write(r.offset(D_EPOCH), d.epoch)?;
+            tx.write(r.offset(D_NOPS), nops)?;
+            for (i, &op) in d.ops.iter().enumerate() {
+                let (tag, k, v) = encode_op(op);
+                let base = r.offset(D_OPS + i as u64 * OP_WORDS);
+                tx.write(base, tag)?;
+                tx.write(base.offset(1), k)?;
+                tx.write(base.offset(2), v)?;
             }
             Ok(())
         })
@@ -386,172 +314,122 @@ fn decode_op(tag: u64, k: u64, v: u64) -> MapOp {
     }
 }
 
-/// 2PC driver loop: drains the cross-shard queue, sheds requests whose
-/// deadline passed while queued (queue wait is charged against the
-/// deadline — execution never starts for an expired batch), and runs
-/// each batch under [`tm::crash::run_crashable`]. A simulated power
-/// failure unwinds the driver; the dropped request's completion handle
-/// delivers [`ServeError::Stopped`] — never an ack.
-pub(crate) fn drive(eng: Arc<Engine>, rx: Receiver<XRequest>, stop: Arc<AtomicBool>, slot: usize) {
-    while !stop.load(Ordering::Acquire) {
-        let req = match rx.recv_timeout(crate::shard::POLL) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        if Instant::now() >= req.deadline {
-            eng.coord.metrics.abort_timeout.inc();
-            req.reply.send(Err(ServeError::Timeout));
-            continue;
-        }
-        let survived = tm::crash::run_crashable(|| {
-            let reply = cross_shard(&eng, &req.ops, req.deadline, slot);
-            req.reply.send(reply);
-        });
-        if survived.is_none() {
-            // The pools are poisoned; the unwind dropped `req`, whose
-            // completion handle surfaced `Stopped`. This driver is dead
-            // until the service is recovered.
+/// 2PC driver loop: takes its rounds from the shard workers' drain loop
+/// ([`shard::next_batch`]: block for one request, then take what is
+/// already queued, up to `batch_max` in all) and runs each as one 2PC
+/// round ([`round`]) under [`tm::crash::run_crashable`]. A simulated
+/// power failure unwinds the driver; the round's dropped completion
+/// handles deliver [`ServeError::Stopped`] to every member — never an
+/// ack.
+pub(crate) fn drive(
+    eng: Arc<Engine>,
+    rx: Receiver<ShardRequest>,
+    stop: Arc<AtomicBool>,
+    slot: usize,
+) {
+    while let Some(members) = shard::next_batch(&rx, &stop, eng.cfg.batch_max) {
+        if tm::crash::run_crashable(|| round(&eng, members, slot)).is_none() {
+            // The pools are poisoned. This driver is dead until the
+            // service is recovered.
             return;
         }
     }
 }
 
-/// Run a multi-shard batch as one 2PC transaction on driver `slot`
-/// (which exclusively owns the matching reserved TM thread ids). Called
-/// inside [`tm::crash::run_crashable`]; a simulated power failure
-/// unwinds out of here and the client observes [`ServeError::Stopped`].
-pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slot: usize) -> Reply {
+/// Ask the probe at `point`; on a `true`, poison every pool and unwind
+/// as a power failure right there would.
+fn crash_at(eng: &Engine, point: Point) {
+    if eng.probe.fires(point) {
+        eng.poison();
+        tm::crash::crash_unwind();
+    }
+}
+
+/// Run queued cross-shard requests (`members`, in queue order) as one
+/// 2PC round on driver `slot`, which exclusively owns the matching
+/// reserved TM thread ids. The members' ops are concatenated in queue
+/// order: each participant prepares its share of them in one
+/// transaction, one decision record holds them all, and each
+/// participant commits once. At every prepare attempt, members whose
+/// deadline passed are answered `Timeout` and leave the round; once the
+/// decision is logged, every remaining member completes. Called inside
+/// [`tm::crash::run_crashable`]: a simulated power failure unwinds out
+/// of here, and every member still in the round observes
+/// [`ServeError::Stopped`].
+fn round(eng: &Engine, mut members: Vec<ShardRequest>, slot: usize) {
     let co = &eng.coord;
     let cfg = &eng.cfg;
-
-    // Partition ops under the *current* routing table, remembering
-    // original positions so the reply lines up with the submitted
-    // order. Epoch-agnostic by construction: a migration flip only runs
-    // after joining the 2PC drivers, so the table cannot change under a
-    // batch mid-protocol, and a batch re-routed across a flip is simply
-    // re-partitioned here under the new table (it may even collapse to
-    // one group — still a correct, if degenerate, 2PC round). The
-    // decision records the table's epoch for replay.
-    let table = eng.router.table();
-    let groups = partition_by_table(ops, &table);
     let m = &co.metrics;
-    m.cross_batches.inc();
-    m.cross_ops.add(ops.len() as u64);
+    // Queue wait is charged against the deadline: execution never
+    // starts for an expired member.
+    shed_expired(&mut members, &m.abort_timeout);
+    if members.is_empty() {
+        return;
+    }
+    m.cross_batches.add(members.len() as u64);
+    m.cross_ops
+        .add(members.iter().map(|r| r.ops.len() as u64).sum());
 
-    let ptid = cfg.workers_per_shard + slot;
-    let ltid = slot;
-
+    // Partition under the *current* routing table, remembering original
+    // positions so the replies line up with the submitted order.
+    // Epoch-agnostic by construction: a migration flip only runs after
+    // joining the 2PC drivers, so the table cannot change under a round
+    // mid-protocol, and a request re-routed across a flip is simply
+    // re-partitioned here under the new table (a round may even
+    // collapse to one group — still a correct, if degenerate, 2PC
+    // round). The decision records the table's epoch for replay.
+    let table = eng.router.table();
     let txid = co.next_txid.fetch_add(1, Ordering::Relaxed);
-    if eng.probe.fires(Point::BeforePrepare) {
-        eng.poison();
-        tm::crash::crash_unwind();
-    }
+    crash_at(eng, Point::BeforePrepare);
 
-    // Phase 1: prepare every participant. Any cancelled prepare aborts
-    // the whole round; the deadline is only honoured here — once the
-    // decision is logged the batch always completes.
-    let rt = eng.repl.as_deref();
-    let mut results: Vec<Option<u64>> = vec![None; ops.len()];
-    // Per-group LSN of the Prepare entry appended inside the prepared
-    // transaction (0 when replication is off). Valid only for the round
-    // that ends up committing — an aborted round rolls its appends back.
-    let mut prep_lsns = vec![0u64; groups.len()];
+    // Phase 1: prepare every participant. A cancelled prepare aborts
+    // the whole attempt, which backs off and retries.
     let mut retry = 0u32;
-    'round: loop {
-        if Instant::now() >= deadline_at {
-            m.abort_timeout.inc();
-            return Err(ServeError::Timeout);
-        }
+    let (ops, groups, results, prep_lsns) = loop {
+        let ops: Vec<MapOp> = members.iter().flat_map(|r| r.ops.iter().copied()).collect();
+        let groups = partition_by_table(&ops, &table);
         let prep_start = Instant::now();
-        let mut prepared: Vec<usize> = Vec::with_capacity(groups.len());
-        for (gi, (s, idxs)) in groups.iter().enumerate() {
-            if gi > 0 && eng.probe.fires(Point::BetweenPrepares) {
-                eng.poison();
-                tm::crash::crash_unwind();
-            }
-            let sh = &eng.pools[*s];
-            let (map, commit, log_hdr) = (sh.map, sh.commits.offset(slot as u64), sh.hdr);
-            let gops: Vec<MapOp> = idxs.iter().map(|&i| ops[i]).collect();
-            let muts = repl::mutations(&gops);
-            let _psan = sh
-                .tm
-                .pmem()
-                .pool()
-                .psan_scope(ptid, "kvserve::coord::prepare");
-            let res = tm::prepare(&*sh.tm, ptid, |tx| {
-                if tx.attempt() >= ATTEMPT_FUEL {
-                    return Err(Abort::Cancel);
-                }
-                let mut out = Vec::with_capacity(gops.len());
-                for &op in &gops {
-                    out.push(map.apply_in(tx, op)?);
-                }
-                // The commit word commits or rolls back atomically with
-                // the ops; recovery compares it with the slot's decision
-                // record to make replay idempotent.
-                tx.write(commit, txid)?;
-                // When the shard's op log is armed (replicating, or a
-                // live migration is streaming it), the follower mirrors
-                // the word too — via the Prepare entry — so decision-log
-                // replay stays idempotent across a promotion.
-                let lsn =
-                    repl::append_armed_in(tx, log_hdr, LogKind::Prepare, slot as u64, txid, &muts)?;
-                Ok((out, lsn))
-            });
-            match res {
-                Ok((vals, lsn)) => {
-                    for (&oi, v) in idxs.iter().zip(vals) {
-                        results[oi] = v;
-                    }
-                    prep_lsns[gi] = lsn;
-                    prepared.push(gi);
-                }
-                Err(tm::Cancelled) => {
-                    for &pgi in &prepared {
-                        eng.pools[groups[pgi].0].tm.abort_prepared(ptid);
-                    }
-                    m.cross_retries.inc();
-                    if retry >= cfg.max_retries {
-                        m.abort_conflict.inc();
-                        return Err(ServeError::Aborted);
-                    }
-                    std::thread::sleep(backoff(retry));
-                    retry += 1;
-                    continue 'round;
-                }
-            }
+        if let Some((results, lsns)) = prepare(eng, &ops, &groups, txid, slot) {
+            m.prepare.record(prep_start.elapsed());
+            break (ops, groups, results, lsns);
         }
-        m.prepare.record(prep_start.elapsed());
-        break;
-    }
-    if eng.probe.fires(Point::Prepared) {
-        eng.poison();
-        tm::crash::crash_unwind();
-    }
+        m.cross_retries.inc();
+        if retry >= cfg.max_retries {
+            m.abort_conflict.add(members.len() as u64);
+            for r in &members {
+                r.reply.send(Err(ServeError::Aborted));
+            }
+            return;
+        }
+        std::thread::sleep(backoff(retry));
+        retry += 1;
+        shed_expired(&mut members, &m.abort_timeout);
+        if members.is_empty() {
+            return;
+        }
+    };
+    crash_at(eng, Point::Prepared);
 
     // Commit point.
-    co.log_decision(
-        ltid,
-        Decision {
-            slot: slot as u64,
-            txid,
-            epoch: table.epoch(),
-            ops: ops.to_vec(),
-        },
-    );
-    if eng.probe.fires(Point::DecisionLogged) {
-        eng.poison();
-        tm::crash::crash_unwind();
-    }
+    let decision = Decision {
+        slot: slot as u64,
+        txid,
+        epoch: table.epoch(),
+        ops,
+    };
+    co.log_decision(slot, &decision);
+    m.decision_groups.inc();
+    m.decisions_logged.add(members.len() as u64);
+    crash_at(eng, Point::DecisionLogged);
 
     // Phase 2: fan out the commit. Crashes from here on are repaired by
     // log replay at recovery.
+    let ptid = cfg.workers_per_shard + slot;
+    let rt = eng.repl.as_deref();
     let commit_start = Instant::now();
-    for (gi, (s, _)) in groups.iter().enumerate() {
-        if gi > 0 && eng.probe.fires(Point::MidCommit) {
-            eng.poison();
-            tm::crash::crash_unwind();
+    for (gi, ((s, _), &lsn)) in groups.iter().zip(&prep_lsns).enumerate() {
+        if gi > 0 {
+            crash_at(eng, Point::MidCommit);
         }
         let sh = &eng.pools[*s];
         let _psan = sh
@@ -562,33 +440,107 @@ pub(crate) fn cross_shard(eng: &Engine, ops: &[MapOp], deadline_at: Instant, slo
         sh.tm.commit_prepared(ptid);
         // The Prepare entry just became durable with the rest of the
         // staged writes; let the shipper at it.
-        if let Some(r) = rt {
-            if prep_lsns[gi] > 0 {
-                r.states[*s]
-                    .appended
-                    .fetch_max(prep_lsns[gi], Ordering::AcqRel);
-                r.states[*s].signal_work();
-            }
+        if let Some(r) = rt.filter(|_| lsn > 0) {
+            r.states[*s].appended.fetch_max(lsn, Ordering::AcqRel);
+            r.states[*s].signal_work();
         }
     }
     m.commit.record(commit_start.elapsed());
-    if eng.probe.fires(Point::Committed) {
-        eng.poison();
-        tm::crash::crash_unwind();
-    }
+    crash_at(eng, Point::Committed);
 
-    // Semi-synchronous ack: wait until every participant's Prepare entry
-    // is durably in its follower's receive log. A miss answers `Timeout`
-    // — the batch committed, but a committed-yet-unacked request is
-    // legal.
+    // Semi-synchronous ack, as a shard worker's for its batch: wait
+    // until every participant's Prepare entry is durably in its
+    // follower's receive log, under the latest member deadline. A miss
+    // answers every member `Timeout` — the round committed, but a
+    // committed-yet-unacked request is legal.
     if let Some(r) = rt {
-        for (gi, (s, _)) in groups.iter().enumerate() {
-            if prep_lsns[gi] > 0 && !r.states[*s].wait_received(prep_lsns[gi], deadline_at) {
-                return Err(ServeError::Timeout);
+        let deadline = members.iter().map(|r| r.deadline).max();
+        let deadline = deadline.expect("a round keeps at least one member");
+        let received = groups
+            .iter()
+            .zip(&prep_lsns)
+            .all(|((s, _), &lsn)| lsn == 0 || r.states[*s].wait_received(lsn, deadline));
+        if !received {
+            for r in &members {
+                r.reply.send(Err(ServeError::Timeout));
+            }
+            return;
+        }
+    }
+    let now = Instant::now();
+    let mut vals = results.into_iter();
+    for r in &members {
+        m.latency.record(now.duration_since(r.enqueued));
+        r.reply.send(Ok((&mut vals).take(r.ops.len()).collect()));
+    }
+}
+
+/// Prepare every participant of a round attempt: per group, its ops,
+/// the slot's commit word and one `Prepare` op-log entry as one prepared
+/// transaction. Returns every op's value and each group's Prepare LSN
+/// (0 when the shard's op log is not armed; valid only for the attempt
+/// that ends up committing — an aborted one rolls its appends back), or
+/// `None` once a prepare cancelled and the participants already
+/// prepared were aborted.
+fn prepare(
+    eng: &Engine,
+    ops: &[MapOp],
+    groups: &[(usize, Vec<usize>)],
+    txid: u64,
+    slot: usize,
+) -> Option<(Vec<Option<u64>>, Vec<u64>)> {
+    let ptid = eng.cfg.workers_per_shard + slot;
+    let mut results: Vec<Option<u64>> = vec![None; ops.len()];
+    let mut lsns = Vec::with_capacity(groups.len());
+    for (gi, (s, idxs)) in groups.iter().enumerate() {
+        if gi > 0 {
+            crash_at(eng, Point::BetweenPrepares);
+        }
+        let sh = &eng.pools[*s];
+        let (map, commit, log_hdr) = (sh.map, sh.commits.offset(slot as u64), sh.hdr);
+        let gops: Vec<MapOp> = idxs.iter().map(|&i| ops[i]).collect();
+        let muts = repl::mutations(&gops);
+        let _psan = sh
+            .tm
+            .pmem()
+            .pool()
+            .psan_scope(ptid, "kvserve::coord::prepare");
+        let res = tm::prepare(&*sh.tm, ptid, |tx| {
+            if tx.attempt() >= ATTEMPT_FUEL {
+                return Err(Abort::Cancel);
+            }
+            let mut out = Vec::with_capacity(gops.len());
+            for &op in &gops {
+                out.push(map.apply_in(tx, op)?);
+            }
+            // The commit word commits or rolls back atomically with the
+            // ops; recovery compares it with the slot's decision record
+            // to make replay idempotent.
+            tx.write(commit, txid)?;
+            // When the shard's op log is armed (replicating, or a live
+            // migration is streaming it), the follower mirrors the word
+            // too — via the Prepare entry — so decision-log replay stays
+            // idempotent across a promotion.
+            let lsn =
+                repl::append_armed_in(tx, log_hdr, LogKind::Prepare, slot as u64, txid, &muts)?;
+            Ok((out, lsn))
+        });
+        match res {
+            Ok((vals, lsn)) => {
+                for (&oi, v) in idxs.iter().zip(vals) {
+                    results[oi] = v;
+                }
+                lsns.push(lsn);
+            }
+            Err(tm::Cancelled) => {
+                for (s, _) in &groups[..gi] {
+                    eng.pools[*s].tm.abort_prepared(ptid);
+                }
+                return None;
             }
         }
     }
-    Ok(results)
+    Some((results, lsns))
 }
 
 /// Replay the decision records over recovered, quiescent shard pools.

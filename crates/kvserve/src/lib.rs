@@ -59,12 +59,12 @@ pub use txstructs::MapOp;
 
 use coord::{Coordinator, LogImage};
 use crossbeam::channel::{self, Receiver, Sender};
-use metrics::RingMetrics;
+use metrics::{CoordinatorMetrics, Counter, RingMetrics};
 use nvhalt::NvHaltConfig;
 use probe::ProbeCell;
 use repl::ReplRuntime;
-use ring::{RingCompletion, RingLane};
-use shard::{PoolImage, Shard, ShardPool};
+use ring::RingLane;
+use shard::{PoolImage, Shard, ShardPool, ShardRequest};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -146,14 +146,6 @@ impl std::error::Error for ServeError {}
 /// request was never acked (it may or may not have committed).
 pub type Reply = Result<Vec<Option<u64>>, ServeError>;
 
-/// One queued cross-shard request, awaiting a 2PC driver thread.
-pub(crate) struct XRequest {
-    pub ops: Vec<MapOp>,
-    pub reply: RingCompletion,
-    /// Absolute deadline; queue wait counts against it.
-    pub deadline: Instant,
-}
-
 /// Service tuning knobs. Construct with [`ServiceConfig::new`] and adjust
 /// fields as needed; `nvhalt` is a template whose `heap_words` /
 /// `max_threads` are overridden per shard.
@@ -163,7 +155,8 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Worker threads per shard (each gets its own TM thread slot).
     pub workers_per_shard: usize,
-    /// Maximum requests coalesced into one durable transaction.
+    /// Maximum requests coalesced into one durable transaction, and per
+    /// 2PC round.
     pub batch_max: usize,
     /// Bounded queue depth per shard; beyond it requests are rejected
     /// with [`ServeError::Overloaded`].
@@ -369,7 +362,23 @@ pub(crate) struct Router {
 pub(crate) struct RouterInner {
     pub table: Arc<RoutingTable>,
     pub lanes: Arc<Vec<RingLane>>,
-    pub xqueue: Sender<XRequest>,
+    /// The 2PC drivers' queue, with the coordinator's metrics.
+    pub xlane: (Sender<ShardRequest>, Arc<CoordinatorMetrics>),
+}
+
+impl RouterInner {
+    /// Where a request over `ops` queues under this snapshot — its
+    /// shard's lane when every op routes to one shard, else the 2PC
+    /// drivers' queue — and the counter a full-queue refusal bumps.
+    pub fn lane(&self, ops: &[MapOp]) -> (&Sender<ShardRequest>, &Counter) {
+        let shard = self.table.route(op_key(ops[0]));
+        if ops.iter().all(|&op| self.table.route(op_key(op)) == shard) {
+            let lane = &self.lanes[shard];
+            (&lane.queue, &lane.metrics.rejected)
+        } else {
+            (&self.xlane.0, &self.xlane.1.rejected)
+        }
+    }
 }
 
 impl Router {
@@ -381,7 +390,7 @@ impl Router {
         r
     }
 
-    /// A coherent `(table, lanes, xqueue)` snapshot.
+    /// A coherent `(table, lanes, xlane)` snapshot.
     pub fn load(&self) -> RouterInner {
         self.inner.lock().clone()
     }
@@ -490,7 +499,7 @@ pub struct Service {
     shippers: Vec<JoinHandle<()>>,
     /// Receiver half of the cross-shard queue (the sender lives in the
     /// router), kept so teardown can drain it deterministically.
-    xqueue_rx: Receiver<XRequest>,
+    xqueue_rx: Receiver<ShardRequest>,
     xstop: Arc<AtomicBool>,
     xdrivers: Vec<JoinHandle<()>>,
     /// Service-wide ring metrics, shared by every ring over this service.
@@ -547,14 +556,15 @@ impl Service {
         probe: Arc<ProbeCell>,
         carried: Option<(Arc<Router>, Arc<RingMetrics>)>,
     ) -> Service {
-        let (xqueue, xqueue_rx) = channel::bounded::<XRequest>(cfg.queue_depth);
+        let (xqueue, xqueue_rx) = channel::bounded::<ShardRequest>(cfg.queue_depth);
+        let xlane = (xqueue, coord.metrics.clone());
         // The router must exist before the workers: they read it to
         // validate stale-epoch requests.
         let (router, ring_metrics) = carried.unwrap_or_else(|| {
             let router = Router::new(RouterInner {
                 table: table.clone(),
                 lanes: Arc::new(Vec::new()),
-                xqueue: xqueue.clone(),
+                xlane: xlane.clone(),
             });
             (Arc::new(router), Arc::default())
         });
@@ -598,7 +608,7 @@ impl Service {
         router.install(RouterInner {
             table,
             lanes,
-            xqueue,
+            xlane,
         });
         let front = Ring::attach(
             cfg.ring_slots,
@@ -855,7 +865,7 @@ impl Service {
     /// may be waiting for the follower's ack, which only a running
     /// shipper delivers. (A crash has already set `down`, which releases
     /// those waiters.)
-    pub(crate) fn halt_threads(&mut self) -> (Vec<shard::ShardRequest>, Vec<XRequest>) {
+    pub(crate) fn halt_threads(&mut self) -> Vec<ShardRequest> {
         self.xstop.store(true, Ordering::Release);
         for s in &self.shards {
             s.stop.store(true, Ordering::Release);
@@ -881,17 +891,17 @@ impl Service {
         // clone exists (user-held rings keep them connected); drain
         // explicitly so the requests resolve *now*, not whenever the
         // last ring is dropped.
-        let mut reqs = Vec::new();
-        for s in &self.shards {
-            while let Ok(r) = s.queue_rx.try_recv() {
-                reqs.push(r);
-            }
-        }
-        let mut xreqs = Vec::new();
-        while let Ok(r) = self.xqueue_rx.try_recv() {
-            xreqs.push(r);
-        }
-        (reqs, xreqs)
+        self.queued()
+    }
+
+    /// Take every request still queued, on the shard lanes and on the
+    /// 2PC drivers' queue.
+    pub(crate) fn queued(&self) -> Vec<ShardRequest> {
+        let lanes = self.shards.iter().map(|s| &s.queue_rx);
+        lanes
+            .chain([&self.xqueue_rx])
+            .flat_map(|rx| std::iter::from_fn(|| rx.try_recv().ok()))
+            .collect()
     }
 
     /// [`Service::halt_threads`], dropping the drained requests (their

@@ -388,28 +388,35 @@ metrics! {
         /// tallies must fold them in alongside the shard TMs').
         tm: StatsSnapshot
     ) {
-        /// Cross-shard batches attempted (any outcome).
+        /// Cross-shard requests that entered a 2PC round (any outcome).
         cross_batches: Counter,
-        /// Ops summed over attempted cross-shard batches.
+        /// Ops summed over those requests.
         cross_ops: Counter,
-        /// Prepare rounds that cancelled and were retried.
+        /// Prepare attempts that cancelled and were retried (one per
+        /// round attempt).
         cross_retries: Counter,
-        /// Batches answered `Aborted` (prepare retry budget exhausted).
+        /// Requests answered `Aborted` (prepare retry budget exhausted).
         abort_conflict: Counter,
-        /// Batches answered `Timeout` before their decision was logged.
+        /// Requests answered `Timeout` before their round's decision was
+        /// logged.
         abort_timeout: Counter,
+        /// Requests rejected at submit with `Overloaded` (2PC queue full).
+        rejected: Counter,
         /// Shard-transactions re-applied from the decision log at recovery.
         replayed: Counter,
-        /// Decision-log group commits (one committed log transaction each).
+        /// Decision-log transactions: one per committed 2PC round.
         decision_groups: Counter,
-        /// Decisions written across those group commits; the mean group
-        /// size `decisions_logged / decision_groups` is the fence
-        /// amortization factor of the 2PC commit point.
+        /// Requests those rounds decided; the mean round size
+        /// `decisions_logged / decision_groups` is the factor by which a
+        /// round's fences are shared.
         decisions_logged: Counter,
-        /// Latency of a successful prepare round (all participants).
+        /// Latency of a successful prepare attempt (all participants).
         prepare: Histogram,
         /// Latency from decision logged to the last participant's commit.
         commit: Histogram,
+        /// Request latency, enqueue to ack: the queue wait plus the
+        /// round's `prepare`, decision and `commit` times.
+        latency: Histogram,
     }
 }
 
@@ -607,7 +614,8 @@ impl fmt::Display for ServiceSnapshot {
             }
             writeln!(f)?;
         }
-        if self.coordinator.cross_batches > 0 || self.coordinator.replayed > 0 {
+        let c = &self.coordinator;
+        if c.cross_batches > 0 || c.replayed > 0 || c.rejected > 0 {
             writeln!(f, "2pc: {}", self.coordinator)?;
         }
         if self.ring.submitted > 0 {

@@ -45,9 +45,7 @@
 use crate::probe::Point;
 use crate::repl::{self, Follower, LogEntry, LogKind, ReplRuntime};
 use crate::shard::{ShardPool, ShardRequest};
-use crate::{
-    op_key, CrashDump, RouterInner, RoutingTable, ServeError, Service, XRequest, ROUTE_SLOTS,
-};
+use crate::{op_key, CrashDump, RouterInner, RoutingTable, ServeError, Service, ROUTE_SLOTS};
 use crossbeam::channel::TrySendError;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -267,7 +265,7 @@ impl Service {
 
         // ---- 4. Drain (the write pause starts here) ----------------------
         let pause_start = Instant::now();
-        let (mut reqs, mut xreqs) = self.halt_threads();
+        let mut reqs = self.halt_threads();
         // Quiescent now (workers, 2PC drivers and shippers joined): the
         // decision records are fully committed, the logs can no longer
         // grow.
@@ -338,24 +336,14 @@ impl Service {
         // landed in the husk's queues between our drain and the router
         // install; collect them, then drop the husk so any later
         // straggler sees `Disconnected` and the ring's reroute retry.
-        for s in &self.shards {
-            while let Ok(r) = s.queue_rx.try_recv() {
-                reqs.push(r);
-            }
-        }
-        while let Ok(r) = self.xqueue_rx.try_recv() {
-            xreqs.push(r);
-        }
+        reqs.extend(self.queued());
         drop(self);
         // Re-route the collected requests under the new table. A batch
         // that was same-shard under the old table may now straddle the
         // split — it goes to the 2PC drivers.
         let inner = svc.engine.router.load();
         for r in reqs {
-            requeue(&inner, r.ops, r.reply, r.deadline, r.enqueued);
-        }
-        for r in xreqs {
-            requeue(&inner, r.ops, r.reply, r.deadline, Instant::now());
+            requeue(&inner, r);
         }
         // The moved keys' source copies are unreachable under the new
         // table; sweep them (logged removes keep a replicating source's
@@ -458,46 +446,15 @@ fn apply_entries(target: &ShardPool, entries: &[LogEntry], mask: &[bool; ROUTE_S
 
 /// Route one collected request under the (new) table snapshot: back
 /// into its shard's lane when it is still single-shard, to the 2PC
-/// drivers when the flip split it. Queue-full answers `Overloaded`,
-/// exactly as a fresh submission would have been told.
-fn requeue(
-    inner: &RouterInner,
-    ops: Vec<MapOp>,
-    reply: crate::ring::RingCompletion,
-    deadline: Instant,
-    enqueued: Instant,
-) {
-    let table = &inner.table;
-    let shard = table.route(op_key(ops[0]));
-    if ops.iter().all(|&op| table.route(op_key(op)) == shard) {
-        let req = ShardRequest {
-            ops,
-            reply,
-            deadline,
-            enqueued,
-            epoch: table.epoch(),
-        };
-        match inner.lanes[shard].queue.try_send(req) {
-            Ok(()) => {}
-            Err(TrySendError::Full(req)) | Err(TrySendError::Disconnected(req)) => {
-                req.reply.send(Err(ServeError::Overloaded {
-                    retry_after: Duration::from_millis(1),
-                }));
-            }
-        }
-    } else {
-        let req = XRequest {
-            ops,
-            reply,
-            deadline,
-        };
-        match inner.xqueue.try_send(req) {
-            Ok(()) => {}
-            Err(TrySendError::Full(req)) | Err(TrySendError::Disconnected(req)) => {
-                req.reply.send(Err(ServeError::Overloaded {
-                    retry_after: Duration::from_millis(1),
-                }));
-            }
-        }
+/// drivers when the flip split it. Queue-full answers `Overloaded` and
+/// counts it, exactly as a fresh submission would have been told.
+fn requeue(inner: &RouterInner, mut req: ShardRequest) {
+    req.epoch = inner.table.epoch();
+    let (queue, rejected) = inner.lane(&req.ops);
+    if let Err(TrySendError::Full(req) | TrySendError::Disconnected(req)) = queue.try_send(req) {
+        rejected.inc();
+        req.reply.send(Err(ServeError::Overloaded {
+            retry_after: Duration::from_millis(1),
+        }));
     }
 }

@@ -32,7 +32,7 @@
 
 use crate::metrics::{RingMetrics, ShardMetrics};
 use crate::shard::ShardRequest;
-use crate::{op_key, Reply, Router, ServeError, XRequest, BACKOFF_BASE};
+use crate::{Reply, Router, ServeError, BACKOFF_BASE};
 use crossbeam::channel::{Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -322,7 +322,7 @@ impl Ring {
     /// starts completes with `Err(Timeout)` without running.
     pub fn submit_batch_deadline(
         &self,
-        mut ops: Vec<MapOp>,
+        ops: Vec<MapOp>,
         deadline: Duration,
     ) -> Result<Ticket, ServeError> {
         let now = Instant::now();
@@ -330,7 +330,7 @@ impl Ring {
             self.shared.metrics.ring_full.inc();
             return Err(ServeError::RingFull);
         };
-        let mut sink = RingCompletion {
+        let sink = RingCompletion {
             shared: self.shared.clone(),
             slot: ticket.slot,
             seq: ticket.seq,
@@ -340,96 +340,46 @@ impl Ring {
             sink.send(Ok(Vec::new()));
             return Ok(ticket);
         }
-        let deadline_at = now + deadline;
-        // One coherent (table, lanes, xqueue) snapshot per attempt: the
+        let mut req = ShardRequest {
+            ops,
+            reply: sink,
+            deadline: now + deadline,
+            enqueued: now,
+            epoch: 0,
+        };
+        // One coherent (table, lanes, xlane) snapshot per attempt: the
         // request is stamped with the snapshot's epoch and lands in that
         // epoch's queues, so a concurrent flip either sees it when it
         // drains the old queues or never races it at all.
         let mut snap = self.router.load();
         let mut attempts = 0usize;
-        loop {
-            let table = &snap.table;
-            let shard = table.route(op_key(ops[0]));
-            let single = ops.iter().all(|&op| table.route(op_key(op)) == shard);
-            if single {
-                let req = ShardRequest {
-                    ops,
-                    reply: sink,
-                    deadline: deadline_at,
-                    enqueued: now,
-                    epoch: table.epoch(),
-                };
-                match snap.lanes[shard].queue.try_send(req) {
-                    Ok(()) => return Ok(ticket),
-                    Err(TrySendError::Full(req)) => {
-                        snap.lanes[shard].metrics.rejected.inc();
-                        req.reply.defuse();
-                        drop(req);
-                        self.shared.cancel(ticket);
-                        return Err(ServeError::Overloaded {
-                            retry_after: BACKOFF_BASE,
-                        });
-                    }
-                    Err(TrySendError::Disconnected(req)) => {
-                        // A dead lane is either a torn-down service or a
-                        // migration flip that retired this snapshot's
-                        // queues; re-read the router and retry if the
-                        // epoch moved.
-                        let fresh = self.router.load();
-                        if fresh.table.epoch() != snap.table.epoch() && attempts < REROUTE_ATTEMPTS
-                        {
-                            let ShardRequest {
-                                ops: o, reply: r, ..
-                            } = req;
-                            ops = o;
-                            sink = r;
-                            snap = fresh;
-                            attempts += 1;
-                            continue;
-                        }
-                        req.reply.defuse();
-                        drop(req);
-                        self.shared.cancel(ticket);
-                        return Err(ServeError::Stopped);
-                    }
+        let (req, err) = loop {
+            req.epoch = snap.table.epoch();
+            let (queue, rejected) = snap.lane(&req.ops);
+            match queue.try_send(req) {
+                Ok(()) => return Ok(ticket),
+                Err(TrySendError::Full(r)) => {
+                    rejected.inc();
+                    let retry_after = BACKOFF_BASE;
+                    break (r, ServeError::Overloaded { retry_after });
                 }
-            } else {
-                let req = XRequest {
-                    ops,
-                    reply: sink,
-                    deadline: deadline_at,
-                };
-                match snap.xqueue.try_send(req) {
-                    Ok(()) => return Ok(ticket),
-                    Err(TrySendError::Full(req)) => {
-                        req.reply.defuse();
-                        drop(req);
-                        self.shared.cancel(ticket);
-                        return Err(ServeError::Overloaded {
-                            retry_after: BACKOFF_BASE,
-                        });
+                Err(TrySendError::Disconnected(r)) => {
+                    // A dead lane is either a torn-down service or a
+                    // migration flip that retired this snapshot's queues;
+                    // re-read the router and retry if the epoch moved.
+                    let fresh = self.router.load();
+                    if fresh.table.epoch() == snap.table.epoch() || attempts == REROUTE_ATTEMPTS {
+                        break (r, ServeError::Stopped);
                     }
-                    Err(TrySendError::Disconnected(req)) => {
-                        let fresh = self.router.load();
-                        if fresh.table.epoch() != snap.table.epoch() && attempts < REROUTE_ATTEMPTS
-                        {
-                            let XRequest {
-                                ops: o, reply: r, ..
-                            } = req;
-                            ops = o;
-                            sink = r;
-                            snap = fresh;
-                            attempts += 1;
-                            continue;
-                        }
-                        req.reply.defuse();
-                        drop(req);
-                        self.shared.cancel(ticket);
-                        return Err(ServeError::Stopped);
-                    }
+                    (req, snap) = (r, fresh);
+                    attempts += 1;
                 }
             }
-        }
+        };
+        req.reply.defuse();
+        drop(req);
+        self.shared.cancel(ticket);
+        Err(err)
     }
 
     /// Reap one completion, if any is ready. Non-blocking.

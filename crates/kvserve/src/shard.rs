@@ -13,7 +13,7 @@
 //! the in-flight requests' completion handles drop, which delivers
 //! [`ServeError::Stopped`] into their ring slots — never an ack.
 
-use crate::metrics::ShardMetrics;
+use crate::metrics::{Counter, ShardMetrics};
 use crate::probe::Point;
 use crate::repl::{self, LogKind, ReplRuntime};
 use crate::ring::RingCompletion;
@@ -131,10 +131,12 @@ impl ShardPool {
     }
 }
 
-/// One queued request: the ops to run atomically, the ring slot that
-/// receives the answer, its timing envelope, and the routing epoch the
-/// submitter routed under (workers reject stale-epoch requests whose
-/// keys no longer belong here — see [`ServeError::Rerouted`]).
+/// One queued request, on a shard's queue or the 2PC drivers': the ops
+/// to run atomically, the ring slot that receives the answer, its timing
+/// envelope, and the routing epoch the submitter routed under (workers
+/// reject stale-epoch requests whose keys no longer belong here — see
+/// [`ServeError::Rerouted`]; the drivers ignore it and partition under
+/// the current table).
 pub(crate) struct ShardRequest {
     pub ops: Vec<MapOp>,
     pub reply: RingCompletion,
@@ -218,39 +220,49 @@ fn worker(ctx: WorkerCtx) {
 }
 
 fn serve_loop(ctx: &WorkerCtx) {
-    while !ctx.stop.load(Ordering::Acquire) {
-        let first = match ctx.rx.recv_timeout(POLL) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        let mut batch = vec![first];
-        while batch.len() < ctx.batch_max {
-            match ctx.rx.try_recv() {
-                Ok(r) => batch.push(r),
-                Err(_) => break,
-            }
-        }
+    while let Some(batch) = next_batch(&ctx.rx, &ctx.stop, ctx.batch_max) {
         execute_batch(ctx, batch);
     }
 }
 
-/// Reply `Timeout` to expired requests, dropping them from the batch.
-fn shed_expired(ctx: &WorkerCtx, batch: &mut Vec<ShardRequest>) {
+/// The drain loop of both request queues, a shard's and the 2PC
+/// drivers': block for one request (re-checking `stop` every [`POLL`]),
+/// then take what is already queued, up to `batch_max` requests in all.
+/// There is no linger, so a lone request starts as soon as it arrives.
+/// `None` once `stop` is set or the queue is disconnected.
+pub(crate) fn next_batch(
+    rx: &Receiver<ShardRequest>,
+    stop: &AtomicBool,
+    batch_max: usize,
+) -> Option<Vec<ShardRequest>> {
+    while !stop.load(Ordering::Acquire) {
+        match rx.recv_timeout(POLL) {
+            Ok(first) => {
+                let mut batch = vec![first];
+                batch.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(batch_max - 1));
+                return Some(batch);
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return None,
+        }
+    }
+    None
+}
+
+/// Reply `Timeout` to expired requests, dropping them from the batch,
+/// and count them in `timeouts` — each before its reply, so a client
+/// that saw its `Timeout` also sees it counted.
+pub(crate) fn shed_expired(batch: &mut Vec<ShardRequest>, timeouts: &Counter) {
     let now = Instant::now();
-    let mut expired = 0u64;
     batch.retain(|r| {
         if r.deadline <= now {
+            timeouts.inc();
             r.reply.send(Err(ServeError::Timeout));
-            expired += 1;
             false
         } else {
             true
         }
     });
-    if expired > 0 {
-        ctx.metrics.timeouts.add(expired);
-    }
 }
 
 /// Reply `Rerouted` to requests routed under a stale table whose keys no
@@ -280,7 +292,7 @@ fn shed_rerouted(ctx: &WorkerCtx, batch: &mut Vec<ShardRequest>) {
 fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
     let mut retry = 0u32;
     loop {
-        shed_expired(ctx, &mut batch);
+        shed_expired(&mut batch, &ctx.metrics.timeouts);
         shed_rerouted(ctx, &mut batch);
         if batch.is_empty() {
             return;

@@ -6,20 +6,22 @@
 //! install a probe that fires exactly at that point, drive one request
 //! into it, recover the dump, and hold the store to an acked-write
 //! ledger. The pieces here — the point rotation, the single-point probe,
-//! the seeded PRNG, the sequential model, the pre-xor-post torn-batch
-//! check, key-placement helpers and the psan cleanliness assertion — are
-//! that shape, shared so the suites (`kvserve_crash`,
-//! `kvserve_cross_shard`, `kvserve_replication`, `kvserve_ring`,
-//! `kvserve_migrate`, `kvserve_net`) state only their protocol-specific
+//! the 2PC gate, the bounded verdict wait, the seeded PRNG, the
+//! sequential model, the pre-xor-post torn-batch check, key-placement
+//! helpers and the psan cleanliness assertion — are that shape, shared
+//! so the suites (`kvserve_crash`, `kvserve_cross_shard`,
+//! `kvserve_replication`, `kvserve_ring`, `kvserve_migrate`,
+//! `kvserve_net`, `persist_budget`) state only their protocol-specific
 //! expectations.
 
 // Each test binary compiles its own copy of this module and uses a
 // different subset of it.
 #![allow(dead_code)]
 
-use kvserve::{MapOp, Point, Probe, Service};
+use kvserve::{MapOp, Point, Probe, Reply, Ring, ServeError, Service, Ticket};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The deterministic crash-point rotation every sweep runs on:
@@ -42,6 +44,67 @@ pub fn fire_at(point: Point) -> Probe {
 pub fn fire_at_nth(point: Point, n: usize) -> Probe {
     let seen = std::sync::atomic::AtomicUsize::new(0);
     Arc::new(move |p| p == point && seen.fetch_add(1, std::sync::atomic::Ordering::AcqRel) + 1 >= n)
+}
+
+/// A gate over a service's 2PC drivers: the next round parks at
+/// [`Point::BeforePrepare`] until [`Gate::open`], so cross-shard
+/// requests submitted meanwhile queue up behind it. With `crash`, every
+/// later round crashes at that point. Installing a gate replaces the
+/// service's probe.
+pub struct Gate {
+    reached: mpsc::Receiver<()>,
+    release: mpsc::Sender<()>,
+}
+
+impl Gate {
+    pub fn install(svc: &Service, crash: Option<Point>) -> Gate {
+        let (reached_tx, reached) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let (reached_tx, release_rx) = (Mutex::new(reached_tx), Mutex::new(release_rx));
+        let rounds = AtomicUsize::new(0);
+        svc.set_probe(Some(Arc::new(move |p| {
+            if p == Point::BeforePrepare && rounds.fetch_add(1, Ordering::SeqCst) == 0 {
+                // A dropped gate lets the round through: a failed test
+                // never leaves a driver parked.
+                let _ = reached_tx.lock().unwrap().send(());
+                let _ = release_rx.lock().unwrap().recv();
+                return false;
+            }
+            rounds.load(Ordering::SeqCst) > 1 && Some(p) == crash
+        })));
+        Gate { reached, release }
+    }
+
+    /// Block until a round is parked at the gate; fail the test if none
+    /// is within [`VERDICT_WAIT`].
+    pub fn wait_parked(&self) {
+        self.reached
+            .recv_timeout(VERDICT_WAIT)
+            .expect("no 2PC round reached the gate");
+    }
+
+    /// Let the parked round go on.
+    pub fn open(&self) {
+        self.release.send(()).expect("a round is parked");
+    }
+}
+
+/// How long a test waits for a verdict (or a parked round) before it
+/// fails instead of hanging: far above any healthy wait, which takes
+/// milliseconds.
+pub const VERDICT_WAIT: Duration = Duration::from_secs(60);
+
+/// [`Ring::wait`] bounded by [`VERDICT_WAIT`]: a ticket that gets no
+/// verdict in time fails the test. A `Timeout` verdict delivered in time
+/// is returned as is.
+pub fn verdict(ring: &Ring, ticket: Ticket) -> Reply {
+    let by = Instant::now() + VERDICT_WAIT;
+    let reply = ring.wait_deadline(ticket, by);
+    assert!(
+        reply != Err(ServeError::Timeout) || Instant::now() < by,
+        "no verdict within {VERDICT_WAIT:?}"
+    );
+    reply
 }
 
 /// The suites' seeded PRNG (64-bit LCG, high bits): deterministic by

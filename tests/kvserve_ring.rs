@@ -158,6 +158,8 @@ fn reset_metrics_zeroes_every_layer_but_keeps_the_ring_levels() {
         .unwrap();
 
     // Both 2PC drivers park at their first step, one per release token.
+    // Each batch is submitted only once the previous one is parked:
+    // queued together, both would ride one driver's round.
     let (reached_tx, reached) = mpsc::channel();
     let (release, release_rx) = mpsc::channel::<()>();
     let (reached_tx, release_rx) = (Mutex::new(reached_tx), Mutex::new(release_rx));
@@ -173,11 +175,13 @@ fn reset_metrics_zeroes_every_layer_but_keeps_the_ring_levels() {
     let cross: Vec<Ticket> = (0..2)
         .map(|v| {
             let ops = vec![MapOp::Insert(a, v), MapOp::Insert(b, v)];
-            ring.submit_batch_deadline(ops, long).unwrap()
+            let t = ring.submit_batch_deadline(ops, long).unwrap();
+            reached
+                .recv_timeout(common::VERDICT_WAIT)
+                .expect("a 2PC driver parks");
+            t
         })
         .collect();
-    reached.recv().unwrap();
-    reached.recv().unwrap();
     // Three single-shard completions left unreaped (occupied peaks at 5).
     let single: Vec<Ticket> = (0..3)
         .map(|k| ring.submit(MapOp::Insert(100 + k, k)).unwrap())

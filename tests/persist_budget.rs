@@ -15,10 +15,15 @@
 //! | Trinity | 2       | 1      | same counted one-fence protocol over its redo entries |
 //! | SPHT    | 4       | 3      | record body+truncation pass, validity marker (fence each), marker-word advance (fence) — the paper's 2-fence-per-commit baseline plus marker traffic |
 //! | kvserve 2PC put, 2 shards | 14 | 5 | three TM commits: two prepared participants (staged, then committed: a fence each) and one decision-record write; nothing after the fan-out |
+//! | kvserve 2PC, 1 parked + 8 queued puts, 2 shards | 60 | 10 | two rounds of three TM commits each: the 8 queued puts share one round (measured 59 flushes; one round per put would pay 45 fences and 27 commits) |
 
-use kvserve::{MapOp, Service, ServiceConfig, ServiceSnapshot};
+mod common;
+
+use common::{verdict, Gate};
+use kvserve::{MapOp, Service, ServiceConfig, ServiceSnapshot, Ticket};
 use nv_halt::prelude::*;
 use nvhalt::NvHaltConfig;
+use std::time::Duration;
 use tm::stats::Counter;
 
 /// Flush/fence deltas for one committed put after `warmup` prior puts.
@@ -135,5 +140,54 @@ fn cross_shard_put_budget() {
         flushes <= 14 && fences <= 5 && commits == 3,
         "cross-shard put: {flushes} flushes / {fences} fences / {commits} \
          TM commits (budget 14 / 5 / exactly 3)"
+    );
+}
+
+/// A 2PC round carries every request queued behind it. One cross-shard
+/// put parks its round at the gate while 8 more queue
+/// through a ring; the 9 requests then cost two rounds — six TM commits
+/// and at most ten fences in all — where one round per request would
+/// pay 27 commits and 45 fences.
+#[test]
+fn cross_shard_round_budget() {
+    const QUEUED: usize = 8;
+    const FLUSHES: u64 = 60;
+    let mut cfg = ServiceConfig::new(2);
+    cfg.coordinators = 1;
+    let svc = Service::new(cfg);
+    let keys = |shard| {
+        (0..)
+            .filter(|&k| svc.shard_of(k) == shard)
+            .take(QUEUED + 1)
+            .collect::<Vec<u64>>()
+    };
+    let (left, right) = (keys(0), keys(1));
+    let ring = svc.ring();
+    let long = Duration::from_secs(30);
+    let puts = |v| {
+        let put = |i: usize| vec![MapOp::Insert(left[i], v), MapOp::Insert(right[i], v)];
+        let gate = Gate::install(&svc, None);
+        let parked = ring.submit_batch_deadline(put(0), long).unwrap();
+        gate.wait_parked();
+        let queued: Vec<Ticket> = (1..=QUEUED)
+            .map(|i| ring.submit_batch_deadline(put(i), long).unwrap())
+            .collect();
+        gate.open();
+        for t in std::iter::once(parked).chain(queued) {
+            verdict(&ring, t).unwrap();
+        }
+    };
+    // Warm-up: the keys exist, every thread has committed before, and
+    // the decision record has room for a 16-op round.
+    puts(0);
+    puts(1);
+    let before = service_persist(&svc.snapshot());
+    puts(2);
+    let after = service_persist(&svc.snapshot());
+    let (flushes, fences, commits) = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+    assert!(
+        flushes <= FLUSHES && fences <= 10 && commits == 6,
+        "1 parked + {QUEUED} queued cross-shard puts: {flushes} flushes / \
+         {fences} fences / {commits} TM commits (budget {FLUSHES} / 10 / exactly 6)"
     );
 }
