@@ -253,12 +253,11 @@ fn run_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, pace: Pace) ->
         events.push(("migration", block.field("worker_shed", shed)));
     }
     if sweep.repl {
-        // Lose every primary pool; the duration covers log recovery, tail
-        // apply, the durable promotion and the 2PC decision replay.
+        // Lose every primary pool; the duration covers recovering the
+        // follower pools and the decision log, and the 2PC decision replay.
         let (_, f) = Service::promote(svc.fail_over(), None).expect("no probe installed");
         let block = Json::obj()
             .field("secs", f.duration.as_secs_f64())
-            .field("tail_applied", f.tail_applied)
             .field("replayed", f.replayed);
         events.push(("failover", block));
     }

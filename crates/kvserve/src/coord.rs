@@ -449,10 +449,10 @@ fn round(eng: &Engine, mut members: Vec<ShardRequest>, slot: usize) {
     crash_at(eng, Point::Committed);
 
     // Semi-synchronous ack, as a shard worker's for its batch: wait
-    // until every participant's Prepare entry is durably in its
-    // follower's receive log, under the latest member deadline. A miss
-    // answers every member `Timeout` — the round committed, but a
-    // committed-yet-unacked request is legal.
+    // until every participant's Prepare entry is durably applied on its
+    // follower, under the latest member deadline. A miss answers every
+    // member `Timeout` — the round committed, but a committed-yet-unacked
+    // request is legal.
     if let Some(r) = rt {
         let deadline = members.iter().map(|r| r.deadline).max();
         let deadline = deadline.expect("a round keeps at least one member");

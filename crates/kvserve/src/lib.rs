@@ -181,15 +181,15 @@ pub struct ServiceConfig {
     pub log_heap_words: usize,
     /// Replicate each shard to a follower NV-HALT instance: mutations
     /// reach a durable per-shard op log inside their own transaction, a
-    /// shipper streams the log to the follower, and acks wait for the
-    /// durable follower receive (semi-synchronous). Enables
+    /// shipper applies the log on the follower, and acks wait for the
+    /// follower's durable apply (semi-synchronous). Enables
     /// [`Service::fail_over`] / [`Service::promote`].
     pub replication: bool,
     /// Group-commit window of the shipping threads: once woken, a
     /// shipper lingers this long before its round, so every op-log
     /// entry appended in the window rides the round's single follower
     /// commit (one flush pass, one fence) instead of costing its own.
-    /// Acks wait for the durable follower receive, so the window is a
+    /// Acks wait for the follower's durable apply, so the window is a
     /// deliberate latency-for-persist-traffic trade; zero disables it.
     pub ship_coalesce: Duration,
     /// NV-HALT template for each shard (variant, policy, latency model).
@@ -435,8 +435,6 @@ pub struct FailoverDump {
 pub struct FailoverReport {
     /// Wall-clock time from entering promotion to serving.
     pub duration: Duration,
-    /// Receive-log tail entries applied during promotion.
-    pub tail_applied: u64,
     /// Shard-transactions re-applied from the 2PC decision log.
     pub replayed: u64,
 }
@@ -482,7 +480,7 @@ impl Engine {
         self.coord.log.crash();
         if let Some(rt) = &self.repl {
             // Release semi-sync ack waiters immediately; with the primary
-            // gone nothing will ever advance the receive watermarks.
+            // gone nothing will ever advance the follower watermarks.
             for st in &rt.states {
                 st.down.store(true, Ordering::Release);
                 st.notify_all();
@@ -835,7 +833,6 @@ impl Service {
                         shard: i,
                         appended: st.appended.load(Ordering::Relaxed),
                         received: st.received.load(Ordering::Acquire),
-                        applied: st.applied.load(Ordering::Acquire),
                         settling: st.settling.load(Ordering::Acquire),
                     })
                     .collect(),
@@ -932,19 +929,14 @@ impl Service {
                 .iter()
                 .map(|cell| {
                     let f = cell.lock().take().expect("follower present until crash");
-                    f.image()
+                    f.pool.image()
                 })
                 .collect(),
             None => Vec::new(),
         };
         CrashDump {
             cfg: self.engine.cfg.clone(),
-            shards: self
-                .engine
-                .pools
-                .iter()
-                .map(|p| p.image(repl::PRIMARY_HDR_WORDS))
-                .collect(),
+            shards: self.engine.pools.iter().map(ShardPool::image).collect(),
             followers,
             log: self.engine.coord.image(),
         }
@@ -973,10 +965,12 @@ impl Service {
     }
 
     /// Promote the followers of a [`FailoverDump`] into a serving
-    /// service: finish applying each receive log's tail, durably commit
-    /// the promotion, replay the 2PC decision log over the promoted
-    /// shards, and start workers over the followers' pools. The promoted
-    /// service runs with replication off (it *is* the surviving replica).
+    /// service: recover the follower pools and the decision log, replay
+    /// the 2PC decision log over the recovered pools, and start workers
+    /// over them. A follower pool is already a disarmed primary pool
+    /// whose map holds everything it durably applied — every acked
+    /// write — so the promoted service serves it as it stands, with
+    /// replication off (it *is* the surviving replica).
     ///
     /// Dumps never carry a probe, so `probe` is asked between the
     /// promotion phases ([`Point::FAILOVER`]) and stays installed on the
@@ -994,80 +988,42 @@ impl Service {
             log,
         } = dump;
         let (coord, table, decisions) = log.recover(&cfg);
-        let fs: Vec<Follower> = followers
+        let pools: Vec<ShardPool> = followers
             .iter()
-            .map(|img| Follower {
-                pool: ShardPool::recover(&cfg, img),
-            })
+            .map(|img| ShardPool::recover(&cfg, img))
             .collect();
 
-        let crash = |fs: &[Follower], coord: &Coordinator| -> Box<PromotionCrash> {
-            for f in fs {
-                f.pool.tm.crash();
+        let crash = |pools: &[ShardPool], coord: &Coordinator| -> Box<PromotionCrash> {
+            for p in pools {
+                p.tm.crash();
             }
             coord.log.crash();
             Box::new(PromotionCrash {
                 dump: FailoverDump {
                     cfg: cfg.clone(),
-                    followers: fs.iter().map(Follower::image).collect(),
+                    followers: pools.iter().map(ShardPool::image).collect(),
                     log: coord.image(),
                 },
             })
         };
         let probe = Arc::new(ProbeCell::new(probe));
         if probe.fires(Point::Recovered) {
-            return Err(crash(&fs, &coord));
+            return Err(crash(&pools, &coord));
         }
 
-        // Finish applying each follower's received-but-unapplied tail:
-        // everything durably received was ackable, so it must be served.
-        let mut tail_applied = 0u64;
-        for f in &fs {
-            tail_applied += f.apply_batch(&f.pending()) as u64;
-        }
-        if probe.fires(Point::TailApplied) {
-            return Err(crash(&fs, &coord));
-        }
-
-        for f in &fs {
-            f.commit_promotion();
-        }
-        if probe.fires(Point::Promoted) {
-            return Err(crash(&fs, &coord));
-        }
-
-        // Each promoted shard gets a fresh (disarmed — the promoted
-        // service is its own surviving replica) op-log header; raw
-        // allocation is durably zero, so replay appends nothing to it.
-        // Nothing reads the old follower header after the promotion
-        // commit; the next recovery's allocator rebuild reclaims it.
-        let pools: Vec<ShardPool> = fs
-            .iter()
-            .map(|f| ShardPool {
-                hdr: f.pool.tm.alloc_raw(0, repl::PRIMARY_HDR_WORDS),
-                ..f.pool.clone()
-            })
-            .collect();
         // Finish cross-shard batches in flight at the failover: the
         // followers mirror the primaries' 2PC commit words (via Prepare
         // entries), so the same replay that repairs a restart repairs a
-        // promotion.
+        // promotion. The disarmed logs make it append nothing.
         let replayed = coord::replay(&coord, &pools, &table, &decisions);
         if probe.fires(Point::Replayed) {
-            return Err(crash(&fs, &coord));
-        }
-
-        // The receive logs are dead weight now: fully applied, and no
-        // primary left to re-ship from.
-        for f in &fs {
-            f.trim(u64::MAX);
+            return Err(crash(&pools, &coord));
         }
 
         let mut cfg2 = cfg;
         cfg2.replication = false;
         let report = FailoverReport {
             duration: start.elapsed(),
-            tail_applied,
             replayed,
         };
         Ok((
@@ -1081,8 +1037,8 @@ impl Service {
     /// primary keeps serving throughout (replicated writes time out while
     /// the follower is down); this re-runs TM recovery over the crashed
     /// follower, rebuilds its allocator, restores the ship watermarks
-    /// from the durable words, and wakes the shipper, which re-ships the
-    /// un-received tail from the primary's log.
+    /// from the durable watermark, and wakes the shipper, which re-ships
+    /// the unapplied tail from the primary's log.
     pub fn recover_follower(&self) {
         let rt = self
             .engine
@@ -1095,13 +1051,12 @@ impl Service {
             if !crashed {
                 continue;
             }
-            let img = cell.take().expect("checked above").image();
+            let img = cell.take().expect("checked above").pool.image();
             let nf = Follower {
                 pool: ShardPool::recover(&self.engine.cfg, &img),
             };
             let st = &rt.states[s];
-            st.received.store(nf.received_raw(), Ordering::Release);
-            st.applied.store(nf.applied_lsn(), Ordering::Release);
+            st.received.store(nf.applied_lsn(), Ordering::Release);
             *cell = Some(nf);
             st.down.store(false, Ordering::Release);
             st.signal_work();
@@ -1471,7 +1426,8 @@ mod tests {
             assert_eq!(svc.get(k), Ok(Some(k + 1)));
         }
         // Acks are semi-synchronous: everything acked is already durably
-        // received, and the apply lag drains within a few ship intervals.
+        // on the follower, and the last round settles within a few ship
+        // intervals.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let repl = svc.snapshot().replication.expect("replication on");
@@ -1479,7 +1435,7 @@ mod tests {
             if repl.lag() == 0 {
                 break;
             }
-            assert!(Instant::now() < deadline, "apply lag never drained: {repl}");
+            assert!(Instant::now() < deadline, "lag never drained: {repl}");
             std::thread::sleep(Duration::from_millis(1));
         }
     }

@@ -436,19 +436,17 @@ impl ShardSnapshot {
     }
 }
 
-/// Point-in-time view of one shard's replication pipeline: the three
-/// LSN watermarks. `appended ≥ received ≥ applied` always; the gaps are
-/// the shipping and apply lags.
+/// Point-in-time view of one shard's replication pipeline: the two
+/// LSN watermarks. `appended ≥ received` always; the gap is the
+/// shipping lag.
 #[derive(Clone, Copy, Debug)]
 pub struct ReplShardSnapshot {
     /// Shard index.
     pub shard: usize,
     /// Highest LSN durably appended to the primary's op log.
     pub appended: u64,
-    /// Highest LSN durably staged in the follower's receive log.
+    /// Highest LSN durably applied on the follower (its watermark).
     pub received: u64,
-    /// Highest LSN durably applied into the follower's maps.
-    pub applied: u64,
     /// A shipping round is mid-flight: its watermark stores may have
     /// landed while its trailing work (trim, crash checkpoints) has
     /// not run yet. Quiescence means zero lag *and* no round in
@@ -458,25 +456,17 @@ pub struct ReplShardSnapshot {
 }
 
 impl ReplShardSnapshot {
-    /// Entries appended but not yet durably received by the follower
+    /// Entries appended but not yet durably applied by the follower
     /// (what a failover at this instant could lose acks over — zero for
     /// acked writes, which waited out this gap).
     pub fn ship_lag(&self) -> u64 {
         self.appended.saturating_sub(self.received)
     }
 
-    /// Entries received but not yet applied (what promotion's tail
-    /// apply has to finish).
-    pub fn apply_lag(&self) -> u64 {
-        self.received.saturating_sub(self.applied)
-    }
-
-    /// Total entries the follower's applied state is behind the primary,
-    /// counting a mid-flight shipping round as one outstanding entry.
+    /// [`ReplShardSnapshot::ship_lag`], counting a mid-flight shipping
+    /// round as one outstanding entry.
     pub fn lag(&self) -> u64 {
-        self.appended
-            .saturating_sub(self.applied)
-            .max(u64::from(self.settling))
+        self.ship_lag().max(u64::from(self.settling))
     }
 }
 
@@ -498,11 +488,7 @@ impl fmt::Display for ReplSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "repl: lag={}", self.lag())?;
         for s in &self.shards {
-            write!(
-                f,
-                " s{}[app={} recv={} appl={}]",
-                s.shard, s.appended, s.received, s.applied
-            )?;
+            write!(f, " s{}[app={} recv={}]", s.shard, s.appended, s.received)?;
         }
         Ok(())
     }

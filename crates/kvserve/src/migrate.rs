@@ -293,10 +293,10 @@ impl Service {
             // carries it (and its follower) next to the old shards.
             let mut dump = self.crash();
             target.tm.crash();
-            dump.shards.push(target.image(repl::PRIMARY_HDR_WORDS));
+            dump.shards.push(target.image());
             if let Some(f) = &tfollower {
                 f.pool.tm.crash();
-                dump.followers.push(f.image());
+                dump.followers.push(f.pool.image());
             }
             dump.cfg.shards += 1;
             return Err(Box::new(MigrateCrash { dump }));

@@ -46,23 +46,18 @@ pub enum Point {
     /// Replication worker: the batch and its log entry committed on the
     /// primary, the follower ack not yet in.
     AfterAppend,
-    /// Replication shipper: new primary entries read, nothing received.
+    /// Replication shipper: new primary entries read, nothing applied
+    /// on the follower.
     BeforeReceive,
-    /// Replication shipper: entries durably received by the follower.
+    /// Replication shipper: the entries durably applied by the follower
+    /// and its watermark advanced (the acks released).
     Received,
-    /// Replication shipper: first pending entry applied, the rest maybe
-    /// not.
-    MidApply,
-    /// Replication shipper: every pending entry applied and both logs
-    /// trimmed.
+    /// Replication shipper: the round finished, the primary log's
+    /// amortized trim included.
     Applied,
-    /// Promotion: follower TMs and the decision log recovered, tail not
-    /// applied.
+    /// Promotion: follower TMs and the decision log recovered, nothing
+    /// replayed.
     Recovered,
-    /// Promotion: the receive-log tail fully applied.
-    TailApplied,
-    /// Promotion: durably committed (role word flipped).
-    Promoted,
     /// Promotion: decision-log replay over the promoted shards finished.
     Replayed,
     /// Migration: target TM, maps, log header (and follower) created;
@@ -113,24 +108,18 @@ impl Point {
     /// The replication points, in protocol order. Worker points poison
     /// the *primary* pools — the failure shape failover exists for;
     /// shipper points poison only that shard's *follower* pool.
-    pub const REPL: [Point; 6] = [
+    pub const REPL: [Point; 5] = [
         Point::BeforeAppend,
         Point::AfterAppend,
         Point::BeforeReceive,
         Point::Received,
-        Point::MidApply,
         Point::Applied,
     ];
 
     /// The phases a promotion can crash between. A crashed promotion
     /// returns a fresh dump, and promoting it again completes the
     /// failover: every phase is idempotent.
-    pub const FAILOVER: [Point; 4] = [
-        Point::Recovered,
-        Point::TailApplied,
-        Point::Promoted,
-        Point::Replayed,
-    ];
+    pub const FAILOVER: [Point; 2] = [Point::Recovered, Point::Replayed];
 
     /// The live-migration points, in protocol order. A crash before
     /// [`Point::FlipLogged`] recovers to the **old** topology; from

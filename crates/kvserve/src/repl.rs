@@ -33,27 +33,23 @@
 //!
 //! ## Shipping
 //!
-//! One shipper thread per shard drives the follower's own NV-HALT
-//! instance. In steady state a whole ship round is **one follower
-//! transaction**: every new primary entry is applied straight into the
-//! follower's data map and both `received_lsn` and `applied_lsn`
-//! advance together under that single commit — one flush pass, one
-//! fence, amortized over however many entries the round picked up, and
-//! nothing staged in the receive log that would need trimming later.
-//! Receiving and applying atomically is strictly stronger than the
-//! ack contract needs (an acked write must be durably *received*), so
-//! every crash point of the old receive-then-apply protocol remains
-//! covered. The two-stage path (`Follower::receive_batch` then
-//! `Follower::apply_entry`) survives for recovery catch-up: a
-//! repaired follower may hold a received-but-unapplied tail, which the
-//! next round drains — batched, in one transaction — before fusing.
+//! A follower is a *disarmed primary pool*: its header has the same
+//! `[head, last_lsn, armed]` shape, with an empty log and `armed` 0, and
+//! its `last_lsn` is its one durable watermark — the highest primary LSN
+//! applied into its map and commit words. One shipper thread per shard
+//! drives the follower's own NV-HALT instance, and a ship round is **one
+//! follower transaction** ([`Follower::ingest`]): every new primary entry
+//! is applied straight into the follower's map and the watermark
+//! advances under that single commit — one flush pass, one fence,
+//! amortized over however many entries the round picked up.
 //!
 //! Acks are **semi-synchronous**: a worker (or 2PC coordinator) only
-//! acks once the follower's `received_lsn` durably covers its entry, so
+//! acks once the follower's watermark durably covers its entry, so
 //! every acked write survives losing *either* pool. The primary log is
 //! trimmed behind the shipped watermark, amortized over
 //! `PRIMARY_TRIM_BATCH` entries so retirement does not cost a commit
-//! (flush pass + fence) per round.
+//! (flush pass + fence) per round. Promotion serves the follower pools
+//! as they stand: their disarmed headers are already primary headers.
 //!
 //! ## Crash injection
 //!
@@ -64,7 +60,7 @@
 //! top-level `kvserve_replication` suite sweeps all of them.
 
 use crate::probe::{Point, ProbeCell};
-use crate::shard::{PoolImage, ShardPool};
+use crate::shard::ShardPool;
 use crate::ServiceConfig;
 use nvhalt::NvHalt;
 use parking_lot::{Condvar, Mutex};
@@ -75,7 +71,8 @@ use std::time::{Duration, Instant};
 use tm::{Abort, Addr, Tm, Txn};
 use txstructs::MapOp;
 
-/// Primary log header layout: `[head, last_lsn, armed]`.
+/// Log header layout, the same on every shard pool: `[head, last_lsn,
+/// armed]`. A follower's `last_lsn` is its applied watermark.
 pub(crate) const P_HEAD: u64 = 0;
 pub(crate) const P_LAST: u64 = 1;
 /// Durable arming word: appenders log their mutations only while it is
@@ -86,20 +83,8 @@ pub(crate) const P_LAST: u64 = 1;
 /// against every batch — no batch can commit unlogged after the arming
 /// transaction commits.
 pub(crate) const P_ARMED: u64 = 2;
-/// Words in a primary shard's log header block.
-pub(crate) const PRIMARY_HDR_WORDS: usize = 3;
-
-/// Follower header layout: `[recv_head, received_lsn, applied_lsn, role]`.
-const F_HEAD: u64 = 0;
-const F_RECEIVED: u64 = 1;
-const F_APPLIED: u64 = 2;
-const F_ROLE: u64 = 3;
-/// Words in a follower's header block.
-pub(crate) const FOLLOWER_HDR_WORDS: usize = 4;
-
-/// Role word once a promotion has durably committed (a fresh follower's
-/// header is raw-allocated, so its role word reads 0).
-const ROLE_PRIMARY: u64 = 1;
+/// Words in a shard pool's log header block.
+pub(crate) const HDR_WORDS: usize = 3;
 
 /// Log entry layout (word offsets within an entry block):
 /// `[next, lsn, meta, tagword × ⌈nops/32⌉, (key, val) × nops]`.
@@ -324,19 +309,6 @@ pub(crate) fn armed_raw(tm: &NvHalt, hdr: Addr) -> bool {
     tm.read_raw(hdr.offset(P_ARMED)) != 0
 }
 
-/// Replay one log entry's effect through the follower's transactional
-/// structures — the shared core of [`Follower::apply_entry`],
-/// [`Follower::apply_batch`], and [`Follower::receive_apply_batch`].
-fn apply_ops_in(tx: &mut dyn Txn, pool: &ShardPool, e: &LogEntry) -> Result<(), Abort> {
-    for &op in &e.ops {
-        pool.map.apply_in(tx, op)?;
-    }
-    if e.kind == LogKind::Prepare {
-        tx.write(pool.commits.offset(e.slot), e.txid)?;
-    }
-    Ok(())
-}
-
 fn read_entry_in<Tx: Txn + ?Sized>(tx: &mut Tx, a: Addr) -> Result<LogEntry, Abort> {
     let meta = tx.read(a.offset(L_META))?;
     let nops = meta_nops(meta);
@@ -389,9 +361,10 @@ pub(crate) fn read_after(tm: &NvHalt, tid: usize, head: Addr, after: u64) -> Opt
 }
 
 /// Unlink and free every entry with `lsn <= upto` (the strictly
-/// descending suffix of the newest-first list rooted at `head`). Both
-/// logs are trimmed behind durable watermarks, so a trimmed entry is
-/// never needed again. Best-effort under contention.
+/// descending suffix of the newest-first list rooted at `head`). The
+/// log is trimmed behind the follower's durable watermark (or a
+/// migration's replay cursor), so a trimmed entry is never needed
+/// again. Best-effort under contention.
 pub(crate) fn trim_through(tm: &NvHalt, tid: usize, head: Addr, upto: u64) {
     let _ = tm::txn(tm, tid, |tx| {
         if tx.attempt() >= READ_FUEL {
@@ -423,9 +396,9 @@ pub(crate) fn trim_through(tm: &NvHalt, tid: usize, head: Addr, upto: u64) {
     });
 }
 
-/// Raw walk of the list rooted at `head` (word 0 of either header:
-/// [`P_HEAD`] = `F_HEAD`): `(addr, words)` per entry, for allocator
-/// rebuilds. Only valid on a quiescent TM.
+/// Raw walk of the list rooted at `head` (the header's [`P_HEAD`]
+/// word): `(addr, words)` per entry, for allocator rebuilds. Only valid
+/// on a quiescent TM.
 pub(crate) fn walk_blocks_raw(tm: &NvHalt, head: Addr) -> Vec<(u64, usize)> {
     let mut out = Vec::new();
     let mut a = Addr(tm.read_raw(head));
@@ -437,7 +410,8 @@ pub(crate) fn walk_blocks_raw(tm: &NvHalt, head: Addr) -> Vec<(u64, usize)> {
     out
 }
 
-/// The last LSN durably appended to a primary log. Quiescent only.
+/// The header's durable `last_lsn`: the last LSN appended to a primary's
+/// log, a follower's applied watermark. Quiescent only.
 pub(crate) fn last_lsn_raw(tm: &NvHalt, hdr: Addr) -> u64 {
     tm.read_raw(hdr.offset(P_LAST))
 }
@@ -446,11 +420,11 @@ pub(crate) fn last_lsn_raw(tm: &NvHalt, hdr: Addr) -> u64 {
 // Follower
 // ---------------------------------------------------------------------
 
-/// A shard's follower: its own shard pool, whose map and commit words
-/// mirror the primary's and whose header holds the receive log and the
-/// durable `received`/`applied` watermarks. Only the shard's shipper
-/// thread (or promotion, with the shipper gone) touches it, always as TM
-/// thread 0.
+/// A shard's follower: a disarmed primary pool whose map and commit
+/// words mirror the primary's and whose header's `last_lsn` is the
+/// durable applied watermark. Only the shard's shipper thread (or
+/// promotion or a migration, with the shipper gone) touches it, always
+/// as TM thread 0.
 pub struct Follower {
     pub(crate) pool: ShardPool,
 }
@@ -459,11 +433,11 @@ pub struct Follower {
 const FOLLOWER_TID: usize = 0;
 
 impl Follower {
-    /// Fresh follower for `cfg`'s shards: empty maps, zero watermarks
-    /// (raw allocation is durably zero; zero is also the follower role).
+    /// Fresh follower for `cfg`'s shards: an empty map, zero commit
+    /// words and a zero (disarmed, empty) header.
     pub(crate) fn create(cfg: &ServiceConfig) -> Follower {
         Follower {
-            pool: ShardPool::create(cfg, FOLLOWER_HDR_WORDS),
+            pool: ShardPool::create(cfg),
         }
     }
 
@@ -477,189 +451,45 @@ impl Follower {
         Follower::create(&cfg)
     }
 
-    /// Capture a crashed follower's durable remains.
-    pub(crate) fn image(&self) -> PoolImage {
-        self.pool.image(FOLLOWER_HDR_WORDS)
-    }
-
-    /// Durable `received_lsn`. Quiescent only.
-    pub(crate) fn received_raw(&self) -> u64 {
-        self.pool.tm.read_raw(self.pool.hdr.offset(F_RECEIVED))
-    }
-
-    /// Durable `applied_lsn`. Quiescent only.
+    /// The durable applied watermark. Quiescent only.
     pub fn applied_lsn(&self) -> u64 {
-        self.pool.tm.read_raw(self.pool.hdr.offset(F_APPLIED))
+        last_lsn_raw(&self.pool.tm, self.pool.hdr)
     }
 
-    /// Stage a slice of entries (ascending by LSN) into the receive log
-    /// and advance the durable `received_lsn` to the last one — all in
-    /// **one transaction**, so a whole ship round's worth of entries
-    /// costs one commit (one flush pass, one fence) instead of one per
-    /// entry. Entries at or below the watermark are skipped (idempotent
-    /// re-ship after a follower recovery). Returns how many entries were
-    /// actually staged.
-    pub(crate) fn receive_batch(&self, entries: &[LogEntry]) -> usize {
+    /// The follower's one commit: apply the entries (ascending by LSN)
+    /// above the watermark through the same [`txstructs::HashMapTx`]
+    /// path the primary used, mirror each `Prepare`'s commit word, and
+    /// advance the watermark to the last entry — all in **one
+    /// transaction**, so a whole ship round costs one flush pass and one
+    /// fence. Entries at or below the watermark are skipped, which makes
+    /// a re-send after a follower recovery a no-op. Followed by a psan
+    /// durability point: the applied state must be fully fenced before
+    /// the watermark releases any ack. Returns the durable watermark.
+    pub fn ingest(&self, entries: &[LogEntry]) -> u64 {
         debug_assert!(entries.windows(2).all(|w| w[0].lsn < w[1].lsn));
-        tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
-            let watermark = tx.read(self.pool.hdr.offset(F_RECEIVED))?;
-            let fresh: Vec<&LogEntry> = entries.iter().filter(|e| e.lsn > watermark).collect();
+        let pool = &self.pool;
+        let watermark = tm::txn(&*pool.tm, FOLLOWER_TID, |tx| {
+            let watermark = tx.read(pool.hdr.offset(P_LAST))?;
+            let fresh = &entries[entries.partition_point(|e| e.lsn <= watermark)..];
             let Some(last) = fresh.last() else {
-                return Ok(0);
+                return Ok(watermark);
             };
-            for e in &fresh {
-                let a = tx.alloc(e.words())?;
-                write_entry_in(tx, a, e.lsn, e.kind, e.slot, e.txid, &e.ops)?;
-                let prev = tx.read(self.pool.hdr.offset(F_HEAD))?;
-                tx.write(a.offset(L_NEXT), prev)?;
-                tx.write(self.pool.hdr.offset(F_HEAD), a.0)?;
-            }
-            tx.write(self.pool.hdr.offset(F_RECEIVED), last.lsn)?;
-            Ok(fresh.len())
-        })
-        .expect("follower transactions never cancel")
-    }
-
-    /// Steady-state ship round: apply a slice of fresh entries
-    /// (ascending by LSN) straight into the data map and advance
-    /// `received_lsn` *and* `applied_lsn` to the last one, all in **one
-    /// transaction** — the whole round costs one flush pass and one
-    /// fence, and leaves nothing in the receive log to trim. Entries at
-    /// or below the received watermark are skipped (idempotent re-ship
-    /// after a follower recovery). Refuses to fuse — receiving nothing —
-    /// while a received-but-unapplied tail exists (the caller must
-    /// drain it via [`Follower::apply_batch`] first, or the fused
-    /// watermark bump would skip it). Returns the durable
-    /// `(received_lsn, applied_lsn)` pair after the commit, for the
-    /// caller's volatile mirrors.
-    pub(crate) fn receive_apply_batch(&self, entries: &[LogEntry]) -> (u64, u64) {
-        debug_assert!(entries.windows(2).all(|w| w[0].lsn < w[1].lsn));
-        tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
-            let received = tx.read(self.pool.hdr.offset(F_RECEIVED))?;
-            let applied = tx.read(self.pool.hdr.offset(F_APPLIED))?;
-            if applied != received {
-                return Ok((received, applied));
-            }
-            let fresh: Vec<&LogEntry> = entries.iter().filter(|e| e.lsn > received).collect();
-            let Some(last) = fresh.last() else {
-                return Ok((received, applied));
-            };
-            for e in &fresh {
-                apply_ops_in(tx, &self.pool, e)?;
-            }
-            tx.write(self.pool.hdr.offset(F_RECEIVED), last.lsn)?;
-            tx.write(self.pool.hdr.offset(F_APPLIED), last.lsn)?;
-            Ok((last.lsn, last.lsn))
-        })
-        .expect("follower transactions never cancel")
-    }
-
-    /// Apply a slice of already-received entries (ascending by LSN) and
-    /// advance the durable `applied_lsn` to the last one, in **one
-    /// transaction** — recovery catch-up and promotion tail-apply cost
-    /// one commit however long the tail is. Entries at or below the
-    /// applied watermark are skipped. Returns how many were applied.
-    pub(crate) fn apply_batch(&self, entries: &[LogEntry]) -> usize {
-        debug_assert!(entries.windows(2).all(|w| w[0].lsn < w[1].lsn));
-        let applied = tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
-            let watermark = tx.read(self.pool.hdr.offset(F_APPLIED))?;
-            let fresh: Vec<&LogEntry> = entries.iter().filter(|e| e.lsn > watermark).collect();
-            let Some(last) = fresh.last() else {
-                return Ok(0);
-            };
-            for e in &fresh {
-                apply_ops_in(tx, &self.pool, e)?;
-            }
-            tx.write(self.pool.hdr.offset(F_APPLIED), last.lsn)?;
-            Ok(fresh.len())
-        })
-        .expect("follower transactions never cancel");
-        if applied > 0 {
-            if let Some(p) = self.pool.tm.pmem().pool().psan() {
-                p.durability_point(FOLLOWER_TID, "kvserve::repl::applied_lsn");
-            }
-        }
-        applied
-    }
-
-    /// Received-but-unapplied entries, ascending by LSN.
-    pub(crate) fn pending(&self) -> Vec<LogEntry> {
-        tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
-            let applied = tx.read(self.pool.hdr.offset(F_APPLIED))?;
-            let mut out = Vec::new();
-            let mut a = Addr(tx.read(self.pool.hdr.offset(F_HEAD))?);
-            while !a.is_null() {
-                if tx.read(a.offset(L_LSN))? <= applied {
-                    break;
+            for e in fresh {
+                for &op in &e.ops {
+                    pool.map.apply_in(tx, op)?;
                 }
-                out.push(read_entry_in(tx, a)?);
-                a = Addr(tx.read(a.offset(L_NEXT))?);
+                if e.kind == LogKind::Prepare {
+                    tx.write(pool.commits.offset(e.slot), e.txid)?;
+                }
             }
-            out.reverse();
-            Ok(out)
-        })
-        .expect("follower transactions never cancel")
-    }
-
-    /// Apply one entry through the same [`txstructs::HashMapTx`] path
-    /// the primary used and advance the durable `applied_lsn` in the
-    /// same transaction (the watermark check is what makes
-    /// re-application idempotent). Followed by a psan durability point:
-    /// the applied state must be fully fenced before the watermark can
-    /// be trusted. Returns whether the entry was actually applied.
-    pub(crate) fn apply_entry(&self, e: &LogEntry) -> bool {
-        let applied = tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
-            if tx.read(self.pool.hdr.offset(F_APPLIED))? >= e.lsn {
-                return Ok(false);
-            }
-            apply_ops_in(tx, &self.pool, e)?;
-            tx.write(self.pool.hdr.offset(F_APPLIED), e.lsn)?;
-            Ok(true)
+            tx.write(pool.hdr.offset(P_LAST), last.lsn)?;
+            Ok(last.lsn)
         })
         .expect("follower transactions never cancel");
-        if let Some(p) = self.pool.tm.pmem().pool().psan() {
+        if let Some(p) = pool.tm.pmem().pool().psan() {
             p.durability_point(FOLLOWER_TID, "kvserve::repl::applied_lsn");
         }
-        applied
-    }
-
-    /// Drop every receive-log entry at or below `upto`, an applied
-    /// watermark (`u64::MAX` drops the whole log).
-    pub(crate) fn trim(&self, upto: u64) {
-        let head = self.pool.hdr.offset(F_HEAD);
-        trim_through(&self.pool.tm, FOLLOWER_TID, head, upto);
-    }
-
-    /// Durably mark this follower promoted, then assert the promotion
-    /// record is fully fenced.
-    pub(crate) fn commit_promotion(&self) {
-        tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
-            tx.write(self.pool.hdr.offset(F_ROLE), ROLE_PRIMARY)
-        })
-        .expect("follower transactions never cancel");
-        if let Some(p) = self.pool.tm.pmem().pool().psan() {
-            p.durability_point(FOLLOWER_TID, "kvserve::repl::promotion_commit");
-        }
-        debug_assert_eq!(
-            self.pool.tm.read_raw(self.pool.hdr.offset(F_ROLE)),
-            ROLE_PRIMARY
-        );
-    }
-
-    /// Receive and apply a slice of log entries, as the shipper would.
-    /// Test surface for the applied-LSN idempotence property: any split
-    /// of a log into `ingest` calls — including overlapping re-sends —
-    /// must converge to the same state as one whole-log call.
-    pub fn ingest(&self, entries: &[LogEntry]) {
-        self.receive_batch(entries);
-        for e in self.pending() {
-            self.apply_entry(&e);
-        }
-        let applied = tm::txn(&*self.pool.tm, FOLLOWER_TID, |tx| {
-            tx.read(self.pool.hdr.offset(F_APPLIED))
-        })
-        .expect("follower transactions never cancel");
-        self.trim(applied);
+        watermark
     }
 
     /// The mirrored data map's contents, sorted by key. Quiescent only.
@@ -688,10 +518,8 @@ impl Follower {
 pub(crate) struct ShipState {
     /// Highest LSN durably appended on the primary (worker-maintained).
     pub appended: AtomicU64,
-    /// Highest LSN durably in the follower's receive log.
+    /// Highest LSN durably applied on the follower (its watermark).
     pub received: AtomicU64,
-    /// Highest LSN durably applied on the follower.
-    pub applied: AtomicU64,
     /// The follower pool is crashed; ack waiters fail fast instead of
     /// burning their deadlines.
     pub down: AtomicBool,
@@ -717,7 +545,7 @@ pub(crate) struct ShipState {
 
 /// Retire shipped primary-log entries only once this many have
 /// accumulated past the last trim: trimming is pure garbage collection
-/// (the follower has durably received everything at or below the
+/// (the follower has durably applied everything at or below the
 /// watermark), so paying its commit — a flush pass and a fence — every
 /// round would be persist traffic for nothing. The lag bounds the
 /// garbage, not the correctness.
@@ -732,7 +560,6 @@ impl ShipState {
         let state = ShipState {
             appended: AtomicU64::new(0),
             received: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
             down: AtomicBool::new(false),
             hold: AtomicU64::new(u64::MAX),
             dirty: AtomicBool::new(false),
@@ -757,7 +584,7 @@ impl ShipState {
         self.notify_all();
     }
 
-    /// Block until the follower durably received `lsn`, the deadline
+    /// Block until the follower durably applied `lsn`, the deadline
     /// passes, or the follower goes down. The ack decision.
     pub fn wait_received(&self, lsn: u64, deadline: Instant) -> bool {
         loop {
@@ -830,8 +657,7 @@ impl ReplRuntime {
                 let st = ShipState::new();
                 st.appended
                     .store(last_lsn_raw(&p.tm, p.hdr), Ordering::Relaxed);
-                st.received.store(f.received_raw(), Ordering::Relaxed);
-                st.applied.store(f.applied_lsn(), Ordering::Relaxed);
+                st.received.store(f.applied_lsn(), Ordering::Relaxed);
                 Arc::new(st)
             })
             .collect();
@@ -899,19 +725,13 @@ fn shipper(rt: &ReplRuntime, s: usize) {
         state.settling.store(true, Ordering::Release);
         let round = tm::crash::run_crashable(|| ship_round(rt, s));
         state.settling.store(false, Ordering::Release);
-        match round {
-            Some(()) => {}
-            None => {
-                // A pool died mid-round. A dead primary means the whole
-                // service is crashing or failing over — exit so the
-                // teardown can join us. A dead follower just parks the
-                // shard's shipping until `recover_follower`.
-                if rt.primaries[s].tm.pmem().pool().is_crashed() {
-                    return;
-                }
-                state.down.store(true, Ordering::Release);
-                state.notify_all();
-            }
+        // A pool died mid-round. A dead primary means the whole service
+        // is crashing or failing over — exit so the teardown can join
+        // us. A dead follower is marked down by the next round, which
+        // holds the follower cell: marking it here, outside the cell,
+        // could undo a `recover_follower` that ran since the crash.
+        if round.is_none() && rt.primaries[s].tm.pmem().pool().is_crashed() {
+            return;
         }
         state.wait_work(SHIP_INTERVAL, &rt.stop);
         // Group commit across worker batches: linger so every entry
@@ -924,14 +744,10 @@ fn shipper(rt: &ReplRuntime, s: usize) {
     }
 }
 
-/// One shipping round for shard `s`. Steady state is a single follower
-/// commit: the round's fresh primary entries are applied straight into
-/// the follower's data map with both watermarks advanced under one
-/// fence ([`Follower::receive_apply_batch`]), and the primary log is
-/// retired behind the shipped watermark only every
-/// [`PRIMARY_TRIM_BATCH`] entries. A received-but-unapplied tail (left
-/// by a follower recovery) is drained first — batched, one commit —
-/// so the fused path never skips it.
+/// One shipping round for shard `s`: the round's fresh primary entries
+/// commit on the follower in one transaction ([`Follower::ingest`]),
+/// the new watermark releases the ack waiters, and the primary log is
+/// retired behind it only every [`PRIMARY_TRIM_BATCH`] entries.
 fn ship_round(rt: &ReplRuntime, s: usize) {
     let state = &rt.states[s];
     let cell = rt.followers[s].lock();
@@ -942,62 +758,36 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
         return;
     }
     let p = &rt.primaries[s];
-    let pending = f.pending();
-    if !pending.is_empty() {
-        f.apply_batch(&pending);
-        let last = pending.last().expect("non-empty").lsn;
-        state.applied.fetch_max(last, Ordering::AcqRel);
-        if rt.probe.fires(Point::MidApply) {
-            f.pool.tm.crash();
-            tm::crash::crash_unwind();
-        }
-        f.trim(state.applied.load(Ordering::Acquire));
-    }
     let received = state.received.load(Ordering::Acquire);
+    // `None` lost the read race against appenders (e.g. a prepared 2PC
+    // transaction holds the log head); the next round — at latest one
+    // ship interval away — retries.
     let Some(fresh) = read_after(&p.tm, rt.ship_tid, p.hdr.offset(P_HEAD), received) else {
-        // Lost the read race against appenders (e.g. a prepared 2PC
-        // transaction holds the log head); the next round — at latest
-        // one ship interval away — retries.
         return;
     };
-    let mut processed = !pending.is_empty();
-    if !fresh.is_empty() {
-        if rt.probe.fires(Point::BeforeReceive) {
-            f.pool.tm.crash();
-            tm::crash::crash_unwind();
-        }
-        // The round's group commit: received and applied in one
-        // transaction. Acks unblock at the round's granularity.
-        let (recv, appl) = f.receive_apply_batch(&fresh);
-        state.received.fetch_max(recv, Ordering::AcqRel);
-        state.applied.fetch_max(appl, Ordering::AcqRel);
-        state.notify_all();
-        if rt.probe.fires(Point::Received) {
-            f.pool.tm.crash();
-            tm::crash::crash_unwind();
-        }
-        // Receive and apply commit together, so "mid-apply" is no
-        // longer a distinct durable state; the point stays a live crash
-        // point at the same protocol position.
-        if rt.probe.fires(Point::MidApply) {
-            f.pool.tm.crash();
-            tm::crash::crash_unwind();
-        }
-        processed = true;
+    if fresh.is_empty() {
+        return;
     }
-    if processed {
-        let upto = state
-            .received
-            .load(Ordering::Acquire)
-            .min(state.hold.load(Ordering::Acquire));
-        if upto.saturating_sub(state.trimmed.load(Ordering::Acquire)) >= PRIMARY_TRIM_BATCH {
-            trim_through(&p.tm, rt.ship_tid, p.hdr.offset(P_HEAD), upto);
-            state.trimmed.store(upto, Ordering::Release);
-        }
-        if rt.probe.fires(Point::Applied) {
-            f.pool.tm.crash();
-            tm::crash::crash_unwind();
-        }
+    crash_follower_at(rt, f, Point::BeforeReceive);
+    // The round's group commit; acks unblock at its granularity.
+    let received = f.ingest(&fresh);
+    state.received.fetch_max(received, Ordering::AcqRel);
+    state.notify_all();
+    crash_follower_at(rt, f, Point::Received);
+    let upto = received.min(state.hold.load(Ordering::Acquire));
+    if upto.saturating_sub(state.trimmed.load(Ordering::Acquire)) >= PRIMARY_TRIM_BATCH {
+        trim_through(&p.tm, rt.ship_tid, p.hdr.offset(P_HEAD), upto);
+        state.trimmed.store(upto, Ordering::Release);
+    }
+    crash_follower_at(rt, f, Point::Applied);
+}
+
+/// A shipper step: if the probe fires at `point`, crash the follower
+/// pool and unwind the round.
+fn crash_follower_at(rt: &ReplRuntime, f: &Follower, point: Point) {
+    if rt.probe.fires(point) {
+        f.pool.tm.crash();
+        tm::crash::crash_unwind();
     }
 }
 
@@ -1025,10 +815,12 @@ mod tests {
             entry(4, LogKind::Prepare, 1, 9, vec![]),
         ];
         let whole = Follower::fresh(1 << 12);
-        whole.ingest(&log);
+        assert_eq!(whole.ingest(&log), 4);
         let split = Follower::fresh(1 << 12);
-        split.ingest(&log[..2]);
-        split.ingest(&log); // overlapping re-send: prefix must be skipped
+        assert_eq!(split.ingest(&log[..2]), 2);
+        // Overlapping re-send: the prefix must be skipped.
+        assert_eq!(split.ingest(&log), 4);
+        assert_eq!(split.ingest(&log[..3]), 4);
         assert_eq!(whole.contents(), split.contents());
         assert_eq!(whole.commit_words(), split.commit_words());
         assert_eq!(whole.applied_lsn(), 4);
@@ -1040,7 +832,7 @@ mod tests {
     #[test]
     fn append_read_trim_roundtrip() {
         let tm = NvHalt::new(NvHaltConfig::test(1 << 12, 1));
-        let hdr = tm.alloc_raw(0, PRIMARY_HDR_WORDS);
+        let hdr = tm.alloc_raw(0, HDR_WORDS);
         for i in 1..=5u64 {
             let lsn = tm::txn(&tm, 0, |tx| {
                 append_in(tx, hdr, LogKind::Batch, 0, 0, &[MapOp::Insert(i, i * 10)])

@@ -34,14 +34,13 @@ pub(crate) const POLL: Duration = Duration::from_millis(2);
 /// One shard pool's durable state: an NV-HALT instance and the three
 /// roots in its heap — the data map, the 2PC commit words (one per
 /// coordinator slot: the txid of the last cross-shard batch that slot
-/// committed here, 0 if none, see `coord`) and a log header. A
-/// primary's header roots its op log ([`repl::PRIMARY_HDR_WORDS`]
-/// words), a follower's its receive log and watermarks
-/// ([`repl::FOLLOWER_HDR_WORDS`]); both keep the entry list's head at
-/// word 0. Primary shards, followers, promoted followers and migration
-/// targets are all shard pools: each is provisioned by
-/// [`ShardPool::create`], captured after a crash by [`ShardPool::image`]
-/// and rebuilt by [`ShardPool::recover`].
+/// committed here, 0 if none, see `coord`) and the op-log header
+/// `[head, last_lsn, armed]`. Primary shards, followers, promoted
+/// followers and migration targets are all shard pools of this one
+/// shape — a follower is a primary pool whose log stays disarmed and
+/// empty and whose `last_lsn` is its applied watermark: each is
+/// provisioned by [`ShardPool::create`], captured after a crash by
+/// [`ShardPool::image`] and rebuilt by [`ShardPool::recover`].
 #[derive(Clone)]
 pub(crate) struct ShardPool {
     pub tm: Arc<NvHalt>,
@@ -53,25 +52,24 @@ pub(crate) struct ShardPool {
 }
 
 /// A shard pool's durable remains after a crash: the persistent image
-/// plus its roots and the width of its header.
+/// plus its roots.
 pub(crate) struct PoolImage {
     image: DurableImage,
     map: HashMapTx,
     commits: Addr,
     hdr: Addr,
-    hdr_words: usize,
 }
 
 impl ShardPool {
     /// A fresh pool over a new TM configured for `cfg`'s shards: an
-    /// empty map, and durably zero commit words and `hdr_words`-word
-    /// header.
-    pub fn create(cfg: &ServiceConfig, hdr_words: usize) -> ShardPool {
+    /// empty map, and durably zero commit words and header (an empty,
+    /// disarmed op log).
+    pub fn create(cfg: &ServiceConfig) -> ShardPool {
         let tm = Arc::new(NvHalt::new(cfg.shard_nvhalt()));
         let map = HashMapTx::create(&*tm, 0, cfg.buckets_per_shard)
             .expect("creating a map on a fresh TM cannot cancel");
         let commits = tm.alloc_raw(0, cfg.coordinators);
-        let hdr = tm.alloc_raw(0, hdr_words);
+        let hdr = tm.alloc_raw(0, repl::HDR_WORDS);
         ShardPool {
             tm,
             map,
@@ -81,34 +79,30 @@ impl ShardPool {
         }
     }
 
-    /// A fresh primary pool. Every primary has an op-log header; its
-    /// durable armed word (on iff replicating — a migration can arm it
-    /// later) gates actual appends.
+    /// A fresh primary pool: its durable armed word (on iff replicating
+    /// — a migration can arm it later) gates actual appends.
     pub fn primary(cfg: &ServiceConfig) -> ShardPool {
-        let pool = ShardPool::create(cfg, repl::PRIMARY_HDR_WORDS);
+        let pool = ShardPool::create(cfg);
         if cfg.replication {
             repl::set_armed(&pool.tm, 0, pool.hdr, true);
         }
         pool
     }
 
-    /// Capture a crashed pool's durable remains. `hdr_words` is the
-    /// width of its header: a primary's or a follower's.
-    pub fn image(&self, hdr_words: usize) -> PoolImage {
+    /// Capture a crashed pool's durable remains.
+    pub fn image(&self) -> PoolImage {
         PoolImage {
             image: self.tm.crash_image(),
             map: self.map,
             commits: self.commits,
             hdr: self.hdr,
-            hdr_words,
         }
     }
 
     /// Rebuild a pool from its remains: TM recovery, then an allocator
     /// rebuild from every block still reachable from the roots — the
     /// map, the commit words, the header and its entry list. Any other
-    /// block (a promoted follower's old header, say) is free again
-    /// afterwards.
+    /// block is free again afterwards.
     pub fn recover(cfg: &ServiceConfig, img: &PoolImage) -> ShardPool {
         let tm = Arc::new(NvHalt::recover_with(cfg.shard_nvhalt(), &img.image));
         tm.rebuild_allocator(
@@ -117,7 +111,7 @@ impl ShardPool {
                 .into_iter()
                 .chain([
                     (img.commits.0, cfg.coordinators),
-                    (img.hdr.0, img.hdr_words),
+                    (img.hdr.0, repl::HDR_WORDS),
                 ])
                 .chain(repl::walk_blocks_raw(&tm, img.hdr)),
         );
@@ -355,7 +349,7 @@ fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
 }
 
 /// Semi-synchronous ack gate: publish the freshly appended LSN to the
-/// shipper, then block until the follower's receive log durably covers
+/// shipper, then block until the follower's watermark durably covers
 /// it — only then may the batch be acked, which is what lets an acked
 /// write survive losing *either* pool. Returns `false` if the wait
 /// failed (follower down or deadline passed); the batch is then answered

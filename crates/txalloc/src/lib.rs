@@ -22,10 +22,18 @@
 //!   structure) and [`TxAlloc::rebuild`] reconstructs free lists from the
 //!   gaps.
 //!
-//! Free-list sharding follows mimalloc: each thread owns per-size-class
-//! free lists; a block freed by a different thread simply migrates to the
-//! freeing thread's lists (a simplification of mimalloc's local/remote
-//! split that preserves the no-shared-metadata fast path).
+//! Free-list sharding follows mimalloc (Leijen, Zorn & de Moura, APLAS
+//! 2019): each thread owns per-size-class free lists, and a committed
+//! free lands on the *freeing* thread's lists. Where one thread allocates
+//! and another frees — a replication shipper retiring the op-log entries
+//! a shard worker appended — the blocks would pile up on the freer while
+//! the allocator carves fresh segments until the heap runs out. So,
+//! before a thread refills its segment from the global range, it takes
+//! back the whole free list of the size class it needs from the first
+//! other arena that has one (mimalloc's remote-free return, batched per
+//! class). The fast path still touches only the thread's own arena, and
+//! no thread ever holds two arena locks at once. Blocks above
+//! [`MAX_CLASS_WORDS`] are bump-only and never recycled.
 //!
 //! Word addresses below [`AllocConfig::reserve_words`] are never handed
 //! out, so `Addr(0)` can act as a null pointer.
@@ -164,6 +172,13 @@ impl TxAlloc {
             Some(class) => {
                 let cwords = CLASSES[class];
                 let mut arena = self.arenas[tid].lock();
+                if arena.free[class].is_empty() && arena.seg_end - arena.seg_cur < cwords as u64 {
+                    // Take a class list back before spending the range.
+                    drop(arena);
+                    let stolen = self.steal(tid, class);
+                    arena = self.arenas[tid].lock();
+                    arena.free[class].extend(stolen);
+                }
                 if let Some(a) = arena.free[class].pop() {
                     a
                 } else if arena.seg_end - arena.seg_cur >= cwords as u64 {
@@ -187,6 +202,16 @@ impl TxAlloc {
         };
         log.allocs.push((addr, words));
         Some(addr)
+    }
+
+    /// Take the whole `class` free list of the first other arena that has
+    /// one, locking one arena at a time.
+    fn steal(&self, tid: usize, class: usize) -> Vec<u64> {
+        let n = self.arenas.len();
+        (1..n)
+            .map(|i| std::mem::take(&mut self.arenas[(tid + i) % n].lock().free[class]))
+            .find(|list| !list.is_empty())
+            .unwrap_or_default()
     }
 
     /// Record a free of the block at `addr` (allocated with the same
@@ -362,6 +387,33 @@ mod tests {
         a.commit(1, &mut log1);
         // Thread 1 now owns the block.
         assert_eq!(a.alloc(1, 4, &mut log1), Some(block));
+    }
+
+    #[test]
+    fn blocks_freed_by_another_thread_return_before_a_refill() {
+        let a = TxAlloc::new(AllocConfig {
+            segment_words: 16,
+            ..AllocConfig::new(1 << 12, 2)
+        });
+        let mut log0 = TxnLog::new();
+        let mut log1 = TxnLog::new();
+        // Slot 0 spends one whole segment on 4-word blocks; slot 1 frees
+        // them all.
+        let mut blocks: Vec<u64> = (0..4).map(|_| a.alloc(0, 4, &mut log0).unwrap()).collect();
+        a.commit(0, &mut log0);
+        let high = a.high_water();
+        for &b in &blocks {
+            a.free(b, 4, &mut log1);
+        }
+        a.commit(1, &mut log1);
+        // Slot 0's next allocations of the class reuse those blocks
+        // instead of carving a new segment.
+        let mut again: Vec<u64> = (0..4).map(|_| a.alloc(0, 4, &mut log0).unwrap()).collect();
+        a.commit(0, &mut log0);
+        blocks.sort_unstable();
+        again.sort_unstable();
+        assert_eq!(again, blocks);
+        assert_eq!(a.high_water(), high, "refilled with free blocks on hand");
     }
 
     #[test]

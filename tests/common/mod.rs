@@ -196,14 +196,14 @@ pub fn verify(svc: &Service, keys: &[u64], expected: &HashMap<u64, u64>, cycle: 
 /// After an unacked crashed batch, the store over `0..key_space` must
 /// equal the pre-batch model or the post-batch model *in its entirety*
 /// — a mix is a torn batch. Advances `model` to whichever side the
-/// recovery landed on.
+/// recovery landed on, and returns whether that was post-batch.
 pub fn resync(
     svc: &Service,
     model: &mut HashMap<u64, u64>,
     ops: &[MapOp],
     key_space: u64,
     cycle: u64,
-) {
+) -> bool {
     let mut post = model.clone();
     for &op in ops {
         model_apply(&mut post, op);
@@ -213,11 +213,13 @@ pub fn resync(
         .collect();
     if got == post {
         *model = post;
+        true
     } else {
         assert_eq!(
             got, *model,
             "cycle {cycle}: state is neither pre- nor post-batch (torn)"
         );
+        false
     }
 }
 

@@ -80,6 +80,15 @@ fn write_once(svc: &Service, ledger: &Ledger, key: usize, v: u64) -> bool {
     }
 }
 
+/// Read `key` back after a recovery. The torture config's 50-ms default
+/// deadline is for the writers' traffic; a read-back on a loaded host
+/// waits up to [`common::VERDICT_WAIT`] instead of failing with
+/// `Timeout`.
+fn read_back(svc: &Service, key: u64) -> Option<u64> {
+    svc.apply_deadline(MapOp::Get(key), common::VERDICT_WAIT)
+        .unwrap()
+}
+
 #[test]
 fn hundred_crash_cycles_lose_no_acked_write() {
     let mut svc = Service::new(torture_cfg());
@@ -148,7 +157,7 @@ fn hundred_crash_cycles_lose_no_acked_write() {
             if e.submitted == 0 {
                 continue; // never written (a hole between pair keys)
             }
-            let got = svc.get(key as u64).unwrap();
+            let got = read_back(&svc, key as u64);
             let r = got.unwrap_or(0);
             assert!(
                 r >= e.acked && r <= e.submitted,
@@ -162,8 +171,8 @@ fn hundred_crash_cycles_lose_no_acked_write() {
         }
 
         // Contract 2: the pair batch is atomic — never torn.
-        let a = svc.get(pair_a).unwrap();
-        let b = svc.get(pair_b).unwrap();
+        let a = read_back(&svc, pair_a);
+        let b = read_back(&svc, pair_b);
         assert_eq!(
             a, b,
             "cycle {cycle}: partial batch visible after recovery ({a:?} vs {b:?})"
@@ -195,7 +204,7 @@ fn recovery_of_idle_service_is_lossless() {
     }
     let svc = Service::recover(svc.crash());
     for k in 0..200u64 {
-        assert_eq!(svc.get(k), Ok(Some(k + 7)));
+        assert_eq!(read_back(&svc, k), Some(k + 7));
     }
 }
 

@@ -680,7 +680,7 @@ fn one_probe_sees_every_layer_across_a_migration() {
     let take = || -> Vec<Point> {
         std::mem::take(&mut *seen.lock().unwrap())
             .into_iter()
-            .filter(|p| !matches!(p, BeforeReceive | Received | MidApply | Applied))
+            .filter(|p| !matches!(p, BeforeReceive | Received | Applied))
             .collect()
     };
     let cross = [

@@ -1,9 +1,9 @@
 //! Replication and failover crash tests: kill the deployment at every
 //! replication protocol step — worker-side (primary lost before/after
 //! the in-transaction log append), shipper-side (follower lost around
-//! receive/apply), and mid-promotion — then recover by full restart,
-//! in-place follower repair, or failover, and prove that **no acked
-//! write is ever lost** and no batch is ever partially visible.
+//! its one-transaction apply), and mid-promotion — then recover by full
+//! restart, in-place follower repair, or failover, and prove that **no
+//! acked write is ever lost** and no batch is ever partially visible.
 //!
 //! Three harnesses:
 //! - a fully deterministic sweep that crashes at each replication point
@@ -14,12 +14,15 @@
 //!   re-promotion of the carried dump is idempotent;
 //! - a seeded random fuzz (seed overridable via `KVSERVE_REPL_SEED`)
 //!   over random batch shapes, crash steps, and recovery shapes,
-//!   checking the store against a pre-batch/post-batch model.
+//!   checking the store against a pre-batch/post-batch model, and a
+//!   promoted follower against every state the unacked batches that
+//!   were not yet re-shipped allow.
 //!
 //! A fourth test runs the deterministic step sweep with the
 //! persist-order sanitizer recording and asserts zero correctness
 //! diagnostics on the ship, apply, and promotion paths. A fifth keeps
-//! one promoted service through repeated crash/recover cycles.
+//! one promoted service through repeated crash/recover cycles, and a
+//! sixth turns a small heap over many times with op-log entries.
 
 mod common;
 
@@ -145,8 +148,8 @@ fn crash_at_every_repl_step_never_loses_an_acked_write() {
                         "cycle {cycle}: unreceived write appeared after failover"
                     );
                 } else {
-                    // Durably received before the crash, hence acked:
-                    // promotion's tail apply must surface it.
+                    // Durably applied on the follower before the crash,
+                    // hence acked: the promoted follower must serve it.
                     assert_eq!(
                         promoted.get(k).unwrap(),
                         Some(new),
@@ -224,8 +227,26 @@ fn crash_at_every_promotion_step_re_promotes_idempotently() {
 
 const KEY_SPACE: u64 = 24;
 
-fn resync(svc: &Service, model: &mut HashMap<u64, u64>, ops: &[MapOp], cycle: u64) {
-    common::resync(svc, model, ops, KEY_SPACE, cycle);
+fn resync(svc: &Service, model: &mut HashMap<u64, u64>, ops: &[MapOp], cycle: u64) -> bool {
+    common::resync(svc, model, ops, KEY_SPACE, cycle)
+}
+
+/// Advance every state in `states` by `ops`; with `maybe` (an unacked
+/// batch), also keep each state without them.
+fn advance(states: &mut Vec<HashMap<u64, u64>>, ops: &[MapOp], maybe: bool) {
+    let mut next = Vec::with_capacity(2 * states.len());
+    for pre in states.drain(..) {
+        let mut post = pre.clone();
+        for &op in ops {
+            model_apply(&mut post, op);
+        }
+        for s in maybe.then_some(pre).into_iter().chain([post]) {
+            if !next.contains(&s) {
+                next.push(s);
+            }
+        }
+    }
+    *states = next;
 }
 
 #[test]
@@ -234,6 +255,11 @@ fn seeded_replication_fuzz_matches_a_model() {
 
     let mut svc = Service::new(cfg());
     let mut model: HashMap<u64, u64> = HashMap::new();
+    // The states a failover may land on. The primaries hold `model`, but
+    // an unacked batch they hold reaches a repaired or restarted follower
+    // only when its shipper re-ships it, so until a drain a promoted
+    // follower may lack any such batch, whole.
+    let mut replicas = vec![model.clone()];
 
     for cycle in 0..70u64 {
         let nops = 1 + (rng.next() % 4) as usize;
@@ -250,8 +276,8 @@ fn seeded_replication_fuzz_matches_a_model() {
         // Crash at a random replication step in ~3/4 of the cycles.
         // (Primary steps only fire on the single-shard worker path,
         // shipper steps on any replicated mutation.)
-        let step = match rng.next() % 8 {
-            i @ 0..=5 => Some(Point::REPL[i as usize]),
+        let step = match rng.next() % 20 {
+            i @ 0..=14 => Some(Point::REPL[i as usize % Point::REPL.len()]),
             _ => None,
         };
         if let Some(s) = step {
@@ -268,6 +294,7 @@ fn seeded_replication_fuzz_matches_a_model() {
                 let expect: Vec<Option<u64>> =
                     ops.iter().map(|&op| model_apply(&mut model, op)).collect();
                 assert_eq!(vals, expect, "cycle {cycle}: acked batch mismatch");
+                advance(&mut replicas, &ops, false);
                 svc.recover_follower();
             }
             Err(ServeError::Stopped) => {
@@ -275,16 +302,30 @@ fn seeded_replication_fuzz_matches_a_model() {
                 // Recover by restart or by failover, at random.
                 if rng.next().is_multiple_of(2) {
                     svc = Service::recover(svc.crash());
-                    resync(&svc, &mut model, &ops, cycle);
+                    if resync(&svc, &mut model, &ops, cycle) {
+                        advance(&mut replicas, &ops, true);
+                    }
                 } else {
                     let (promoted, _) =
                         Service::promote(svc.fail_over(), None).expect("no probe installed");
-                    resync(&promoted, &mut model, &ops, cycle);
+                    // The crashed batch, too, may or may not have
+                    // reached the follower.
+                    advance(&mut replicas, &ops, true);
+                    let got: HashMap<u64, u64> = (0..KEY_SPACE)
+                        .filter_map(|k| promoted.get(k).unwrap().map(|v| (k, v)))
+                        .collect();
+                    assert!(
+                        replicas.contains(&got),
+                        "cycle {cycle}: promoted state {got:?} is none of {replicas:?} \
+                         (a torn batch or a lost acked write)"
+                    );
+                    model = got;
                     drop(promoted);
                     svc = Service::new(cfg());
                     for (&k, &v) in &model {
                         svc.put(k, v).unwrap();
                     }
+                    replicas = vec![model.clone()];
                 }
             }
             Err(ServeError::Timeout) => {
@@ -292,9 +333,17 @@ fn seeded_replication_fuzz_matches_a_model() {
                 // durable receive. Repair it in place; the primary state
                 // must still be exactly pre- or post-batch.
                 svc.recover_follower();
-                resync(&svc, &mut model, &ops, cycle);
+                if resync(&svc, &mut model, &ops, cycle) {
+                    advance(&mut replicas, &ops, true);
+                }
             }
             Err(e) => panic!("cycle {cycle}: unexpected error {e}"),
+        }
+        // Each unacked batch can double the legal states: past three,
+        // let the followers catch up, which settles them to `model`.
+        if replicas.len() > 8 {
+            drain(&svc);
+            replicas = vec![model.clone()];
         }
     }
 }
@@ -332,7 +381,7 @@ fn repl_crash_steps_are_psan_clean() {
 
     // And across a crashed promotion plus its idempotent re-promotion.
     drain(&svc);
-    let crash = Service::promote(svc.fail_over(), Some(fire_at(Point::Promoted)))
+    let crash = Service::promote(svc.fail_over(), Some(fire_at(Point::Replayed)))
         .err()
         .expect("promotion probe must fire");
     let (svc, _) = Service::promote(crash.dump, None).expect("no probe installed");
@@ -343,7 +392,7 @@ fn repl_crash_steps_are_psan_clean() {
 }
 
 /// A promoted service is a whole service: its shard pools — the
-/// followers' pools under fresh primary headers — survive repeated
+/// follower pools as they stood at the failover — survive repeated
 /// crash/recover cycles. Every cycle inserts, deletes (so later
 /// allocations reuse freed blocks, and the recovered allocators must
 /// not hand out a live one) and runs cross-shard batches; every acked
@@ -399,4 +448,43 @@ fn promoted_service_survives_crash_and_recovery_cycles() {
         verify(&svc, &all, &expected, cycle);
         assert_clean(&svc, &format!("cycle {cycle} after recovery"));
     }
+}
+
+/// A replicated shard's worker allocates every op-log entry and its
+/// shipper frees it, so the worker must get the shipper's frees back or
+/// the heap runs dry. A small heap turns over 20 times in op-log words,
+/// half before and half after a restart; every ack is checked, and
+/// every key after the restart and after a closing failover.
+#[test]
+fn op_log_heap_turns_over_across_restart_and_failover() {
+    const KEYS: u64 = 16;
+    let mut c = cfg();
+    c.shards = 1;
+    c.heap_words_per_shard = 1 << 14;
+    // A batch of KEYS inserts logs one entry of 3 + 1 + 2·KEYS words.
+    let batches = (20 * c.heap_words_per_shard as u64).div_ceil(2 * (4 + 2 * KEYS));
+    let keys: Vec<u64> = (0..KEYS).collect();
+    let mut expected: HashMap<u64, u64> = HashMap::new();
+    let mut svc = Service::new(c);
+    let mut v = 0u64;
+    for half in 0..2 {
+        for _ in 0..batches {
+            v += 1;
+            let ops = keys
+                .iter()
+                .map(|&k| MapOp::Insert(k, v * KEYS + k))
+                .collect();
+            let want: Vec<Option<u64>> = keys
+                .iter()
+                .map(|&k| expected.insert(k, v * KEYS + k))
+                .collect();
+            assert_eq!(svc.batch(ops), Ok(want), "batch {v}");
+        }
+        if half == 0 {
+            svc = Service::recover(svc.crash());
+            verify(&svc, &keys, &expected, v);
+        }
+    }
+    let (promoted, _) = Service::promote(svc.fail_over(), None).expect("no probe installed");
+    verify(&promoted, &keys, &expected, v);
 }
