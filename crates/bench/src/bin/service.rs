@@ -248,9 +248,7 @@ fn run_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, pace: Pace) ->
         events.push(("net", block));
     }
     if let Some(block) = migration {
-        let shed: u64 = snap.shards.iter().map(|s| s.rerouted).sum();
-        let block = block.field("rerouted", tally.rerouted);
-        events.push(("migration", block.field("worker_shed", shed)));
+        events.push(("migration", block));
     }
     if sweep.repl {
         // Lose every primary pool; the duration covers recovering the
@@ -408,8 +406,6 @@ struct Tally {
     timeout: u64,
     aborted: u64,
     stopped: u64,
-    /// Submitted under a routing epoch a live split has since flipped.
-    rerouted: u64,
     /// Latency of every acknowledged request, µs.
     lat_us: Vec<f64>,
 }
@@ -427,7 +423,6 @@ impl Tally {
             Err(ServeError::Timeout) => self.timeout += 1,
             Err(ServeError::Aborted) => self.aborted += 1,
             Err(ServeError::Stopped) => self.stopped += 1,
-            Err(ServeError::Rerouted) => self.rerouted += 1,
         }
     }
 }
@@ -571,7 +566,6 @@ impl Cell {
             .field("timeout", t.timeout)
             .field("aborted", t.aborted)
             .field("stopped", t.stopped)
-            .field("rerouted", t.rerouted)
             .field("offered_req_per_sec", self.rate(t.offered))
             .field("goodput_req_per_sec", self.rate(t.ok))
             .field("tput_ops_per_sec", self.rate(t.ok_ops))
@@ -857,7 +851,6 @@ mod tests {
                     t.timeout,
                     t.aborted,
                     t.stopped,
-                    t.rerouted,
                 ];
                 assert!(t.ok > 0, "net={net} {pace:?}: nothing acknowledged");
                 assert_eq!(

@@ -40,13 +40,13 @@ use crate::lock::{LockWord, MAX_LOCK_THREADS};
 use crossbeam::utils::CachePadded;
 use htm::{Htm, HtmThread, HtmTxn, Xabort};
 use parking_lot::Mutex;
-use pmem::annot::{AnnotLayout, PVER_COUNT_TRUSTED};
-use pmem::{AnnotPmem, Meta};
+use pmem::annot::AnnotLayout;
+use pmem::AnnotPmem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tm::policy::PathChoice;
 use tm::stats::{Counter, StatsSnapshot, TmStats};
-use tm::{Abort, AbortKind, Addr, Cancelled, Tm, TmPrepare, TxResult, Txn, Word};
+use tm::{Abort, AbortKind, Addr, Cancelled, Tm, TxResult, Txn, Word};
 use txalloc::{AllocConfig, TxAlloc, TxnLog};
 
 /// xabort code: observed a lock held by another thread.
@@ -75,7 +75,6 @@ pub(crate) struct ThreadState {
     hlog: Vec<(u64, u64)>,
     hlocks: Vec<u64>,
     alloc_log: TxnLog,
-    pub(crate) pver: u64,
     seed: u64,
     /// True between a successful `prepare` and its commit/abort decision.
     prepared: bool,
@@ -119,7 +118,7 @@ impl NvHalt {
         let htm = Htm::new(cfg.htm);
         let heap = Heap::new(cfg.heap_words, cfg.locks);
         let alloc = TxAlloc::new(AllocConfig::new(cfg.heap_words, cfg.max_threads));
-        let threads = Self::make_threads(&cfg, &htm, |_| 0);
+        let threads = Self::make_threads(&cfg, &htm);
         NvHalt {
             cfg,
             heap,
@@ -132,11 +131,7 @@ impl NvHalt {
         }
     }
 
-    pub(crate) fn make_threads(
-        cfg: &NvHaltConfig,
-        htm: &Htm,
-        pver: impl Fn(usize) -> u64,
-    ) -> Vec<CachePadded<Mutex<ThreadState>>> {
+    fn make_threads(cfg: &NvHaltConfig, htm: &Htm) -> Vec<CachePadded<Mutex<ThreadState>>> {
         (0..cfg.max_threads)
             .map(|t| {
                 let cell = CachePadded::new(Mutex::new(ThreadState {
@@ -147,7 +142,6 @@ impl NvHalt {
                     hlog: Vec::with_capacity(64),
                     hlocks: Vec::with_capacity(64),
                     alloc_log: TxnLog::new(),
-                    pver: pver(t),
                     seed: 0xb0ff_0000 ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                     prepared: false,
                     pundo: Vec::with_capacity(64),
@@ -168,10 +162,9 @@ impl NvHalt {
         pmem: AnnotPmem,
         alloc: TxAlloc,
         stats: Arc<TmStats>,
-        pvers: &[u64],
     ) -> Self {
         let htm = Htm::new(cfg.htm);
-        let threads = Self::make_threads(&cfg, &htm, |t| pvers[t]);
+        let threads = Self::make_threads(&cfg, &htm);
         NvHalt {
             cfg,
             heap,
@@ -307,52 +300,23 @@ impl NvHalt {
 
     /// Persist a completed hardware transaction's write set, bump and
     /// persist the thread's pver, then release the locks (Figure 5,
-    /// commit epilogue) — as a one-fence group commit: all entries are
-    /// staged, each distinct entry line is flushed once, a *counted*
-    /// commit marker is written, and a single fence drains the lot.
+    /// commit epilogue) — as a one-fence group commit
+    /// ([`AnnotPmem::stage`], then [`AnnotPmem::commit`]).
     fn persist_hw_commit(&self, tid: usize, ts: &mut ThreadState) {
         let _psan = self.pmem.pool().psan_scope(tid, "nvhalt::hw_commit");
-        self.pmem
-            .preserve_witnesses(tid, ts.hlog.iter().map(|&(a, _)| a as usize));
-        let meta = Meta::pack(tid, ts.pver);
-        ts.flush_lines.clear();
-        for &(a, old) in &ts.hlog {
-            // Stable: the address is locked by us until release below.
-            let new = self.heap.data_cell(a as usize).load(Ordering::Acquire);
-            self.pmem.stage_entry(tid, a as usize, old, new, meta);
-            ts.flush_lines.push(self.pmem.entry_line(a as usize));
-        }
-        self.pmem.flush_lines(tid, &mut ts.flush_lines);
-        ts.pver += 1;
-        self.persist_commit_marker(tid, ts.pver, ts.hlog.len() as u64, meta);
+        let heap = &self.heap;
+        // Stable: the addresses stay locked by us until the release below.
+        let writes = ts.hlog.iter().map(|&(a, old)| {
+            let new = heap.data_cell(a as usize).load(Ordering::Acquire);
+            (a as usize, old, new)
+        });
+        let count = self.pmem.stage(tid, writes, &mut ts.flush_lines);
+        self.pmem.commit(tid, count);
         for &a in &ts.hlocks {
             let cell = self.heap.lock_cell(a as usize);
             let cur = LockWord(self.htm.nt_load(cell));
             debug_assert!(cur.is_locked_by(tid), "releasing a lock we do not hold");
             self.htm.nt_store(cell, cur.released().0);
-        }
-    }
-
-    /// Make the commit of an already-staged-and-flushed (but unfenced)
-    /// generation durable. Normally a *counted* marker plus ONE fence:
-    /// entries and marker drain together, and recovery tells a torn
-    /// commit from a complete one by counting the generation's durable
-    /// pad witnesses. Falls back to the legacy two-fence order when the
-    /// generation stamp packs to zero (thread 0's first commit — its
-    /// entries are indistinguishable from fresh zeroed ones) or the
-    /// write set overflows the marker's count field.
-    fn persist_commit_marker(&self, tid: usize, pver: u64, count: u64, gen: Meta) {
-        debug_assert!(count > 0);
-        if gen.0 != 0 && count < PVER_COUNT_TRUSTED {
-            self.pmem.persist_pver_counted(tid, pver, count);
-            self.pmem.sfence(tid);
-            self.pmem
-                .pool()
-                .durability_point(tid, "nvhalt::commit_durable");
-        } else {
-            self.pmem.sfence(tid);
-            self.pmem.persist_pver(tid, pver);
-            self.pmem.sfence(tid);
         }
     }
 
@@ -524,21 +488,17 @@ impl NvHalt {
         // locks are held (Figure 1 lines 16–21), as a one-fence group
         // commit over the whole write set.
         let _psan = self.pmem.pool().psan_scope(tid, "nvhalt::sw_commit");
-        self.pmem
-            .preserve_witnesses(tid, ts.wset.iter().map(|e| e.addr as usize));
-        let meta = Meta::pack(tid, ts.pver);
-        ts.flush_lines.clear();
+        let heap = &self.heap;
+        let writes = ts.wset.iter().map(|e| {
+            let old = heap.data_cell(e.addr as usize).load(Ordering::Acquire);
+            (e.addr as usize, old, e.val)
+        });
+        let count = self.pmem.stage(tid, writes, &mut ts.flush_lines);
         for e in &ts.wset {
-            let data = self.heap.data_cell(e.addr as usize);
-            let old = data.load(Ordering::Acquire);
-            self.pmem
-                .stage_entry(tid, e.addr as usize, old, e.val, meta);
-            ts.flush_lines.push(self.pmem.entry_line(e.addr as usize));
-            data.store(e.val, Ordering::Release);
+            heap.data_cell(e.addr as usize)
+                .store(e.val, Ordering::Release);
         }
-        self.pmem.flush_lines(tid, &mut ts.flush_lines);
-        ts.pver += 1;
-        self.persist_commit_marker(tid, ts.pver, ts.wset.len() as u64, meta);
+        self.pmem.commit(tid, count);
         self.sw_release(ts, true);
         Ok(())
     }
@@ -702,21 +662,23 @@ impl NvHalt {
         // Stage the writes durably *below* the current pver, with one
         // coalesced flush pass over the write set's distinct entry lines.
         let _psan = self.pmem.pool().psan_scope(tid, "nvhalt::prepare");
-        self.pmem
-            .preserve_witnesses(tid, ts.wset.iter().map(|e| e.addr as usize));
-        let meta = Meta::pack(tid, ts.pver);
         ts.pundo.clear();
-        ts.flush_lines.clear();
+        ts.pundo.extend(ts.wset.iter().map(|e| {
+            (
+                e.addr,
+                heap.data_cell(e.addr as usize).load(Ordering::Acquire),
+            )
+        }));
+        let writes = ts
+            .pundo
+            .iter()
+            .zip(&ts.wset)
+            .map(|(&(a, old), e)| (a as usize, old, e.val));
+        self.pmem.stage(tid, writes, &mut ts.flush_lines);
         for e in &ts.wset {
-            let data = heap.data_cell(e.addr as usize);
-            let old = data.load(Ordering::Acquire);
-            ts.pundo.push((e.addr, old));
-            self.pmem
-                .stage_entry(tid, e.addr as usize, old, e.val, meta);
-            ts.flush_lines.push(self.pmem.entry_line(e.addr as usize));
-            data.store(e.val, Ordering::Release);
+            heap.data_cell(e.addr as usize)
+                .store(e.val, Ordering::Release);
         }
-        self.pmem.flush_lines(tid, &mut ts.flush_lines);
         self.pmem.sfence(tid);
         // The coordinator may record its durable decision as soon as
         // `prepare` returns: every staged entry must already be fenced.
@@ -730,13 +692,34 @@ impl NvHalt {
     pub fn stats_handle(&self) -> Arc<TmStats> {
         self.stats.clone()
     }
-}
 
-impl TmPrepare for NvHalt {
-    fn prepare<R>(
+    // ------------------------------------------------------------------
+    // Two-phase commit participant
+    // ------------------------------------------------------------------
+
+    /// Run `body` and leave its transaction **prepared** instead of
+    /// committed: executed and durably staged, but neither committed nor
+    /// aborted, with its locks still held. This is the participant half
+    /// of two-phase commit; until the coordinator decides, the prepared
+    /// transaction is
+    ///
+    /// 1. **invisible** — no other transaction can read or overwrite any
+    ///    address it touched (its read and write locks are held);
+    /// 2. **crash-aborting** — if the process crashes before
+    ///    [`NvHalt::commit_prepared`], recovery rolls the prepared writes
+    ///    back (they are staged below the thread's durable version);
+    /// 3. **decidable** — [`NvHalt::commit_prepared`] makes the writes
+    ///    durable and visible; [`NvHalt::abort_prepared`] durably
+    ///    restores the pre-transaction values. Both release the locks.
+    ///
+    /// While `tid` has a prepared transaction outstanding it must not
+    /// start another transaction (prepared or not); both entry points
+    /// assert this. Retries conflicting attempts like [`Tm::txn`]; returns
+    /// `Err(Cancelled)` (with nothing held) if the body cancels.
+    pub fn prepare<R>(
         &self,
         tid: usize,
-        body: &mut dyn FnMut(&mut dyn Txn) -> Result<R, Abort>,
+        mut body: impl FnMut(&mut dyn Txn) -> Result<R, Abort>,
     ) -> TxResult<R> {
         assert!(tid < self.cfg.max_threads, "tid out of range");
         let mut guard = self.threads[tid].lock();
@@ -750,7 +733,7 @@ impl TmPrepare for NvHalt {
         let mut attempt = 0usize;
         loop {
             self.pmem.pool().crash_point(tid);
-            match self.attempt_prepare(ts, tid, attempt, body) {
+            match self.attempt_prepare(ts, tid, attempt, &mut body) {
                 Outcome::Committed(r) => return Ok(r),
                 Outcome::Cancelled => return Err(Cancelled),
                 Outcome::Aborted(_) => {
@@ -762,7 +745,9 @@ impl TmPrepare for NvHalt {
         }
     }
 
-    fn commit_prepared(&self, tid: usize) {
+    /// Make `tid`'s prepared transaction durable and visible, and release
+    /// its locks.
+    pub fn commit_prepared(&self, tid: usize) {
         let mut guard = self.threads[tid].lock();
         let ts = &mut *guard;
         assert!(ts.prepared, "commit_prepared without a prepared txn");
@@ -770,9 +755,7 @@ impl TmPrepare for NvHalt {
         // Advancing the durable pver past the staged entries *is* the
         // commit: from here recovery keeps them (Figure 1 epilogue).
         let _psan = self.pmem.pool().psan_scope(tid, "nvhalt::commit_prepared");
-        ts.pver += 1;
-        self.pmem.persist_pver(tid, ts.pver);
-        self.pmem.sfence(tid);
+        self.pmem.mark(tid);
         self.sw_release(ts, true);
         self.alloc.commit(tid, &mut ts.alloc_log);
         ts.pundo.clear();
@@ -780,32 +763,26 @@ impl TmPrepare for NvHalt {
         self.stats.bump(tid, Counter::SwCommit);
     }
 
-    fn abort_prepared(&self, tid: usize) {
+    /// Durably roll `tid`'s prepared transaction back, and release its
+    /// locks.
+    pub fn abort_prepared(&self, tid: usize) {
         let mut guard = self.threads[tid].lock();
         let ts = &mut *guard;
         assert!(ts.prepared, "abort_prepared without a prepared txn");
-        // Restore the volatile heap, then overwrite each staged entry so
-        // both its data and back fields hold the pre-transaction value.
+        // Restore the volatile heap, then re-stage each entry so both its
+        // data and back fields hold the pre-transaction value.
         let _psan = self.pmem.pool().psan_scope(tid, "nvhalt::abort_prepared");
-        let meta = Meta::pack(tid, ts.pver);
-        ts.flush_lines.clear();
         for &(a, old) in &ts.pundo {
             self.heap
                 .data_cell(a as usize)
                 .store(old, Ordering::Release);
-            self.pmem.stage_entry(tid, a as usize, old, old, meta);
-            ts.flush_lines.push(self.pmem.entry_line(a as usize));
         }
-        self.pmem.flush_lines(tid, &mut ts.flush_lines);
+        let writes = ts.pundo.iter().map(|&(a, old)| (a as usize, old, old));
+        self.pmem.stage(tid, writes, &mut ts.flush_lines);
         self.pmem.sfence(tid);
-        // Consume the generation the aborted entries are stamped with: a
-        // trusted marker pushes the durable pver past them so they are
-        // neither resurrected by recovery nor miscounted as witnesses of
-        // this thread's *next* (counted, one-fence) commit.
+        // Consume the generation the aborted entries are stamped with.
         if !ts.pundo.is_empty() {
-            ts.pver += 1;
-            self.pmem.persist_pver(tid, ts.pver);
-            self.pmem.sfence(tid);
+            self.pmem.mark(tid);
         }
         // Release with a version bump (not the pre-acquire word): the data
         // words changed while locked, so restoring the encounter value
@@ -817,7 +794,8 @@ impl TmPrepare for NvHalt {
         self.stats.bump(tid, Counter::Cancelled);
     }
 
-    fn has_prepared(&self, tid: usize) -> bool {
+    /// True if `tid` has a prepared transaction outstanding.
+    pub fn has_prepared(&self, tid: usize) -> bool {
         self.threads[tid].lock().prepared
     }
 }

@@ -462,8 +462,6 @@ mod tests {
     // Prepared transactions (two-phase commit participant)
     // ------------------------------------------------------------------
 
-    use tm::TmPrepare;
-
     /// A bounded read that cancels instead of spinning forever on a held
     /// lock — lets tests observe "blocked by a prepared transaction".
     fn try_read(tmem: &NvHalt, tid: usize, a: Addr) -> Result<u64, Cancelled> {
@@ -479,7 +477,7 @@ mod tests {
     fn prepared_writes_are_invisible_until_commit() {
         for tmem in all_variants() {
             txn(&tmem, 0, |tx| tx.write(Addr(5), 1)).unwrap();
-            tmem.prepare(0, &mut |tx| tx.write(Addr(5), 2)).unwrap();
+            tmem.prepare(0, |tx| tx.write(Addr(5), 2)).unwrap();
             assert!(tmem.has_prepared(0), "{}", tmem.name());
             // Another thread cannot read past the prepared lock.
             assert_eq!(
@@ -498,7 +496,7 @@ mod tests {
     fn prepare_pins_its_read_set() {
         let tmem = small(Progress::Strong, LockStrategy::Table { locks_log2: 10 });
         txn(&tmem, 0, |tx| tx.write(Addr(4), 7)).unwrap();
-        let read = tmem.prepare(0, &mut |tx| tx.read(Addr(4))).unwrap();
+        let read = tmem.prepare(0, |tx| tx.read(Addr(4))).unwrap();
         assert_eq!(read, 7);
         // A writer to the pinned address is blocked until the decision.
         let blocked = txn(&tmem, 1, |tx| {
@@ -518,7 +516,7 @@ mod tests {
         let cfg = NvHaltConfig::test(1 << 10, 2);
         let tmem = NvHalt::new(cfg.clone());
         txn(&tmem, 0, |tx| tx.write(Addr(6), 10)).unwrap();
-        tmem.prepare(0, &mut |tx| tx.write(Addr(6), 11)).unwrap();
+        tmem.prepare(0, |tx| tx.write(Addr(6), 11)).unwrap();
         tmem.crash();
         let rec = NvHalt::recover(cfg, &tmem.crash_image(), []);
         assert_eq!(
@@ -532,7 +530,7 @@ mod tests {
     fn commit_prepared_is_durable() {
         let cfg = NvHaltConfig::test(1 << 10, 2);
         let tmem = NvHalt::new(cfg.clone());
-        tmem.prepare(0, &mut |tx| tx.write(Addr(6), 21)).unwrap();
+        tmem.prepare(0, |tx| tx.write(Addr(6), 21)).unwrap();
         tmem.commit_prepared(0);
         tmem.crash();
         let rec = NvHalt::recover(cfg, &tmem.crash_image(), []);
@@ -548,7 +546,7 @@ mod tests {
         let cfg = NvHaltConfig::test(1 << 10, 1);
         let tmem = NvHalt::new(cfg.clone());
         txn(&tmem, 0, |tx| tx.write(Addr(3), 1)).unwrap();
-        tmem.prepare(0, &mut |tx| tx.write(Addr(3), 2)).unwrap();
+        tmem.prepare(0, |tx| tx.write(Addr(3), 2)).unwrap();
         tmem.abort_prepared(0);
         assert_eq!(tmem.read_raw(Addr(3)), 1);
         for i in 0..4u64 {
@@ -564,7 +562,7 @@ mod tests {
     fn prepared_alloc_commits_or_rolls_back_with_the_decision() {
         let tmem = small(Progress::Weak, LockStrategy::Table { locks_log2: 10 });
         let a = tmem
-            .prepare(0, &mut |tx| {
+            .prepare(0, |tx| {
                 let a = tx.alloc(4)?;
                 tx.write(a, 5)?;
                 Ok(a)
@@ -573,7 +571,7 @@ mod tests {
         tmem.commit_prepared(0);
         assert_eq!(tmem.read_raw(a), 5);
         // Aborted decision returns the block to the allocator.
-        let b = tmem.prepare(0, &mut |tx| tx.alloc(4)).unwrap();
+        let b = tmem.prepare(0, |tx| tx.alloc(4)).unwrap();
         tmem.abort_prepared(0);
         let again = txn(&tmem, 0, |tx| tx.alloc(4)).unwrap();
         assert_eq!(again, b, "aborted prepared allocation not recycled");
@@ -583,7 +581,7 @@ mod tests {
     #[should_panic(expected = "prepared transaction is outstanding")]
     fn txn_panics_while_prepared() {
         let tmem = small(Progress::Weak, LockStrategy::Table { locks_log2: 10 });
-        tmem.prepare(0, &mut |tx| tx.write(Addr(2), 1)).unwrap();
+        tmem.prepare(0, |tx| tx.write(Addr(2), 1)).unwrap();
         let _ = txn(&tmem, 0, |tx| tx.read(Addr(3)));
     }
 }

@@ -1,6 +1,8 @@
 //! Crash recovery for NV-HALT (§3.5).
 //!
-//! Recovery traverses the annotated persistent image and reverts to its
+//! Recovery is [`AnnotPmem::recover`], the undo recovery the Trinity
+//! baseline runs too: it traverses the annotated persistent image and
+//! reverts to its
 //! old (`back`) value every address whose entry's version number has not
 //! been superseded by the owning thread's durable persistent version
 //! number — i.e. entries stamped `{tid, v}` with `v >= durable_pver(tid)`
@@ -72,35 +74,12 @@ impl NvHalt {
             "image does not match configuration"
         );
         let stats = Arc::new(TmStats::new(cfg.max_threads));
-        let pmem = AnnotPmem::from_image(layout, &cfg.pm, image, Some(stats.clone()));
         let heap = Heap::new(cfg.heap_words, cfg.locks);
-
-        // Thresholds fold in the counted-marker check: a one-fence commit
-        // whose marker is durable but whose generation is missing pad
-        // witnesses is torn, and the whole generation (threshold - 1 = its
-        // stamp) rolls back. The verdicts are pinned durably first —
-        // neutralization below destroys the evidence they came from, so a
-        // crash mid-recovery must not be able to re-derive different ones.
-        let pvers = layout.revert_thresholds(image);
-        pmem.pin_recovery_verdicts(image, &pvers);
-        for a in 0..cfg.heap_words {
-            let (data, back, meta) = layout.image_entry(image, a);
-            let incomplete =
-                meta.0 != 0 && meta.tid() < cfg.max_threads && meta.ver() >= pvers[meta.tid()];
-            let value = if incomplete { back } else { data };
-            if incomplete {
-                // Make the roll-back durable *and* clear the entry's stamp:
-                // a stale `{tid, v}` with its pad witness intact would be
-                // miscounted as part of that thread's next counted commit.
-                // Idempotent, so a crash mid-recovery just re-reverts.
-                pmem.recovery_neutralize(a, back);
-            }
-            heap.data_cell(a).store(value, Ordering::Relaxed);
-        }
-        pmem.sfence(0);
-
+        let pmem = AnnotPmem::recover(layout, &cfg.pm, image, Some(stats.clone()), |a, v| {
+            heap.data_cell(a).store(v, Ordering::Relaxed)
+        });
         let alloc = TxAlloc::new(AllocConfig::new(cfg.heap_words, cfg.max_threads));
-        NvHalt::from_parts(cfg, heap, pmem, alloc, stats, &pvers)
+        NvHalt::from_parts(cfg, heap, pmem, alloc, stats)
     }
 
     /// Phase two of recovery: hand the allocator the set of live blocks.
@@ -108,8 +87,8 @@ impl NvHalt {
         self.alloc.rebuild(used_blocks);
     }
 
-    /// The recovered pver of thread `tid` (diagnostics/tests).
+    /// Thread `tid`'s persistent version (diagnostics/tests).
     pub fn thread_pver(&self, tid: usize) -> u64 {
-        self.threads[tid].lock().pver
+        self.pmem.version(tid)
     }
 }

@@ -12,15 +12,15 @@
 //! 1. **Prepare** — per participating shard, run the round's ops for
 //!    that shard plus a write of the slot's *commit word*
 //!    (`commits[c] = txid`) as a prepared transaction
-//!    ([`tm::TmPrepare`]): the writes are durably staged below the
-//!    shard's persistent version and every touched address stays
-//!    locked, so the staged state is invisible to other transactions and
-//!    a crash rolls it back.
+//!    ([`NvHalt::prepare`], through [`ShardPool::apply_in`]): the writes
+//!    are durably staged below the shard's persistent version and every
+//!    touched address stays locked, so the staged state is invisible to
+//!    other transactions and a crash rolls it back.
 //! 2. **Decide** — overwrite slot `c`'s *decision record* (txid, routing
-//!    epoch, the round's full op list) in the decision log, its own
-//!    NV-HALT instance, as one committed transaction. *This commit is
-//!    the commit point of every request in the round.* Aborts are
-//!    presumed: nothing is ever written for them.
+//!    epoch, the round's full op list in the op log's op-list format) in
+//!    the decision log, its own NV-HALT instance, as one committed
+//!    transaction. *This commit is the commit point of every request in
+//!    the round.* Aborts are presumed: nothing is ever written for them.
 //! 3. **Commit fan-out** — `commit_prepared` on every participant makes
 //!    the staged writes (and the commit word) durable and visible. Each
 //!    request is acked right after with its own values; there is
@@ -38,8 +38,11 @@
 //! the txid already committed and is skipped — that is what makes
 //! replay idempotent and safe against *later* committed writes to the
 //! same keys. A slot's record is only overwritten by the slot's next
-//! decision, after every participant of the previous one committed, so
-//! no older decision can still need replay. Txids never repeat (the
+//! decision, after every participant of the previous one committed and,
+//! when replicating, its follower applied the Prepare entry (the driver
+//! holds the next round until then, see [`drive`]), so no older decision
+//! can still need replay, on the primaries or on promoted followers.
+//! Txids never repeat (the
 //! counter recovers past every record), so a commit word never sits
 //! above a live record's txid. Only records of the recovered routing
 //! epoch are replayed: a migration flip joins the drivers first, so
@@ -65,25 +68,25 @@ use pmem::pool::DurableImage;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tm::{Abort, Addr, Tm, TmPrepare};
+use tm::{Abort, Addr, Tm};
 use txstructs::MapOp;
 
 /// Decision-record layout (word offsets within a record block):
-/// `[cap, txid, epoch, nops, (tag, key, val) × cap]`. `cap` is the
-/// block's op capacity: the slot's next decision overwrites the record
-/// in place, and only one with more ops moves it to a bigger block.
-/// Every other word a decision writes is contiguous, so its commit
-/// flushes the fewest log-entry lines.
+/// `[cap, txid, epoch, nops, op list]`, the op list in the op log's
+/// format ([`repl::write_ops_in`]). `cap` is the block's op capacity:
+/// the slot's next decision overwrites the record in place, and only one
+/// with more ops moves it to a bigger block. Every other word a decision
+/// writes is contiguous, so its commit flushes the fewest log-entry
+/// lines.
 const D_CAP: u64 = 0;
 const D_TXID: u64 = 1;
 const D_EPOCH: u64 = 2;
 const D_NOPS: u64 = 3;
 const D_OPS: u64 = 4;
-const OP_WORDS: u64 = 3;
 
 /// A record block's size in words.
 fn record_words(cap: u64) -> usize {
-    (D_OPS + cap * OP_WORDS) as usize
+    (D_OPS + repl::ops_words(cap)) as usize
 }
 
 /// Routing-root layout inside the decision log's pool:
@@ -223,22 +226,11 @@ impl LogImage {
 /// Decode slot `slot`'s record at `r`. Only valid on a quiescent TM
 /// (recovery).
 fn read_record_raw(log: &NvHalt, slot: u64, r: Addr) -> Decision {
-    let nops = log.read_raw(r.offset(D_NOPS));
-    let ops = (0..nops)
-        .map(|i| {
-            let base = r.offset(D_OPS + i * OP_WORDS);
-            decode_op(
-                log.read_raw(base),
-                log.read_raw(base.offset(1)),
-                log.read_raw(base.offset(2)),
-            )
-        })
-        .collect();
     Decision {
         slot,
         txid: log.read_raw(r.offset(D_TXID)),
         epoch: log.read_raw(r.offset(D_EPOCH)),
-        ops,
+        ops: repl::read_ops_raw(log, r.offset(D_OPS), log.read_raw(r.offset(D_NOPS))),
     }
 }
 
@@ -284,33 +276,9 @@ impl Coordinator {
             tx.write(r.offset(D_TXID), d.txid)?;
             tx.write(r.offset(D_EPOCH), d.epoch)?;
             tx.write(r.offset(D_NOPS), nops)?;
-            for (i, &op) in d.ops.iter().enumerate() {
-                let (tag, k, v) = encode_op(op);
-                let base = r.offset(D_OPS + i as u64 * OP_WORDS);
-                tx.write(base, tag)?;
-                tx.write(base.offset(1), k)?;
-                tx.write(base.offset(2), v)?;
-            }
-            Ok(())
+            repl::write_ops_in(tx, r.offset(D_OPS), &d.ops)
         })
         .expect("decision-log transactions never cancel");
-    }
-}
-
-fn encode_op(op: MapOp) -> (u64, u64, u64) {
-    match op {
-        MapOp::Get(k) => (0, k, 0),
-        MapOp::Insert(k, v) => (1, k, v),
-        MapOp::Remove(k) => (2, k, 0),
-    }
-}
-
-fn decode_op(tag: u64, k: u64, v: u64) -> MapOp {
-    match tag {
-        0 => MapOp::Get(k),
-        1 => MapOp::Insert(k, v),
-        2 => MapOp::Remove(k),
-        _ => unreachable!("corrupt decision-log op tag {tag}"),
     }
 }
 
@@ -321,14 +289,28 @@ fn decode_op(tag: u64, k: u64, v: u64) -> MapOp {
 /// power failure unwinds the driver; the round's dropped completion
 /// handles deliver [`ServeError::Stopped`] to every member — never an
 /// ack.
+///
+/// When replicating, the driver carries what its slot's record still
+/// owes the followers, `(shard, Prepare LSN)` per participant of its last
+/// committed round, and holds the next round until they applied it (a
+/// lagging follower promoted without its share of an unacked round
+/// whose record the next round overwrote would tear it). A starting
+/// driver owes every shard the primary's appended LSN.
 pub(crate) fn drive(
     eng: Arc<Engine>,
     rx: Receiver<ShardRequest>,
     stop: Arc<AtomicBool>,
     slot: usize,
 ) {
+    let mut owed: Vec<(usize, u64)> = eng.repl.as_ref().map_or_else(Vec::new, |rt| {
+        let appended = rt
+            .states
+            .iter()
+            .map(|st| st.appended.load(Ordering::Acquire));
+        appended.enumerate().collect()
+    });
     while let Some(members) = shard::next_batch(&rx, &stop, eng.cfg.batch_max) {
-        if tm::crash::run_crashable(|| round(&eng, members, slot)).is_none() {
+        if tm::crash::run_crashable(|| round(&eng, members, slot, &mut owed)).is_none() {
             // The pools are poisoned. This driver is dead until the
             // service is recovered.
             return;
@@ -356,7 +338,12 @@ fn crash_at(eng: &Engine, point: Point) {
 /// [`tm::crash::run_crashable`]: a simulated power failure unwinds out
 /// of here, and every member still in the round observes
 /// [`ServeError::Stopped`].
-fn round(eng: &Engine, mut members: Vec<ShardRequest>, slot: usize) {
+///
+/// First, under the members' latest deadline, every follower in `owed`
+/// must cover its LSN (see [`drive`]), or every member is answered
+/// `Timeout` unexecuted; a committed round leaves its own Prepare LSNs
+/// in `owed`.
+fn round(eng: &Engine, mut members: Vec<ShardRequest>, slot: usize, owed: &mut Vec<(usize, u64)>) {
     let co = &eng.coord;
     let cfg = &eng.cfg;
     let m = &co.metrics;
@@ -365,6 +352,21 @@ fn round(eng: &Engine, mut members: Vec<ShardRequest>, slot: usize) {
     shed_expired(&mut members, &m.abort_timeout);
     if members.is_empty() {
         return;
+    }
+    if let Some(rt) = eng.repl.as_deref() {
+        let deadline = members.iter().map(|r| r.deadline).max();
+        let deadline = deadline.expect("a round keeps at least one member");
+        if !owed
+            .iter()
+            .all(|&(s, lsn)| rt.states[s].wait_received(lsn, deadline))
+        {
+            m.abort_timeout.add(members.len() as u64);
+            for r in &members {
+                r.reply.send(Err(ServeError::Timeout));
+            }
+            return;
+        }
+        owed.clear();
     }
     m.cross_batches.add(members.len() as u64);
     m.cross_ops
@@ -443,6 +445,7 @@ fn round(eng: &Engine, mut members: Vec<ShardRequest>, slot: usize) {
         if let Some(r) = rt.filter(|_| lsn > 0) {
             r.states[*s].appended.fetch_max(lsn, Ordering::AcqRel);
             r.states[*s].signal_work();
+            owed.push((*s, lsn));
         }
     }
     m.commit.record(commit_start.elapsed());
@@ -497,33 +500,21 @@ fn prepare(
             crash_at(eng, Point::BetweenPrepares);
         }
         let sh = &eng.pools[*s];
-        let (map, commit, log_hdr) = (sh.map, sh.commits.offset(slot as u64), sh.hdr);
         let gops: Vec<MapOp> = idxs.iter().map(|&i| ops[i]).collect();
-        let muts = repl::mutations(&gops);
         let _psan = sh
             .tm
             .pmem()
             .pool()
             .psan_scope(ptid, "kvserve::coord::prepare");
-        let res = tm::prepare(&*sh.tm, ptid, |tx| {
+        // The commit word commits or rolls back atomically with the ops,
+        // and an armed log (replicating, or a live migration streaming
+        // the shard) mirrors it to the follower via the Prepare entry, so
+        // decision-log replay stays idempotent across a promotion.
+        let res = sh.tm.prepare(ptid, |tx| {
             if tx.attempt() >= ATTEMPT_FUEL {
                 return Err(Abort::Cancel);
             }
-            let mut out = Vec::with_capacity(gops.len());
-            for &op in &gops {
-                out.push(map.apply_in(tx, op)?);
-            }
-            // The commit word commits or rolls back atomically with the
-            // ops; recovery compares it with the slot's decision record
-            // to make replay idempotent.
-            tx.write(commit, txid)?;
-            // When the shard's op log is armed (replicating, or a live
-            // migration is streaming it), the follower mirrors the word
-            // too — via the Prepare entry — so decision-log replay stays
-            // idempotent across a promotion.
-            let lsn =
-                repl::append_armed_in(tx, log_hdr, LogKind::Prepare, slot as u64, txid, &muts)?;
-            Ok((out, lsn))
+            sh.apply_in(tx, LogKind::Prepare, slot as u64, txid, &gops)
         });
         match res {
             Ok((vals, lsn)) => {
@@ -571,19 +562,7 @@ pub(crate) fn replay(
             }
             let sops: Vec<MapOp> = idxs.iter().map(|&i| d.ops[i]).collect();
             tm::txn(&*p.tm, 0, |tx| {
-                for &op in &sops {
-                    p.map.apply_in(tx, op)?;
-                }
-                tx.write(word, d.txid)?;
-                repl::append_armed_in(
-                    tx,
-                    p.hdr,
-                    LogKind::Prepare,
-                    d.slot,
-                    d.txid,
-                    &repl::mutations(&sops),
-                )?;
-                Ok(())
+                p.apply_in(tx, LogKind::Prepare, d.slot, d.txid, &sops)
             })
             .expect("recovery replay never cancels");
             replayed += 1;

@@ -115,11 +115,6 @@ pub enum ServeError {
     /// Every slot of the submission ring is occupied (in flight or
     /// completed but not yet reaped). Reap completions, then resubmit.
     RingFull,
-    /// The request was submitted under a routing-table epoch that a live
-    /// shard migration has since flipped, and its keys no longer belong
-    /// to the shard that dequeued it. Deterministic verdict: nothing was
-    /// executed — re-route against the current table and resubmit.
-    Rerouted,
 }
 
 impl fmt::Display for ServeError {
@@ -132,9 +127,6 @@ impl fmt::Display for ServeError {
             ServeError::Aborted => write!(f, "transaction retry budget exhausted"),
             ServeError::Stopped => write!(f, "service stopped"),
             ServeError::RingFull => write!(f, "submission ring full, reap completions"),
-            ServeError::Rerouted => {
-                write!(f, "routing table flipped under the request, resubmit")
-            }
         }
     }
 }
@@ -350,10 +342,11 @@ fn lock_counters() -> (u64, u64) {
 /// one lock-guarded cell holding the current table **and** the matched
 /// shard lanes and cross-shard queue. Reading all three together is
 /// what makes a submission race-free against a concurrent flip — a
-/// request stamped with epoch E always lands in an epoch-E queue, and
+/// request routed under epoch E always lands in an epoch-E queue, and
 /// the migration drains those queues after installing epoch E+1, so
-/// every in-ring request submitted under the old table is re-routed (or
-/// answered [`ServeError::Rerouted`]) deterministically.
+/// every in-ring request submitted under the old table is re-routed
+/// deterministically. Every generation of the service gets new lanes,
+/// so no worker ever dequeues a request routed under an older table.
 pub(crate) struct Router {
     inner: parking_lot::Mutex<RouterInner>,
 }
@@ -556,8 +549,6 @@ impl Service {
     ) -> Service {
         let (xqueue, xqueue_rx) = channel::bounded::<ShardRequest>(cfg.queue_depth);
         let xlane = (xqueue, coord.metrics.clone());
-        // The router must exist before the workers: they read it to
-        // validate stale-epoch requests.
         let (router, ring_metrics) = carried.unwrap_or_else(|| {
             let router = Router::new(RouterInner {
                 table: table.clone(),
@@ -569,7 +560,7 @@ impl Service {
         let shards: Vec<Shard> = pools
             .iter()
             .enumerate()
-            .map(|(i, pool)| Shard::start(&cfg, i, pool, rt.clone(), router.clone()))
+            .map(|(i, pool)| Shard::start(&cfg, i, pool, rt.clone()))
             .collect();
         let engine = Arc::new(Engine {
             pools,
@@ -762,31 +753,19 @@ impl Service {
     /// only pads the *wait*, giving the worker time to deliver a verdict
     /// for a request it picked up near the deadline.
     fn blocking(&self, ops: Vec<MapOp>, deadline: Duration) -> Reply {
-        // `Rerouted` is retryable by construction — the request never
-        // executed, the routing table just flipped under it — so the
-        // blocking shell resubmits under the fresh table instead of
-        // leaking a transient migration artifact to the caller.
-        for _ in 0..3 {
-            let ticket = match self.front.submit_batch_deadline(ops.clone(), deadline) {
-                Ok(t) => t,
-                // The internal ring sized out: equivalent to a full queue
-                // from the blocking caller's point of view.
-                Err(ServeError::RingFull) => {
-                    return Err(ServeError::Overloaded {
-                        retry_after: BACKOFF_BASE,
-                    })
-                }
-                Err(e) => return Err(e),
-            };
-            match self
-                .front
-                .wait_deadline(ticket, Instant::now() + deadline + REPLY_GRACE)
-            {
-                Err(ServeError::Rerouted) => continue,
-                verdict => return verdict,
+        let ticket = match self.front.submit_batch_deadline(ops, deadline) {
+            Ok(t) => t,
+            // The internal ring sized out: equivalent to a full queue
+            // from the blocking caller's point of view.
+            Err(ServeError::RingFull) => {
+                return Err(ServeError::Overloaded {
+                    retry_after: BACKOFF_BASE,
+                })
             }
-        }
-        Err(ServeError::Rerouted)
+            Err(e) => return Err(e),
+        };
+        self.front
+            .wait_deadline(ticket, Instant::now() + deadline + REPLY_GRACE)
     }
 
     /// Start a new measurement window for the shard, coordinator and

@@ -312,10 +312,6 @@ metrics! {
         /// Service-level batch retries: the transaction used up its
         /// attempt fuel, and the worker backed off and retried the batch.
         retries: Counter,
-        /// Requests answered `Rerouted` (stamped with a stale routing
-        /// epoch and no longer owned by this shard after a migration
-        /// flip).
-        rerouted: Counter,
         /// Request latency, enqueue to reply.
         latency: Histogram,
     }

@@ -212,14 +212,9 @@ impl Service {
             // The chunk lands in the target's (armed-iff-replicating)
             // log too, so the target follower can be brought up from
             // the same stream.
+            let ops: Vec<MapOp> = moving.iter().map(|&(k, v)| MapOp::Insert(k, v)).collect();
             tm::txn(&*target.tm, 0, |tx| {
-                let mut muts = Vec::with_capacity(moving.len());
-                for &(k, v) in &moving {
-                    target.map.insert_in(tx, k, v)?;
-                    muts.push(MapOp::Insert(k, v));
-                }
-                repl::append_armed_in(tx, target.hdr, LogKind::Batch, 0, 0, &muts)?;
-                Ok(())
+                target.apply_in(tx, LogKind::Batch, 0, 0, &ops)
             })
             .expect("target-side migration transactions never cancel");
             base_keys += moving.len() as u64;
@@ -234,8 +229,7 @@ impl Service {
         let mut rounds = 0u32;
         loop {
             rounds += 1;
-            let Some(fresh) = repl::read_after(&stm, mig_tid, shdr.offset(repl::P_HEAD), cursor)
-            else {
+            let Some(fresh) = repl::read_after(&stm, mig_tid, shdr, cursor) else {
                 // Lost the read race against appenders; back off briefly.
                 if rounds > 256 {
                     break;
@@ -269,14 +263,14 @@ impl Service {
         // Quiescent now (workers, 2PC drivers and shippers joined): the
         // decision records are fully committed, the logs can no longer
         // grow.
-        let tail = repl::read_after(&stm, mig_tid, shdr.offset(repl::P_HEAD), cursor)
+        let tail = repl::read_after(&stm, mig_tid, shdr, cursor)
             .expect("a quiescent log read cannot lose its race");
         catchup_entries += apply_entries(&target, &tail, &mask);
         if let Some(f) = &tfollower {
             // Sync the target's follower *before* the flip: from the
             // instant the new table is durable, a primary-loss failover
             // must find every moved acked write on the target's replica.
-            let all = repl::read_after(&target.tm, 0, target.hdr.offset(repl::P_HEAD), 0)
+            let all = repl::read_after(&target.tm, 0, target.hdr, 0)
                 .expect("a quiescent log read cannot lose its race");
             f.ingest(&all);
         }
@@ -345,6 +339,8 @@ impl Service {
         for r in reqs {
             requeue(&inner, r);
         }
+        // The post-flip service serves: the write pause ends here.
+        let flip_pause = pause_start.elapsed();
         // The moved keys' source copies are unreachable under the new
         // table; sweep them (logged removes keep a replicating source's
         // follower in sync). With replication off the source log only
@@ -354,7 +350,6 @@ impl Service {
             repl::trim_through(&stm, mig_tid, shdr.offset(repl::P_HEAD), u64::MAX);
         }
         svc.scavenge(source);
-        let flip_pause = pause_start.elapsed();
         if probe.fires(Point::Resumed) {
             return Err(Box::new(MigrateCrash { dump: svc.crash() }));
         }
@@ -372,43 +367,30 @@ impl Service {
     /// Remove every key on `shard` that the *current* table routes
     /// elsewhere. Live-safe: chunked per-bucket transactional scans on
     /// the reserved migration thread slot — no request can touch a
-    /// misrouted key (workers reject them), so the sweep races nothing.
+    /// misrouted key (every request is routed under the current table into
+    /// the current lanes), so the sweep races nothing.
     /// Removes are logged when the shard's op log is armed, keeping a
     /// replicating source's follower in sync.
-    fn scavenge(&self, shard: usize) -> u64 {
+    fn scavenge(&self, shard: usize) {
         let cfg = &self.engine.cfg;
         let table = self.engine.router.table();
         let p = &self.engine.pools[shard];
         let mig_tid = cfg.workers_per_shard + cfg.coordinators + 1;
-        let mut removed = 0u64;
         for b in 0..cfg.buckets_per_shard {
             let chunk = tm::txn(&*p.tm, mig_tid, |tx| p.map.scan_bucket_in(tx, b))
                 .expect("bucket scans never cancel");
-            let stale: Vec<u64> = chunk
+            let stale: Vec<MapOp> = chunk
                 .into_iter()
                 .filter(|&(k, _)| table.route(k) != shard)
-                .map(|(k, _)| k)
+                .map(|(k, _)| MapOp::Remove(k))
                 .collect();
-            if stale.is_empty() {
-                continue;
+            if !stale.is_empty() {
+                tm::txn(&*p.tm, mig_tid, |tx| {
+                    p.apply_in(tx, LogKind::Batch, 0, 0, &stale)
+                })
+                .expect("scavenge transactions never cancel");
             }
-            let (map, hdr) = (p.map, p.hdr);
-            tm::txn(&*p.tm, mig_tid, |tx| {
-                let mut muts = Vec::with_capacity(stale.len());
-                for &k in &stale {
-                    if map.remove_in(tx, k)?.is_some() {
-                        muts.push(MapOp::Remove(k));
-                    }
-                }
-                if !muts.is_empty() {
-                    repl::append_armed_in(tx, hdr, LogKind::Batch, 0, 0, &muts)?;
-                }
-                Ok(muts.len() as u64)
-            })
-            .map(|n| removed += n)
-            .expect("scavenge transactions never cancel");
         }
-        removed
     }
 }
 
@@ -432,11 +414,7 @@ fn apply_entries(target: &ShardPool, entries: &[LogEntry], mask: &[bool; ROUTE_S
             continue;
         }
         tm::txn(&*target.tm, 0, |tx| {
-            for &op in &muts {
-                target.map.apply_in(tx, op)?;
-            }
-            repl::append_armed_in(tx, target.hdr, LogKind::Batch, 0, 0, &muts)?;
-            Ok(())
+            target.apply_in(tx, LogKind::Batch, 0, 0, &muts)
         })
         .expect("target-side migration transactions never cancel");
         applied += 1;
@@ -448,8 +426,7 @@ fn apply_entries(target: &ShardPool, entries: &[LogEntry], mask: &[bool; ROUTE_S
 /// into its shard's lane when it is still single-shard, to the 2PC
 /// drivers when the flip split it. Queue-full answers `Overloaded` and
 /// counts it, exactly as a fresh submission would have been told.
-fn requeue(inner: &RouterInner, mut req: ShardRequest) {
-    req.epoch = inner.table.epoch();
+fn requeue(inner: &RouterInner, req: ShardRequest) {
     let (queue, rejected) = inner.lane(&req.ops);
     if let Err(TrySendError::Full(req) | TrySendError::Disconnected(req)) = queue.try_send(req) {
         rejected.inc();

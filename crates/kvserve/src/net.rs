@@ -22,7 +22,7 @@
 //! **The ack contract.** A response frame with status `Ok` is the
 //! durability ack: the batch committed and its effects survive any
 //! later crash. Every error status is a *definite* no-op verdict
-//! (`Timeout`, `Aborted`, `Stopped`, `Rerouted`, `Busy`: nothing
+//! (`Timeout`, `Aborted`, `Stopped`, `Busy`: nothing
 //! executed, resubmitting is sound — these are the ring's own verdict
 //! semantics forwarded to the wire). A connection that dies without a
 //! response for an in-flight request yields **no verdict**: the batch
@@ -70,7 +70,8 @@ const STATUS_OK: u8 = 0;
 const STATUS_TIMEOUT: u8 = 1;
 const STATUS_ABORTED: u8 = 2;
 const STATUS_STOPPED: u8 = 3;
-const STATUS_REROUTED: u8 = 4;
+// Status 4 is retired (it answered a stale routing epoch, which no
+// request reaches any more) and decodes as `FrameError::BadStatus(4)`.
 const STATUS_BUSY: u8 = 5;
 
 const TAG_GET: u8 = 0;
@@ -229,7 +230,6 @@ pub fn encode_response(buf: &mut Vec<u8>, corr: u64, reply: &Reply) {
         Err(ServeError::Timeout) => buf.push(STATUS_TIMEOUT),
         Err(ServeError::Aborted) => buf.push(STATUS_ABORTED),
         Err(ServeError::Stopped) => buf.push(STATUS_STOPPED),
-        Err(ServeError::Rerouted) => buf.push(STATUS_REROUTED),
         // Both structural-backpressure rejections cross the wire as
         // Busy; RingFull's hint is "reap then resubmit", rendered as a
         // zero retry delay.
@@ -325,7 +325,6 @@ fn decode_response_body(body: &[u8]) -> Result<ResponseFrame, FrameError> {
         STATUS_TIMEOUT => Err(ServeError::Timeout),
         STATUS_ABORTED => Err(ServeError::Aborted),
         STATUS_STOPPED => Err(ServeError::Stopped),
-        STATUS_REROUTED => Err(ServeError::Rerouted),
         STATUS_BUSY => {
             if rest.len() != 8 {
                 return Err(FrameError::SizeMismatch);
@@ -336,11 +335,7 @@ fn decode_response_body(body: &[u8]) -> Result<ResponseFrame, FrameError> {
         }
         s => return Err(FrameError::BadStatus(s)),
     };
-    if matches!(
-        status,
-        STATUS_TIMEOUT | STATUS_ABORTED | STATUS_STOPPED | STATUS_REROUTED
-    ) && !rest.is_empty()
-    {
+    if matches!(status, STATUS_TIMEOUT | STATUS_ABORTED | STATUS_STOPPED) && !rest.is_empty() {
         return Err(FrameError::SizeMismatch);
     }
     Ok(ResponseFrame { corr, reply })
@@ -1149,7 +1144,6 @@ mod tests {
             Err(ServeError::Timeout),
             Err(ServeError::Aborted),
             Err(ServeError::Stopped),
-            Err(ServeError::Rerouted),
             Err(ServeError::Overloaded {
                 retry_after: Duration::from_micros(250),
             }),
@@ -1161,11 +1155,17 @@ mod tests {
             assert_eq!(used, buf.len());
             assert_eq!(frame, Frame::Response(ResponseFrame { corr: 42, reply }));
         }
-        // Status 6 (a retired rejection) is no longer a status at all.
-        let mut buf = Vec::new();
-        encode_response(&mut buf, 42, &Err(ServeError::Timeout));
-        buf[HEADER_LEN + 8] = 6;
-        assert_eq!(decode_frame(&buf).unwrap_err(), FrameError::BadStatus(6));
+        // Statuses 4 and 6 (retired verdicts) are no longer statuses at
+        // all.
+        for retired in [4, 6] {
+            let mut buf = Vec::new();
+            encode_response(&mut buf, 42, &Err(ServeError::Timeout));
+            buf[HEADER_LEN + 8] = retired;
+            assert_eq!(
+                decode_frame(&buf).unwrap_err(),
+                FrameError::BadStatus(retired)
+            );
+        }
     }
 
     #[test]

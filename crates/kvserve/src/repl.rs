@@ -6,15 +6,18 @@
 //!
 //! Each primary shard keeps a replication log *inside its own NV-HALT
 //! heap*: a three-word header `[head, last_lsn, armed]` plus a
-//! newest-first linked list of packed entries
-//! `[next, lsn, meta, tagword × ⌈nops/32⌉, (key, val) × nops]`. The header
+//! newest-first linked list of packed entries `[next, lsn, meta, op
+//! list]`, where the op list is `tagword × ⌈nops/32⌉, (key, val) × nops`
+//! — the one op-list format, which 2PC decision records use too. The header
 //! exists on every shard; the durable `armed` word says whether
 //! appenders actually log their mutations (always on a replicated
 //! service; turned on transactionally by a live migration otherwise —
 //! see `P_ARMED`).
 //! Every committed mutation reaches the log **inside the transaction that
-//! performs it** (`append_in` is called from the worker's batch
-//! transaction and from the 2PC prepare and replay transactions), so the log
+//! performs it**: `ShardPool::apply_in` is the one way a shard pool is
+//! mutated (worker batches, 2PC prepare and replay, follower ingest,
+//! migration), and it runs the ops, writes a `Prepare`'s commit word and
+//! appends the entry in the caller's transaction, so the log
 //! entry and the data it describes commit or roll back atomically — a
 //! post-commit hook could tear (batch durable, entry lost) and was
 //! deliberately rejected. Because the header's `last_lsn` word is written
@@ -37,11 +40,14 @@
 //! `[head, last_lsn, armed]` shape, with an empty log and `armed` 0, and
 //! its `last_lsn` is its one durable watermark — the highest primary LSN
 //! applied into its map and commit words. One shipper thread per shard
-//! drives the follower's own NV-HALT instance, and a ship round is **one
-//! follower transaction** ([`Follower::ingest`]): every new primary entry
-//! is applied straight into the follower's map and the watermark
-//! advances under that single commit — one flush pass, one fence,
-//! amortized over however many entries the round picked up.
+//! drives the follower's own NV-HALT instance. A ship round reads the
+//! fresh primary entries with one small header transaction plus a walk
+//! straight from the heap (`read_after`), and commits them on the
+//! follower with [`Follower::ingest`]: up to `INGEST_BATCH` entries are
+//! applied and the watermark advances under one commit — one flush pass,
+//! one fence, amortized over the entries the round picked up. Neither
+//! side runs one transaction over a long tail, which would capacity-abort
+//! to the software path and cost time quadratic in the entries.
 //!
 //! Acks are **semi-synchronous**: a worker (or 2PC coordinator) only
 //! acks once the follower's watermark durably covers its entry, so
@@ -87,18 +93,18 @@ pub(crate) const P_ARMED: u64 = 2;
 pub(crate) const HDR_WORDS: usize = 3;
 
 /// Log entry layout (word offsets within an entry block):
-/// `[next, lsn, meta, tagword × ⌈nops/32⌉, (key, val) × nops]`.
+/// `[next, lsn, meta, op list]`.
 ///
 /// `meta` packs the entry kind (2 bits), the op count (14 bits), the 2PC
-/// coordinator slot (8 bits) and transaction id (40 bits) into one word,
-/// and each op's tag takes 2 bits of the packed tag words —
-/// 3 + ⌈n/32⌉ + 2n words per entry against the naive 5 + 3n. Every
-/// persisted word is a flushed cache line eventually, so the diet feeds
-/// directly into flushes/op.
+/// coordinator slot (8 bits) and transaction id (40 bits) into one word;
+/// the op list is the one op-list format ([`write_ops_in`]) — 3 +
+/// ⌈n/32⌉ + 2n words per entry against the naive 5 + 3n. Every persisted
+/// word is a flushed cache line eventually, so the diet feeds directly
+/// into flushes/op.
 const L_NEXT: u64 = 0;
 const L_LSN: u64 = 1;
 const L_META: u64 = 2;
-const L_TAGS: u64 = 3;
+const L_OPS: u64 = 3;
 /// Words per op payload (key, value).
 const OP_WORDS: u64 = 2;
 /// Op tags per packed tag word (2 bits each).
@@ -144,9 +150,69 @@ fn tag_words(nops: u64) -> u64 {
     nops.div_ceil(TAGS_PER_WORD)
 }
 
+/// Words an op list of `nops` ops takes: ⌈nops/32⌉ tag words, then a
+/// `(key, val)` pair per op.
+pub(crate) fn ops_words(nops: u64) -> u64 {
+    tag_words(nops) + nops * OP_WORDS
+}
+
 /// An entry block's total size in words.
 fn entry_words(nops: u64) -> u64 {
-    L_TAGS + tag_words(nops) + nops * OP_WORDS
+    L_OPS + ops_words(nops)
+}
+
+/// Write `ops` at `at` inside the caller's transaction in the one
+/// op-list format of op-log entries and 2PC decision records: ⌈n/32⌉
+/// tag words (2 bits per op: `Get` 0, `Insert` 1, `Remove` 2), then
+/// `(key, val)` per op. The caller stores the count.
+pub(crate) fn write_ops_in<Tx: Txn + ?Sized>(
+    tx: &mut Tx,
+    at: Addr,
+    ops: &[MapOp],
+) -> Result<(), Abort> {
+    for (w, chunk) in ops.chunks(TAGS_PER_WORD as usize).enumerate() {
+        let mut word = 0u64;
+        for (j, &op) in chunk.iter().enumerate() {
+            let tag = match op {
+                MapOp::Get(_) => 0,
+                MapOp::Insert(..) => 1,
+                MapOp::Remove(_) => 2,
+            };
+            word |= tag << (2 * j as u64);
+        }
+        tx.write(at.offset(w as u64), word)?;
+    }
+    let pairs = at.offset(tag_words(ops.len() as u64));
+    for (i, &op) in ops.iter().enumerate() {
+        let (k, v) = match op {
+            MapOp::Insert(k, v) => (k, v),
+            MapOp::Get(k) | MapOp::Remove(k) => (k, 0),
+        };
+        let pair = pairs.offset(i as u64 * OP_WORDS);
+        tx.write(pair, k)?;
+        tx.write(pair.offset(1), v)?;
+    }
+    Ok(())
+}
+
+/// Decode the `nops`-op list at `at` (see [`write_ops_in`]) straight
+/// from the heap. The list must be committed and must stay unfreed
+/// while it is read.
+pub(crate) fn read_ops_raw(tm: &NvHalt, at: Addr, nops: u64) -> Vec<MapOp> {
+    let pairs = at.offset(tag_words(nops));
+    (0..nops)
+        .map(|i| {
+            let tags = tm.read_raw(at.offset(i / TAGS_PER_WORD));
+            let pair = pairs.offset(i * OP_WORDS);
+            let k = tm.read_raw(pair);
+            match (tags >> (2 * (i % TAGS_PER_WORD))) & 0b11 {
+                0 => MapOp::Get(k),
+                1 => MapOp::Insert(k, tm.read_raw(pair.offset(1))),
+                2 => MapOp::Remove(k),
+                tag => unreachable!("corrupt op-list tag {tag}"),
+            }
+        })
+        .collect()
 }
 
 /// What a log entry carries.
@@ -198,69 +264,14 @@ impl LogEntry {
     }
 }
 
-/// Write one entry's body (everything but `next`) into the block at
-/// `e` inside the caller's transaction. The block is fully overwritten,
-/// so recycled blocks need no zeroing.
-fn write_entry_in<Tx: Txn + ?Sized>(
-    tx: &mut Tx,
-    e: Addr,
-    lsn: u64,
-    kind: LogKind,
-    slot: u64,
-    txid: u64,
-    ops: &[MapOp],
-) -> Result<(), Abort> {
-    let nops = ops.len() as u64;
-    tx.write(e.offset(L_LSN), lsn)?;
-    tx.write(e.offset(L_META), pack_meta(kind, slot, txid, nops))?;
-    for (w, chunk) in ops.chunks(TAGS_PER_WORD as usize).enumerate() {
-        let mut word = 0u64;
-        for (j, &op) in chunk.iter().enumerate() {
-            let (tag, _, _) = encode_op(op);
-            word |= tag << (2 * j as u64);
-        }
-        tx.write(e.offset(L_TAGS + w as u64), word)?;
-    }
-    let base0 = L_TAGS + tag_words(nops);
-    for (i, &op) in ops.iter().enumerate() {
-        let (_, k, v) = encode_op(op);
-        let base = e.offset(base0 + i as u64 * OP_WORDS);
-        tx.write(base, k)?;
-        tx.write(base.offset(1), v)?;
-    }
-    Ok(())
-}
-
-fn encode_op(op: MapOp) -> (u64, u64, u64) {
-    match op {
-        MapOp::Get(k) => (0, k, 0),
-        MapOp::Insert(k, v) => (1, k, v),
-        MapOp::Remove(k) => (2, k, 0),
-    }
-}
-
-fn decode_op(tag: u64, k: u64, v: u64) -> MapOp {
-    match tag {
-        0 => MapOp::Get(k),
-        1 => MapOp::Insert(k, v),
-        2 => MapOp::Remove(k),
-        _ => unreachable!("corrupt replication-log op tag {tag}"),
-    }
-}
-
-/// The mutations of `ops` (reads are not replicated).
-pub(crate) fn mutations(ops: &[MapOp]) -> Vec<MapOp> {
-    ops.iter()
-        .copied()
-        .filter(|op| !matches!(op, MapOp::Get(_)))
-        .collect()
-}
-
 /// Append a log entry inside the caller's transaction: allocate the
-/// block, link it at the head, and advance `last_lsn`. Returns the LSN.
-/// Because this runs inside the data transaction, the entry commits (or
-/// rolls back) atomically with the mutations it describes. `slot` and
-/// `txid` name a `Prepare`'s 2PC transaction; batches pass zeros.
+/// block, write the entry, link it at the head, and advance `last_lsn`.
+/// Returns the LSN. Because this runs inside the data transaction, the
+/// entry commits (or rolls back) atomically with the mutations it
+/// describes ([`ShardPool::apply_in`] is its one caller in the service).
+/// `slot` and `txid` name a `Prepare`'s 2PC transaction; batches pass
+/// zeros. The block is fully overwritten, so recycled blocks need no
+/// zeroing.
 pub(crate) fn append_in<Tx: Txn + ?Sized>(
     tx: &mut Tx,
     hdr: Addr,
@@ -270,32 +281,16 @@ pub(crate) fn append_in<Tx: Txn + ?Sized>(
     ops: &[MapOp],
 ) -> Result<u64, Abort> {
     let lsn = tx.read(hdr.offset(P_LAST))? + 1;
-    let e = tx.alloc(entry_words(ops.len() as u64) as usize)?;
-    write_entry_in(tx, e, lsn, kind, slot, txid, ops)?;
+    let nops = ops.len() as u64;
+    let e = tx.alloc(entry_words(nops) as usize)?;
+    tx.write(e.offset(L_LSN), lsn)?;
+    tx.write(e.offset(L_META), pack_meta(kind, slot, txid, nops))?;
+    write_ops_in(tx, e.offset(L_OPS), ops)?;
     let prev = tx.read(hdr.offset(P_HEAD))?;
     tx.write(e.offset(L_NEXT), prev)?;
     tx.write(hdr.offset(P_HEAD), e.0)?;
     tx.write(hdr.offset(P_LAST), lsn)?;
     Ok(lsn)
-}
-
-/// Append to the log **iff it is armed**, reading the armed word inside
-/// the caller's transaction (see [`P_ARMED`]). Returns the LSN, or 0
-/// when the log is disarmed (LSNs start at 1, so 0 is never a real
-/// entry). Note a read-only 2PC participant's `Prepare` legitimately
-/// carries no ops — skipping empty batches is the caller's business.
-pub(crate) fn append_armed_in<Tx: Txn + ?Sized>(
-    tx: &mut Tx,
-    hdr: Addr,
-    kind: LogKind,
-    slot: u64,
-    txid: u64,
-    ops: &[MapOp],
-) -> Result<u64, Abort> {
-    if tx.read(hdr.offset(P_ARMED))? == 0 {
-        return Ok(0);
-    }
-    append_in(tx, hdr, kind, slot, txid, ops)
 }
 
 /// Durably set the log's armed word in its own transaction.
@@ -309,55 +304,52 @@ pub(crate) fn armed_raw(tm: &NvHalt, hdr: Addr) -> bool {
     tm.read_raw(hdr.offset(P_ARMED)) != 0
 }
 
-fn read_entry_in<Tx: Txn + ?Sized>(tx: &mut Tx, a: Addr) -> Result<LogEntry, Abort> {
-    let meta = tx.read(a.offset(L_META))?;
-    let nops = meta_nops(meta);
-    let mut tags = Vec::with_capacity(tag_words(nops) as usize);
-    for w in 0..tag_words(nops) {
-        tags.push(tx.read(a.offset(L_TAGS + w))?);
-    }
-    let base0 = L_TAGS + tag_words(nops);
-    let mut ops = Vec::with_capacity(nops as usize);
-    for i in 0..nops {
-        let tag = (tags[(i / TAGS_PER_WORD) as usize] >> (2 * (i % TAGS_PER_WORD))) & 0b11;
-        let base = a.offset(base0 + i * OP_WORDS);
-        ops.push(decode_op(tag, tx.read(base)?, tx.read(base.offset(1))?));
-    }
-    Ok(LogEntry {
-        lsn: tx.read(a.offset(L_LSN))?,
+/// Decode the committed entry at `a` straight from the heap.
+fn read_entry_raw(tm: &NvHalt, a: Addr) -> LogEntry {
+    let meta = tm.read_raw(a.offset(L_META));
+    LogEntry {
+        lsn: tm.read_raw(a.offset(L_LSN)),
         kind: meta_kind(meta),
         slot: meta_slot(meta),
         txid: meta_txid(meta),
-        ops,
-    })
+        ops: read_ops_raw(tm, a.offset(L_OPS), meta_nops(meta)),
+    }
 }
 
 /// Attempts a shipper-side read gets before giving the round up (the
 /// primary's workers keep the log head hot; the next round retries).
 const READ_FUEL: usize = 8;
 
-/// Transactionally read every entry with `lsn > after` from the list
-/// rooted at `head`, in ascending LSN order. `None` if the read
-/// transaction could not win its fuel against concurrent appends.
-pub(crate) fn read_after(tm: &NvHalt, tid: usize, head: Addr, after: u64) -> Option<Vec<LogEntry>> {
-    tm::txn(tm, tid, |tx| {
+/// Every entry with `lsn > after` of the log whose header is at `hdr`,
+/// in ascending LSN order: one small transaction reads `(head,
+/// last_lsn)`, then the `last_lsn - after` entries are walked straight
+/// from the heap (one transaction over the walk would capacity-abort to
+/// the software path and cost O(N²)). Safe because appenders change only
+/// the header, and the shipper, the only live trimmer, trims only at or
+/// below its cursor or a migration's (`ShipState::hold`), the `after` of
+/// the only other live reader; the walk never reads the entry at
+/// `after` or the `next` word above it. `None` if the header read lost
+/// its fuel to concurrent appends.
+pub(crate) fn read_after(tm: &NvHalt, tid: usize, hdr: Addr, after: u64) -> Option<Vec<LogEntry>> {
+    let (head, last) = tm::txn(tm, tid, |tx| {
         if tx.attempt() >= READ_FUEL {
             return Err(Abort::Cancel);
         }
-        let mut out = Vec::new();
-        let mut a = Addr(tx.read(head)?);
-        while !a.is_null() {
-            let lsn = tx.read(a.offset(L_LSN))?;
-            if lsn <= after {
-                break;
-            }
-            out.push(read_entry_in(tx, a)?);
-            a = Addr(tx.read(a.offset(L_NEXT))?);
-        }
-        out.reverse();
-        Ok(out)
+        Ok((tx.read(hdr.offset(P_HEAD))?, tx.read(hdr.offset(P_LAST))?))
     })
-    .ok()
+    .ok()?;
+    let n = last.saturating_sub(after) as usize;
+    let mut out = Vec::with_capacity(n);
+    let mut a = Addr(head);
+    for i in 0..n {
+        out.push(read_entry_raw(tm, a));
+        if i + 1 < n {
+            a = Addr(tm.read_raw(a.offset(L_NEXT)));
+        }
+    }
+    out.reverse();
+    debug_assert!(out.iter().zip(after + 1..).all(|(e, lsn)| e.lsn == lsn));
+    Some(out)
 }
 
 /// Unlink and free every entry with `lsn <= upto` (the strictly
@@ -432,6 +424,9 @@ pub struct Follower {
 /// TM thread id of all follower-side transactions.
 const FOLLOWER_TID: usize = 0;
 
+/// Most entries one [`Follower::ingest`] transaction applies.
+const INGEST_BATCH: usize = 32;
+
 impl Follower {
     /// Fresh follower for `cfg`'s shards: an empty map, zero commit
     /// words and a zero (disarmed, empty) header.
@@ -456,36 +451,38 @@ impl Follower {
         last_lsn_raw(&self.pool.tm, self.pool.hdr)
     }
 
-    /// The follower's one commit: apply the entries (ascending by LSN)
-    /// above the watermark through the same [`txstructs::HashMapTx`]
-    /// path the primary used, mirror each `Prepare`'s commit word, and
-    /// advance the watermark to the last entry — all in **one
-    /// transaction**, so a whole ship round costs one flush pass and one
-    /// fence. Entries at or below the watermark are skipped, which makes
-    /// a re-send after a follower recovery a no-op. Followed by a psan
-    /// durability point: the applied state must be fully fenced before
-    /// the watermark releases any ack. Returns the durable watermark.
+    /// The follower's commit: apply the entries (ascending by LSN) above
+    /// the watermark through the same `ShardPool::apply_in` the primary
+    /// used — its disarmed log re-logs nothing, and each `Prepare`
+    /// mirrors its commit word — and advance the watermark with them, in
+    /// transactions of at most `INGEST_BATCH` (32) entries, so a ship round
+    /// costs one flush pass and one fence per batch. Entries at or below
+    /// the watermark are skipped, which makes a re-send after a follower
+    /// recovery a no-op. Followed by a psan durability point: the applied
+    /// state must be fully fenced before the watermark releases any ack.
+    /// Returns the durable watermark.
     pub fn ingest(&self, entries: &[LogEntry]) -> u64 {
         debug_assert!(entries.windows(2).all(|w| w[0].lsn < w[1].lsn));
         let pool = &self.pool;
-        let watermark = tm::txn(&*pool.tm, FOLLOWER_TID, |tx| {
-            let watermark = tx.read(pool.hdr.offset(P_LAST))?;
-            let fresh = &entries[entries.partition_point(|e| e.lsn <= watermark)..];
-            let Some(last) = fresh.last() else {
-                return Ok(watermark);
-            };
-            for e in fresh {
-                for &op in &e.ops {
-                    pool.map.apply_in(tx, op)?;
+        let watermark = loop {
+            let (watermark, done) = tm::txn(&*pool.tm, FOLLOWER_TID, |tx| {
+                let watermark = tx.read(pool.hdr.offset(P_LAST))?;
+                let start = entries.partition_point(|e| e.lsn <= watermark);
+                let fresh = &entries[start..entries.len().min(start + INGEST_BATCH)];
+                let Some(last) = fresh.last() else {
+                    return Ok((watermark, true));
+                };
+                for e in fresh {
+                    pool.apply_in(tx, e.kind, e.slot, e.txid, &e.ops)?;
                 }
-                if e.kind == LogKind::Prepare {
-                    tx.write(pool.commits.offset(e.slot), e.txid)?;
-                }
+                tx.write(pool.hdr.offset(P_LAST), last.lsn)?;
+                Ok((last.lsn, start + fresh.len() == entries.len()))
+            })
+            .expect("follower transactions never cancel");
+            if done {
+                break watermark;
             }
-            tx.write(pool.hdr.offset(P_LAST), last.lsn)?;
-            Ok(last.lsn)
-        })
-        .expect("follower transactions never cancel");
+        };
         if let Some(p) = pool.tm.pmem().pool().psan() {
             p.durability_point(FOLLOWER_TID, "kvserve::repl::applied_lsn");
         }
@@ -745,7 +742,7 @@ fn shipper(rt: &ReplRuntime, s: usize) {
 }
 
 /// One shipping round for shard `s`: the round's fresh primary entries
-/// commit on the follower in one transaction ([`Follower::ingest`]),
+/// commit on the follower ([`Follower::ingest`]),
 /// the new watermark releases the ack waiters, and the primary log is
 /// retired behind it only every [`PRIMARY_TRIM_BATCH`] entries.
 fn ship_round(rt: &ReplRuntime, s: usize) {
@@ -762,7 +759,7 @@ fn ship_round(rt: &ReplRuntime, s: usize) {
     // `None` lost the read race against appenders (e.g. a prepared 2PC
     // transaction holds the log head); the next round — at latest one
     // ship interval away — retries.
-    let Some(fresh) = read_after(&p.tm, rt.ship_tid, p.hdr.offset(P_HEAD), received) else {
+    let Some(fresh) = read_after(&p.tm, rt.ship_tid, p.hdr, received) else {
         return;
     };
     if fresh.is_empty() {
@@ -840,15 +837,17 @@ mod tests {
             .unwrap();
             assert_eq!(lsn, i);
         }
-        let all = read_after(&tm, 0, hdr.offset(P_HEAD), 0).unwrap();
+        let all = read_after(&tm, 0, hdr, 0).unwrap();
         assert_eq!(all.len(), 5);
         assert!(all.windows(2).all(|w| w[0].lsn + 1 == w[1].lsn));
-        let late = read_after(&tm, 0, hdr.offset(P_HEAD), 3).unwrap();
+        let late = read_after(&tm, 0, hdr, 3).unwrap();
         assert_eq!(late.len(), 2);
         trim_through(&tm, 0, hdr.offset(P_HEAD), 3);
-        let rest = read_after(&tm, 0, hdr.offset(P_HEAD), 0).unwrap();
+        // Readers read only above the trim floor.
+        let rest = read_after(&tm, 0, hdr, 3).unwrap();
         assert_eq!(rest.len(), 2);
         assert_eq!(rest[0].lsn, 4);
+        assert_eq!(rest, late);
         assert_eq!(last_lsn_raw(&tm, hdr), 5);
     }
 }

@@ -345,16 +345,14 @@ impl Ring {
             reply: sink,
             deadline: now + deadline,
             enqueued: now,
-            epoch: 0,
         };
         // One coherent (table, lanes, xlane) snapshot per attempt: the
-        // request is stamped with the snapshot's epoch and lands in that
-        // epoch's queues, so a concurrent flip either sees it when it
-        // drains the old queues or never races it at all.
+        // request lands in that snapshot's queues, so a concurrent flip
+        // either sees it when it drains the old queues or never races it
+        // at all.
         let mut snap = self.router.load();
         let mut attempts = 0usize;
         let (req, err) = loop {
-            req.epoch = snap.table.epoch();
             let (queue, rejected) = snap.lane(&req.ops);
             match queue.try_send(req) {
                 Ok(()) => return Ok(ticket),

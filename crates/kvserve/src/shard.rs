@@ -2,7 +2,7 @@
 //! a bounded request queue, and the worker threads that drain it.
 //!
 //! Workers coalesce queued requests into batches and run each batch as a
-//! *single* durable transaction ([`HashMapTx::apply_in`] per op inside one
+//! *single* durable transaction ([`ShardPool::apply_in`] inside one
 //! `tm::txn`), amortizing the commit-time flush/fence cost across the
 //! batch. A batch whose transaction burns through its attempt fuel is
 //! voluntarily cancelled; the worker then backs off exponentially and
@@ -17,7 +17,7 @@ use crate::metrics::{Counter, ShardMetrics};
 use crate::probe::Point;
 use crate::repl::{self, LogKind, ReplRuntime};
 use crate::ring::RingCompletion;
-use crate::{backoff, op_key, Router, ServeError, ServiceConfig, ATTEMPT_FUEL};
+use crate::{backoff, ServeError, ServiceConfig, ATTEMPT_FUEL};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use nvhalt::NvHalt;
 use pmem::pool::DurableImage;
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tm::{Abort, Addr};
+use tm::{Abort, Addr, Txn};
 use txstructs::{HashMapTx, MapOp};
 
 /// How often an idle worker re-checks the stop flag.
@@ -89,6 +89,40 @@ impl ShardPool {
         pool
     }
 
+    /// The one way a shard pool is mutated, inside the caller's
+    /// transaction: run `ops` on the map; for a `Prepare`, write the
+    /// slot's commit word `commits[slot] = txid` (recovery compares it
+    /// with the slot's decision record to make replay idempotent); and,
+    /// when the op log is armed, append one entry of `kind` with the
+    /// mutations — always for a `Prepare` (the follower mirrors its
+    /// word), for a `Batch` only if it mutates. The map, the word and the
+    /// entry commit or roll back together. Returns each op's value and
+    /// the entry's LSN, 0 when nothing was logged.
+    pub fn apply_in(
+        &self,
+        tx: &mut dyn Txn,
+        kind: LogKind,
+        slot: u64,
+        txid: u64,
+        ops: &[MapOp],
+    ) -> Result<(Vec<Option<u64>>, u64), Abort> {
+        let vals = ops
+            .iter()
+            .map(|&op| self.map.apply_in(tx, op))
+            .collect::<Result<Vec<_>, _>>()?;
+        if kind == LogKind::Prepare {
+            tx.write(self.commits.offset(slot), txid)?;
+        }
+        let logs = kind == LogKind::Prepare || ops.iter().any(|&op| mutates(op));
+        let lsn = if logs && tx.read(self.hdr.offset(repl::P_ARMED))? != 0 {
+            let muts: Vec<MapOp> = ops.iter().copied().filter(|&op| mutates(op)).collect();
+            repl::append_in(tx, self.hdr, kind, slot, txid, &muts)?
+        } else {
+            0
+        };
+        Ok((vals, lsn))
+    }
+
     /// Capture a crashed pool's durable remains.
     pub fn image(&self) -> PoolImage {
         PoolImage {
@@ -125,18 +159,19 @@ impl ShardPool {
     }
 }
 
+/// Whether `op` writes (reads are not logged).
+fn mutates(op: MapOp) -> bool {
+    !matches!(op, MapOp::Get(_))
+}
+
 /// One queued request, on a shard's queue or the 2PC drivers': the ops
-/// to run atomically, the ring slot that receives the answer, its timing
-/// envelope, and the routing epoch the submitter routed under (workers
-/// reject stale-epoch requests whose keys no longer belong here — see
-/// [`ServeError::Rerouted`]; the drivers ignore it and partition under
-/// the current table).
+/// to run atomically, the ring slot that receives the answer, and its
+/// timing envelope.
 pub(crate) struct ShardRequest {
     pub ops: Vec<MapOp>,
     pub reply: RingCompletion,
     pub deadline: Instant,
     pub enqueued: Instant,
-    pub epoch: u64,
 }
 
 /// A running shard: its queue and workers. Its pool lives in the
@@ -161,7 +196,6 @@ struct WorkerCtx {
     max_retries: u32,
     shard: usize,
     repl: Option<Arc<ReplRuntime>>,
-    router: Arc<Router>,
 }
 
 impl Shard {
@@ -172,7 +206,6 @@ impl Shard {
         index: usize,
         pool: &ShardPool,
         repl: Option<Arc<ReplRuntime>>,
-        router: Arc<Router>,
     ) -> Shard {
         let (queue, queue_rx) = channel::bounded::<ShardRequest>(cfg.queue_depth);
         let stop = Arc::new(AtomicBool::new(false));
@@ -189,7 +222,6 @@ impl Shard {
                     max_retries: cfg.max_retries,
                     shard: index,
                     repl: repl.clone(),
-                    router: router.clone(),
                 };
                 std::thread::Builder::new()
                     .name(format!("kvserve-s{index}-w{w}"))
@@ -259,35 +291,10 @@ pub(crate) fn shed_expired(batch: &mut Vec<ShardRequest>, timeouts: &Counter) {
     });
 }
 
-/// Reply `Rerouted` to requests routed under a stale table whose keys no
-/// longer all live on this shard, dropping them from the batch. Requests
-/// stamped with the current epoch always pass (the flip joins workers
-/// before installing a new table, so a live worker's shard is never
-/// wrong about current-epoch keys); stale-epoch requests pass only if
-/// every key still routes here.
-fn shed_rerouted(ctx: &WorkerCtx, batch: &mut Vec<ShardRequest>) {
-    let table = ctx.router.table();
-    let epoch = table.epoch();
-    let mut rerouted = 0u64;
-    batch.retain(|r| {
-        if r.epoch == epoch || r.ops.iter().all(|&op| table.route(op_key(op)) == ctx.shard) {
-            true
-        } else {
-            r.reply.send(Err(ServeError::Rerouted));
-            rerouted += 1;
-            false
-        }
-    });
-    if rerouted > 0 {
-        ctx.metrics.rerouted.add(rerouted);
-    }
-}
-
 fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
     let mut retry = 0u32;
     loop {
         shed_expired(&mut batch, &ctx.metrics.timeouts);
-        shed_rerouted(ctx, &mut batch);
         if batch.is_empty() {
             return;
         }
@@ -297,9 +304,8 @@ fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
         // in flight) — so the log entry and the data it describes commit
         // or roll back atomically. Read-only batches skip the log (and
         // the follower ack) entirely.
-        let muts = repl::mutations(&ops);
         if let Some(rt) = ctx.repl.as_deref() {
-            if !muts.is_empty() && rt.probe.fires(Point::BeforeAppend) {
+            if ops.iter().any(|&op| mutates(op)) && rt.probe.fires(Point::BeforeAppend) {
                 rt.poison_primary();
                 tm::crash::crash_unwind();
             }
@@ -310,16 +316,7 @@ fn execute_batch(ctx: &WorkerCtx, mut batch: Vec<ShardRequest>) {
                 // the service layer (backoff + bounded retries).
                 return Err(Abort::Cancel);
             }
-            let mut out = Vec::with_capacity(ops.len());
-            for &op in &ops {
-                out.push(ctx.pool.map.apply_in(tx, op)?);
-            }
-            let lsn = if muts.is_empty() {
-                0
-            } else {
-                repl::append_armed_in(tx, ctx.pool.hdr, LogKind::Batch, 0, 0, &muts)?
-            };
-            Ok((out, lsn))
+            ctx.pool.apply_in(tx, LogKind::Batch, 0, 0, &ops)
         });
         match res {
             Ok((vals, lsn)) => {

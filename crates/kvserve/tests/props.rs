@@ -241,7 +241,6 @@ fn reply_strategy() -> impl Strategy<Value = Reply> {
         Just(Err(ServeError::Timeout)),
         Just(Err(ServeError::Aborted)),
         Just(Err(ServeError::Stopped)),
-        Just(Err(ServeError::Rerouted)),
         (0u64..1_000_000).prop_map(|us| Err(ServeError::Overloaded {
             retry_after: Duration::from_micros(us),
         })),

@@ -31,9 +31,15 @@
 //! fence used to provide by counting durable entries of the marker's
 //! generation — `pad == meta == {tid, version-1}` — and rolling the
 //! generation back if any are missing (a torn, unacknowledged commit).
-//! A count of 0 or [`PVER_COUNT_TRUSTED`] means "trust the marker":
+//! A count of 0 or `PVER_COUNT_TRUSTED` means "trust the marker":
 //! the writer used the legacy two-fence order (prepared-transaction
 //! decisions, oversized write sets, pre-diet images).
+//!
+//! NV-HALT and the Trinity baseline share one implementation of this
+//! protocol — [`AnnotPmem::stage`], [`AnnotPmem::commit`],
+//! [`AnnotPmem::mark`] and [`AnnotPmem::recover`] — and each thread's
+//! persistent version lives here, in its marker word. A TM keeps only
+//! its concurrency control and its volatile heap.
 //!
 //! The pool region is laid out as one line per thread for the persistent
 //! version numbers (avoiding line-lock contention between threads),
@@ -64,12 +70,12 @@ const PVER_VER_MASK: u64 = (1 << 48) - 1;
 /// its entries *before* the marker store (legacy two-fence order), so no
 /// recovery-time count check applies. Also the saturation fallback for
 /// write sets of 2^16-1 entries or more.
-pub const PVER_COUNT_TRUSTED: u64 = 0xFFFF;
+const PVER_COUNT_TRUSTED: u64 = 0xFFFF;
 
 /// Pack a pver word: entry count of the committing generation in the top
 /// 16 bits, version in the low 48.
 #[inline]
-pub fn pack_pver(ver: u64, count: u64) -> u64 {
+fn pack_pver(ver: u64, count: u64) -> u64 {
     debug_assert!(ver <= PVER_VER_MASK);
     debug_assert!(count <= PVER_COUNT_TRUSTED);
     (count << 48) | ver
@@ -81,8 +87,8 @@ pub fn pver_version(word: u64) -> u64 {
     word & PVER_VER_MASK
 }
 
-/// The count field of a pver word (0 and [`PVER_COUNT_TRUSTED`] both mean
-/// "no count check").
+/// The count field of a pver word (0 and `0xFFFF` both mean "no count
+/// check").
 #[inline]
 pub fn pver_count(word: u64) -> u64 {
     word >> 48
@@ -135,6 +141,14 @@ impl AnnotLayout {
         self.max_threads * LINE_WORDS + self.heap_words * ENTRY_WORDS
     }
 
+    fn pool_config(&self, template: &PmemConfig) -> PmemConfig {
+        PmemConfig {
+            words: self.total_words(),
+            max_threads: self.max_threads,
+            ..template.clone()
+        }
+    }
+
     /// Pool word holding thread `tid`'s persistent version number.
     #[inline]
     pub fn pver_word(&self, tid: usize) -> usize {
@@ -171,7 +185,7 @@ impl AnnotLayout {
     }
 
     /// Read thread `tid`'s durable pver *count* field from a crash image
-    /// (0 / [`PVER_COUNT_TRUSTED`] mean "trust the marker").
+    /// (0 / `0xFFFF` mean "trust the marker").
     pub fn image_pver_count(&self, img: &DurableImage, tid: usize) -> u64 {
         pver_count(img.word(self.pver_word(tid)))
     }
@@ -194,7 +208,7 @@ impl AnnotLayout {
     /// * otherwise, exactly `N` witnesses → complete, threshold `V`;
     /// * otherwise → torn: the threshold drops to `V - 1`, rolling the
     ///   whole (never-acknowledged) generation back.
-    pub fn revert_thresholds(&self, img: &DurableImage) -> Vec<u64> {
+    fn revert_thresholds(&self, img: &DurableImage) -> Vec<u64> {
         let mut thresholds = Vec::with_capacity(self.max_threads);
         // (generation meta word, expected witness count) per counted thread.
         let mut counted: Vec<Option<(u64, u64)>> = Vec::with_capacity(self.max_threads);
@@ -254,33 +268,13 @@ impl AnnotPmem {
     /// Create a fresh annotated pool. `template.words` is ignored; the size
     /// is computed from `layout`.
     pub fn new(layout: AnnotLayout, template: &PmemConfig, stats: Option<Arc<TmStats>>) -> Self {
-        let cfg = PmemConfig {
-            words: layout.total_words(),
-            max_threads: layout.max_threads,
-            ..template.clone()
-        };
-        AnnotPmem {
-            layout,
-            pool: PmemPool::new(&cfg, stats),
-            upgraded: (0..layout.max_threads).map(|_| AtomicU64::new(0)).collect(),
-        }
+        Self::wrap(layout, PmemPool::new(&layout.pool_config(template), stats))
     }
 
-    /// Rebuild an annotated pool from a crash image (recovery).
-    pub fn from_image(
-        layout: AnnotLayout,
-        template: &PmemConfig,
-        image: &DurableImage,
-        stats: Option<Arc<TmStats>>,
-    ) -> Self {
-        let cfg = PmemConfig {
-            words: layout.total_words(),
-            max_threads: layout.max_threads,
-            ..template.clone()
-        };
+    fn wrap(layout: AnnotLayout, pool: PmemPool) -> Self {
         AnnotPmem {
             layout,
-            pool: PmemPool::from_durable(&cfg, image, stats),
+            pool,
             upgraded: (0..layout.max_threads).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -293,6 +287,113 @@ impl AnnotPmem {
     /// The underlying pool (crash control, snapshots).
     pub fn pool(&self) -> &PmemPool {
         &self.pool
+    }
+
+    /// Thread `tid`'s persistent version: the version field of its marker
+    /// word as last stored. Entries staged now are stamped with it, and
+    /// [`AnnotPmem::commit`] / [`AnnotPmem::mark`] advance it.
+    pub fn version(&self, tid: usize) -> u64 {
+        pver_version(self.pool.cache_word(self.layout.pver_word(tid)))
+    }
+
+    /// Stage a write set under thread `tid`'s current version, without a
+    /// fence: preserve foreign witnesses over the written addresses, store
+    /// each entry's `back = old`, `meta`, `data = new` and `pad`, then
+    /// flush each distinct entry line once. `writes` yields
+    /// `(addr, old, new)` and is walked twice (addresses first); `lines`
+    /// is the caller's scratch vector. Returns the number of entries
+    /// staged, the count [`AnnotPmem::commit`] takes.
+    pub fn stage<I>(&self, tid: usize, writes: I, lines: &mut Vec<usize>) -> u64
+    where
+        I: IntoIterator<Item = (usize, u64, u64)>,
+        I::IntoIter: Clone,
+    {
+        let writes = writes.into_iter();
+        self.preserve_witnesses(tid, writes.clone().map(|(a, _, _)| a));
+        let meta = Meta::pack(tid, self.version(tid));
+        lines.clear();
+        for (a, old, new) in writes {
+            self.stage_entry(tid, a, old, new, meta);
+            let base = self.layout.entry_base(a);
+            lines.push(base - base % LINE_WORDS);
+        }
+        let count = lines.len() as u64;
+        lines.sort_unstable();
+        lines.dedup();
+        for &w in lines.iter() {
+            self.pool.flush_line(tid, w);
+        }
+        count
+    }
+
+    /// Commit thread `tid`'s staged (flushed, unfenced) generation of
+    /// `count` entries by advancing its version. Normally a *counted*
+    /// marker plus ONE fence: entries and marker drain together, and
+    /// recovery tells a torn commit from a complete one by counting the
+    /// generation's durable pad witnesses. Falls back to the trusted
+    /// two-fence order when the generation stamp packs to zero (thread 0's
+    /// first commit — its entries are indistinguishable from fresh zeroed
+    /// ones) or `count` overflows the marker's count field.
+    pub fn commit(&self, tid: usize, count: u64) {
+        debug_assert!(count > 0);
+        let ver = self.version(tid);
+        if Meta::pack(tid, ver).0 != 0 && count < PVER_COUNT_TRUSTED {
+            // No durability point before the marker: the entry lines are
+            // deliberately not fenced yet; the one after the fence covers
+            // entries and marker together.
+            let w = self.layout.pver_word(tid);
+            self.pool.write(tid, w, pack_pver(ver + 1, count));
+            self.pool.flush_line(tid, w);
+            self.pool.sfence(tid);
+            self.pool.durability_point(tid, "annot::commit_durable");
+        } else {
+            self.pool.sfence(tid);
+            self.persist_pver(tid, ver + 1);
+            self.pool.sfence(tid);
+        }
+    }
+
+    /// Advance thread `tid`'s version with a trusted marker and one fence,
+    /// its staged entries already fenced: the decision of a prepared
+    /// transaction — its commit, or its abort after the old values were
+    /// re-staged (which consumes the generation, so the aborted entries
+    /// are neither resurrected by recovery nor miscounted as witnesses of
+    /// the thread's next counted commit).
+    pub fn mark(&self, tid: usize) {
+        self.persist_pver(tid, self.version(tid) + 1);
+        self.pool.sfence(tid);
+    }
+
+    /// Recover an annotated pool from a crash image: derive each thread's
+    /// revert threshold ([`AnnotLayout`]'s counted-marker check), pin the
+    /// verdicts durably before neutralization destroys their evidence,
+    /// revert and neutralize every entry stamped at or above its owner's
+    /// threshold, hand each user word's recovered value to
+    /// `restore(addr, value)`, and fence once. Each thread's version
+    /// resumes at its threshold. Idempotent under re-crash.
+    pub fn recover(
+        layout: AnnotLayout,
+        template: &PmemConfig,
+        image: &DurableImage,
+        stats: Option<Arc<TmStats>>,
+        mut restore: impl FnMut(usize, u64),
+    ) -> Self {
+        let pool = PmemPool::from_durable(&layout.pool_config(template), image, stats);
+        let pmem = Self::wrap(layout, pool);
+        let thresholds = layout.revert_thresholds(image);
+        pmem.pin_recovery_verdicts(image, &thresholds);
+        for a in 0..layout.heap_words {
+            let (data, back, meta) = layout.image_entry(image, a);
+            let incomplete = meta.0 != 0
+                && meta.tid() < layout.max_threads
+                && meta.ver() >= thresholds[meta.tid()];
+            if incomplete {
+                pmem.recovery_neutralize(a, back);
+            }
+            restore(a, if incomplete { back } else { data });
+        }
+        pmem.pool.sfence(0);
+        pmem
     }
 
     /// Persist one write-set entry: `back = old`, `meta`, `data = new`,
@@ -308,10 +409,8 @@ impl AnnotPmem {
     }
 
     /// Stage one write-set entry's four stores *without* flushing — the
-    /// group-commit building block: stage every entry of the write set,
-    /// then flush each distinct entry line exactly once via
-    /// [`AnnotPmem::flush_lines`].
-    pub fn stage_entry(&self, tid: usize, a: usize, old: u64, new: u64, meta: Meta) {
+    /// building block of [`AnnotPmem::stage`]'s group commit.
+    fn stage_entry(&self, tid: usize, a: usize, old: u64, new: u64, meta: Meta) {
         self.store_back(tid, a, old);
         self.store_meta(tid, a, meta);
         self.store_data(tid, a, new);
@@ -331,7 +430,7 @@ impl AnnotPmem {
     /// — and the upgrade is flushed and fenced durable before the caller
     /// overwrites the evidence. One upgrade converts the whole
     /// generation; a volatile memo makes repeats free.
-    pub fn preserve_witnesses<I: IntoIterator<Item = usize>>(&self, tid: usize, addrs: I) {
+    fn preserve_witnesses<I: IntoIterator<Item = usize>>(&self, tid: usize, addrs: I) {
         let mut fence = false;
         for a in addrs {
             let meta = Meta(self.pool.cache_word(self.layout.entry_base(a) + F_META));
@@ -376,7 +475,7 @@ impl AnnotPmem {
     /// the counted verdict was derived from; without pinning, a crash
     /// mid-recovery could flip a "complete" verdict to "torn" on the next
     /// attempt and roll back an acknowledged commit.
-    pub fn pin_recovery_verdicts(&self, img: &DurableImage, thresholds: &[u64]) {
+    fn pin_recovery_verdicts(&self, img: &DurableImage, thresholds: &[u64]) {
         let mut any = false;
         for (t, &thr) in thresholds.iter().enumerate().take(self.layout.max_threads) {
             let c = self.layout.image_pver_count(img, t);
@@ -430,41 +529,13 @@ impl AnnotPmem {
         self.pool.flush_line(tid, base);
     }
 
-    /// The line-aligned pool word of user word `a`'s entry, for collecting
-    /// distinct lines before a coalesced [`AnnotPmem::flush_lines`] pass.
-    #[inline]
-    pub fn entry_line(&self, a: usize) -> usize {
-        let base = self.layout.entry_base(a);
-        base - base % LINE_WORDS
-    }
-
-    /// Flush a set of entry lines, each distinct line exactly once: the
-    /// group-commit flush pass. Sorts and dedups `lines` in place (callers
-    /// keep a reusable scratch vector of [`AnnotPmem::entry_line`] values).
-    pub fn flush_lines(&self, tid: usize, lines: &mut Vec<usize>) {
-        lines.sort_unstable();
-        lines.dedup();
-        for &w in lines.iter() {
-            self.pool.flush_line(tid, w);
-        }
-    }
-
-    /// Write the recovered value of user word `a` during recovery
-    /// (both layers already equal; this refreshes an entry whose data word
-    /// was reverted). Flushes so the revert itself is durable.
-    pub fn recovery_store(&self, a: usize, v: u64) {
-        let base = self.layout.entry_base(a);
-        self.pool.write(0, base + F_DATA, v);
-        self.pool.flush_line(0, base);
-    }
-
     /// Neutralize a reverted entry during recovery so its stale `meta`
     /// cannot pollute a future counted commit's generation count: the data
     /// word takes the back value, the pad witness is broken, and the meta
     /// is cleared — in that store order, so a crash mid-neutralization
     /// leaves the entry either still revertible (meta intact, back intact)
     /// or already neutral. Idempotent under re-crash.
-    pub fn recovery_neutralize(&self, a: usize, back_value: u64) {
+    fn recovery_neutralize(&self, a: usize, back_value: u64) {
         let base = self.layout.entry_base(a);
         self.pool.write(0, base + F_DATA, back_value);
         self.pool.write(0, base + F_PAD, 1);
@@ -485,23 +556,6 @@ impl AnnotPmem {
         self.pool.durability_point(tid, "annot::persist_pver");
         let w = self.layout.pver_word(tid);
         self.pool.write(tid, w, pack_pver(ver, PVER_COUNT_TRUSTED));
-        self.pool.flush_line(tid, w);
-    }
-
-    /// Persist thread `tid`'s new persistent version number as a *counted*
-    /// marker: `count` entries were stamped `ver - 1` and flushed (but not
-    /// yet fenced) by the committing transaction. The caller issues ONE
-    /// fence after this — entries and marker drain together, and recovery
-    /// distinguishes "marker without entries" by re-counting durable
-    /// `pad == meta` witnesses of generation `ver - 1`.
-    ///
-    /// No pre-store durability point: the single-fence order means the
-    /// entry lines are deliberately *not* fenced yet. Callers place a
-    /// post-fence durability point instead.
-    pub fn persist_pver_counted(&self, tid: usize, ver: u64, count: u64) {
-        debug_assert!(count > 0 && count < PVER_COUNT_TRUSTED);
-        let w = self.layout.pver_word(tid);
-        self.pool.write(tid, w, pack_pver(ver, count));
         self.pool.flush_line(tid, w);
     }
 
@@ -686,46 +740,46 @@ mod tests {
     #[test]
     fn counted_marker_round_trips_through_image() {
         let l = AnnotLayout {
-            heap_words: 2,
+            heap_words: 4,
             max_threads: 2,
         };
         let ap = AnnotPmem::new(l, &settings(), None);
-        ap.persist_pver_counted(1, 4, 2);
-        ap.sfence(1);
-        assert_eq!(ap.durable_pver(1), 4);
-        assert_eq!(ap.durable_pver_count(1), 2);
+        let mut lines = Vec::new();
+        let n = ap.stage(1, [(1, 0, 5), (2, 0, 6)], &mut lines);
+        ap.commit(1, n);
+        assert_eq!((ap.version(1), ap.durable_pver_count(1)), (1, 2));
+        // A staged generation that never commits rolls back.
+        ap.stage(1, [(1, 5, 9)], &mut lines);
         ap.pool().crash();
         let img = ap.pool().snapshot_durable();
-        assert_eq!(l.image_pver(&img, 1), 4);
-        assert_eq!(l.image_pver_count(&img, 1), 2);
+        assert_eq!((l.image_pver(&img, 1), l.image_pver_count(&img, 1)), (1, 2));
+        let mut words = [0; 4];
+        let rec = AnnotPmem::recover(l, &settings(), &img, None, |a, v| words[a] = v);
+        assert_eq!(words, [0, 5, 6, 0]);
+        assert_eq!(rec.version(1), 1);
+        assert_eq!(rec.durable_entry(1).0, 5, "the revert is durable");
     }
 
     #[test]
-    fn flush_lines_dedups_shared_lines() {
+    fn stage_flushes_each_entry_line_once() {
         let l = AnnotLayout {
             heap_words: 6,
-            max_threads: 1,
+            max_threads: 2,
         };
-        let stats = Arc::new(TmStats::new(1));
+        let stats = Arc::new(TmStats::new(2));
         let ap = AnnotPmem::new(l, &settings(), Some(Arc::clone(&stats)));
         // Words 0 and 1 share an entry line (2 entries per line); word 4
         // lives two lines later.
-        for &a in &[0usize, 1, 4] {
-            ap.stage_entry(0, a, 0, a as u64 + 10, Meta::pack(0, 1));
-        }
-        let mut lines: Vec<usize> = [0usize, 1, 4, 1, 0]
-            .iter()
-            .map(|&a| ap.entry_line(a))
-            .collect();
         let before = stats.snapshot().get(tm::stats::Counter::Flush);
-        ap.flush_lines(0, &mut lines);
+        let writes = [0usize, 1, 4].map(|a| (a, 0, a as u64 + 10));
+        assert_eq!(ap.stage(1, writes, &mut Vec::new()), 3);
         let after = stats.snapshot().get(tm::stats::Counter::Flush);
         assert_eq!(after - before, 2, "two distinct lines, two flushes");
-        ap.sfence(0);
+        ap.sfence(1);
         assert_eq!(ap.durable_entry(0).0, 10);
         assert_eq!(ap.durable_entry(1).0, 11);
         assert_eq!(ap.durable_entry(4).0, 14);
-        assert_eq!(ap.durable_entry_pad(4), Meta::pack(0, 1).0);
+        assert_eq!(ap.durable_entry_pad(4), Meta::pack(1, 0).0);
     }
 
     #[test]
@@ -742,17 +796,5 @@ mod tests {
         assert_eq!(data, 3, "data reverted to back value");
         assert_eq!(meta, Meta(0), "meta cleared");
         assert_ne!(ap.durable_entry_pad(0), 0, "witness broken, not zero");
-    }
-
-    #[test]
-    fn recovery_store_updates_data_durably() {
-        let l = AnnotLayout {
-            heap_words: 1,
-            max_threads: 1,
-        };
-        let ap = AnnotPmem::new(l, &settings(), None);
-        ap.persist_entry(0, 0, 0, 9, Meta::pack(0, 1));
-        ap.recovery_store(0, 4);
-        assert_eq!(ap.durable_entry(0).0, 4);
     }
 }

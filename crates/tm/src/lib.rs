@@ -167,47 +167,6 @@ pub trait Tm: Sync {
     fn name(&self) -> &'static str;
 }
 
-/// A TM that can hold a transaction **prepared**: executed and durably
-/// staged, but neither committed nor aborted, with its locks still held.
-///
-/// This is the participant half of two-phase commit. After a successful
-/// [`TmPrepare::prepare`], thread `tid`'s transaction is in a limbo state
-/// with three guarantees until the coordinator decides:
-///
-/// 1. **Invisible** — no other transaction can read or overwrite any
-///    address the prepared transaction touched (its locks are held).
-/// 2. **Crash-aborts** — if the process crashes before
-///    [`TmPrepare::commit_prepared`], TM recovery rolls the prepared
-///    writes back (they are staged below the thread's durable version).
-/// 3. **Decidable** — [`TmPrepare::commit_prepared`] makes the writes
-///    durable and visible; [`TmPrepare::abort_prepared`] durably restores
-///    the pre-transaction values. Both release the locks.
-///
-/// While a tid has a prepared transaction outstanding it must not start
-/// another transaction (prepared or not); implementations assert this.
-pub trait TmPrepare: Tm {
-    /// Run `body` and leave its transaction prepared instead of committed.
-    ///
-    /// Retries conflicting attempts like [`Tm::txn`]; returns
-    /// `Err(Cancelled)` (with nothing held) if the body cancels.
-    fn prepare<R>(
-        &self,
-        tid: usize,
-        body: &mut dyn FnMut(&mut dyn Txn) -> Result<R, Abort>,
-    ) -> TxResult<R>
-    where
-        Self: Sized;
-
-    /// Make `tid`'s prepared transaction durable and visible.
-    fn commit_prepared(&self, tid: usize);
-
-    /// Durably roll `tid`'s prepared transaction back.
-    fn abort_prepared(&self, tid: usize);
-
-    /// True if `tid` has a prepared transaction outstanding.
-    fn has_prepared(&self, tid: usize) -> bool;
-}
-
 /// Convenience: run a closure-based transaction against any `Tm`.
 ///
 /// This is the ergonomic entry point used by data structures and examples;
@@ -218,16 +177,6 @@ pub fn txn<T: Tm + ?Sized, R>(
     mut body: impl FnMut(&mut dyn Txn) -> Result<R, Abort>,
 ) -> TxResult<R> {
     tm.txn(tid, &mut body)
-}
-
-/// Convenience: run a closure-based *prepared* transaction (see
-/// [`TmPrepare::prepare`]).
-pub fn prepare<T: TmPrepare, R>(
-    tm: &T,
-    tid: usize,
-    mut body: impl FnMut(&mut dyn Txn) -> Result<R, Abort>,
-) -> TxResult<R> {
-    tm.prepare(tid, &mut body)
 }
 
 #[cfg(test)]

@@ -9,24 +9,24 @@
 //! one (no concurrent writer committed).
 //!
 //! Persistence is Trinity: every word's persistent image is an annotated
-//! cache line `{data, back, seq}` (shared with NV-HALT via
-//! [`pmem::annot`]); a committing writer persists `back = old`,
-//! `seq = {tid, pver}`, `data = new` per word, fences, then bumps and
-//! persists its per-thread persistent version number before releasing its
-//! locks. Recovery reverts every word whose `seq` was not superseded —
-//! identical undo semantics to NV-HALT's software path, which is exactly
-//! the point: the paper adopted Trinity's mechanism for NV-HALT, so the
-//! baseline and the contribution share their persistence engine and the
-//! comparison isolates the concurrency-control and fast-path differences.
+//! cache line `{data, back, seq}`; a committing writer persists
+//! `back = old`, `seq = {tid, pver}`, `data = new` per word, then bumps
+//! and persists its per-thread persistent version number before releasing
+//! its locks. Recovery reverts every word whose `seq` was not superseded.
+//! The paper adopted Trinity's mechanism for NV-HALT, and here the two
+//! share one implementation of it: both commit through
+//! [`AnnotPmem::stage`] and [`AnnotPmem::commit`] and recover through
+//! [`AnnotPmem::recover`], so the comparison isolates the
+//! concurrency-control and fast-path differences.
 //!
 //! The TL2 lock word is `(version << 1) | locked`: version is the global
 //! clock value of the last writer, the low bit is the lock.
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
-use pmem::annot::{AnnotLayout, PVER_COUNT_TRUSTED};
+use pmem::annot::AnnotLayout;
 use pmem::pool::{DurableImage, PmemConfig};
-use pmem::{AnnotPmem, Meta};
+use pmem::AnnotPmem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tm::policy::HybridPolicy;
@@ -74,7 +74,6 @@ struct ThreadState {
     wset: Vec<(u64, u64)>,
     acquired: Vec<(u32, u64)>,
     alloc_log: TxnLog,
-    pver: u64,
     seed: u64,
     /// Scratch for the group-commit flush pass: distinct entry lines of the
     /// write set, flushed once each instead of once per entry.
@@ -107,23 +106,17 @@ impl Trinity {
     /// Create a fresh instance.
     pub fn new(cfg: TrinityConfig) -> Self {
         let stats = Arc::new(TmStats::new(cfg.max_threads));
-        Self::build(cfg, stats, None, &[])
+        let pmem = AnnotPmem::new(layout(&cfg), &cfg.pm, Some(stats.clone()));
+        let vol = (0..cfg.heap_words).map(|_| AtomicU64::new(0)).collect();
+        Self::build(cfg, stats, pmem, vol)
     }
 
     fn build(
         cfg: TrinityConfig,
         stats: Arc<TmStats>,
-        image: Option<&DurableImage>,
-        pvers: &[u64],
+        pmem: AnnotPmem,
+        vol: Box<[AtomicU64]>,
     ) -> Self {
-        let layout = AnnotLayout {
-            heap_words: cfg.heap_words,
-            max_threads: cfg.max_threads,
-        };
-        let pmem = match image {
-            None => AnnotPmem::new(layout, &cfg.pm, Some(stats.clone())),
-            Some(img) => AnnotPmem::from_image(layout, &cfg.pm, img, Some(stats.clone())),
-        };
         let threads = (0..cfg.max_threads)
             .map(|t| {
                 let cell = CachePadded::new(Mutex::new(ThreadState {
@@ -131,7 +124,6 @@ impl Trinity {
                     wset: Vec::with_capacity(64),
                     acquired: Vec::with_capacity(64),
                     alloc_log: TxnLog::new(),
-                    pver: pvers.get(t).copied().unwrap_or(0),
                     seed: (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                     flush_lines: Vec::with_capacity(64),
                 }));
@@ -142,7 +134,7 @@ impl Trinity {
             })
             .collect();
         Trinity {
-            vol: (0..cfg.heap_words).map(|_| AtomicU64::new(0)).collect(),
+            vol,
             locks: (0..1usize << cfg.locks_log2)
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -184,40 +176,19 @@ impl Trinity {
         image: &DurableImage,
         used_blocks: impl IntoIterator<Item = (u64, usize)>,
     ) -> Trinity {
-        let layout = AnnotLayout {
-            heap_words: cfg.heap_words,
-            max_threads: cfg.max_threads,
-        };
         let stats = Arc::new(TmStats::new(cfg.max_threads));
-        // Thresholds fold in the counted-marker check: a one-fence commit
-        // whose marker is durable but whose generation is missing pad
-        // witnesses is torn, and the whole generation (threshold - 1 = its
-        // stamp) rolls back. The verdicts are pinned durably before any
-        // neutralization destroys the evidence they came from.
-        let pvers = layout.revert_thresholds(image);
-        let tm = Self::build(cfg, stats, Some(image), &pvers);
-        tm.pmem.pin_recovery_verdicts(image, &pvers);
-        for a in 0..tm.cfg.heap_words {
-            let (data, back, meta) = layout.image_entry(image, a);
-            let incomplete =
-                meta.0 != 0 && meta.tid() < tm.cfg.max_threads && meta.ver() >= pvers[meta.tid()];
-            let value = if incomplete { back } else { data };
-            if incomplete {
-                // Durable roll-back *and* stamp clearing: a stale `{tid, v}`
-                // with its pad witness intact would be miscounted as part of
-                // that thread's next counted commit.
-                tm.pmem.recovery_neutralize(a, back);
-            }
-            tm.vol[a].store(value, Ordering::Relaxed);
-        }
-        tm.pmem.sfence(0);
+        let vol: Box<[AtomicU64]> = (0..cfg.heap_words).map(|_| AtomicU64::new(0)).collect();
+        let pmem = AnnotPmem::recover(layout(&cfg), &cfg.pm, image, Some(stats.clone()), |a, v| {
+            vol[a].store(v, Ordering::Relaxed)
+        });
+        let tm = Self::build(cfg, stats, pmem, vol);
         tm.alloc.rebuild(used_blocks);
         tm
     }
 
-    /// The recovered/current pver of a thread (tests).
+    /// A thread's persistent version (tests).
     pub fn thread_pver(&self, tid: usize) -> u64 {
-        self.threads[tid].lock().pver
+        self.pmem.version(tid)
     }
 
     /// One transaction attempt. Returns `Ok(Some(r))` on commit,
@@ -337,46 +308,29 @@ impl Trinity {
             }
         }
         // Persist (Trinity) and apply the write set as a one-fence group
-        // commit — coalesced flush pass, counted marker, single fence —
-        // then release locks stamped with the commit version wv.
+        // commit, then release locks stamped with the commit version wv.
         let _psan = self.pmem.pool().psan_scope(tid, "trinity::commit");
-        self.pmem
-            .preserve_witnesses(tid, ts.wset.iter().map(|&(a, _)| a as usize));
-        let meta = Meta::pack(tid, ts.pver);
-        ts.flush_lines.clear();
+        let vol = &self.vol;
+        let writes = ts.wset.iter().map(|&(a, val)| {
+            let old = vol[a as usize].load(Ordering::Acquire);
+            (a as usize, old, val)
+        });
+        let count = self.pmem.stage(tid, writes, &mut ts.flush_lines);
         for &(a, val) in ts.wset.iter() {
-            let old = self.vol[a as usize].load(Ordering::Acquire);
-            self.pmem.stage_entry(tid, a as usize, old, val, meta);
-            ts.flush_lines.push(self.pmem.entry_line(a as usize));
-            self.vol[a as usize].store(val, Ordering::Release);
+            vol[a as usize].store(val, Ordering::Release);
         }
-        self.pmem.flush_lines(tid, &mut ts.flush_lines);
-        ts.pver += 1;
-        self.persist_commit_marker(tid, ts.pver, ts.wset.len() as u64, meta);
+        self.pmem.commit(tid, count);
         self.release(&ts.acquired, Some(wv << 1));
         ts.acquired.clear();
         true
     }
+}
 
-    /// Make the commit of an already-staged-and-flushed (but unfenced)
-    /// generation durable. Normally a *counted* marker plus ONE fence —
-    /// recovery tells a torn commit from a complete one by counting the
-    /// generation's durable pad witnesses. Falls back to the legacy
-    /// two-fence order when the generation stamp packs to zero (thread
-    /// 0's first commit) or the write set overflows the count field.
-    fn persist_commit_marker(&self, tid: usize, pver: u64, count: u64, gen: Meta) {
-        debug_assert!(count > 0);
-        if gen.0 != 0 && count < PVER_COUNT_TRUSTED {
-            self.pmem.persist_pver_counted(tid, pver, count);
-            self.pmem.sfence(tid);
-            self.pmem
-                .pool()
-                .durability_point(tid, "trinity::commit_durable");
-        } else {
-            self.pmem.sfence(tid);
-            self.pmem.persist_pver(tid, pver);
-            self.pmem.sfence(tid);
-        }
+/// The annotated layout for `cfg`'s heap and thread slots.
+fn layout(cfg: &TrinityConfig) -> AnnotLayout {
+    AnnotLayout {
+        heap_words: cfg.heap_words,
+        max_threads: cfg.max_threads,
     }
 }
 
@@ -613,7 +567,8 @@ mod tests {
         let t = Trinity::new(cfg.clone());
         txn(&t, 0, |tx| tx.write(Addr(4), 1)).unwrap();
         let pver = t.thread_pver(0);
-        t.pmem().persist_entry(0, 4, 1, 2, Meta::pack(0, pver));
+        t.pmem()
+            .persist_entry(0, 4, 1, 2, pmem::Meta::pack(0, pver));
         t.crash();
         let rec = Trinity::recover(cfg, &t.crash_image(), []);
         assert_eq!(rec.read_raw(Addr(4)), 1);

@@ -1,6 +1,6 @@
 //! `cargo xtask check-bench FILE... [--min-depth N] [--max-flushes-per-op X]
-//! [--max-fences-per-op X]` — schema-validate `kvserve-bench-v1` benchmark
-//! artifacts (`BENCH_*.json`).
+//! [--max-fences-per-op X] [--max-flip-pause-us N]` — schema-validate
+//! `kvserve-bench-v1` benchmark artifacts (`BENCH_*.json`).
 //!
 //! CI runs this over the committed artifacts and over the artifact of
 //! every bench smoke run, so the artifact schema cannot drift from what
@@ -16,7 +16,10 @@
 //! flush traffic (losing the group-commit coalescing) fails CI like a
 //! latency regression would. `--max-fences-per-op X` is the same gate
 //! over fences per committed op — what the cross-shard smoke holds the
-//! 2PC commit path to.
+//! 2PC commit path to. `--max-flip-pause-us N` requires every cell to
+//! carry a `migration` block whose `flip_pause_us` is at or under N — the
+//! live-migration write-pause gate; an artifact without a migration
+//! fails it.
 //!
 //! Dependency-free by design (the workspace has no serde): a ~100-line
 //! recursive-descent parser over the JSON subset the bench emits.
@@ -271,6 +274,9 @@ pub struct Gates {
     /// `--max-fences-per-op X`: every cell at or under X fences per
     /// committed op.
     pub max_fences: Option<f64>,
+    /// `--max-flip-pause-us N`: every cell's `migration.flip_pause_us`
+    /// at or under N (a cell without a migration block fails).
+    pub max_flip_pause_us: Option<f64>,
 }
 
 /// Validate one parsed artifact against the `kvserve-bench-v1` schema
@@ -332,6 +338,15 @@ pub fn validate(doc: &Val, gates: Gates) -> Vec<String> {
                         ));
                     }
                 }
+                if let Some(max) = gates.max_flip_pause_us {
+                    let pause = require_num(cell, "migration.flip_pause_us", &mut cell_errors);
+                    if pause > max {
+                        cell_errors.push(format!(
+                            "migration.flip_pause_us = {pause} above \
+                             required --max-flip-pause-us {max}"
+                        ));
+                    }
+                }
                 errors.extend(cell_errors.into_iter().map(|e| format!("cell {i}: {e}")));
             }
         }
@@ -361,16 +376,16 @@ pub fn run(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
             i += 2;
-        } else if args[i] == "--max-flushes-per-op" || args[i] == "--max-fences-per-op" {
-            let max = args.get(i + 1).and_then(|s| s.parse().ok());
-            if max.is_none() {
+        } else if let Some(gate) = match args[i].as_str() {
+            "--max-flushes-per-op" => Some(&mut gates.max_flushes),
+            "--max-fences-per-op" => Some(&mut gates.max_fences),
+            "--max-flip-pause-us" => Some(&mut gates.max_flip_pause_us),
+            _ => None,
+        } {
+            *gate = args.get(i + 1).and_then(|s| s.parse().ok());
+            if gate.is_none() {
                 eprintln!("{} needs a number", args[i]);
                 return ExitCode::FAILURE;
-            }
-            if args[i] == "--max-flushes-per-op" {
-                gates.max_flushes = max;
-            } else {
-                gates.max_fences = max;
             }
             i += 2;
         } else {
@@ -381,7 +396,8 @@ pub fn run(args: &[String]) -> ExitCode {
     if files.is_empty() {
         eprintln!(
             "usage: cargo xtask check-bench FILE... [--min-depth N] \
-             [--max-flushes-per-op X] [--max-fences-per-op X]"
+             [--max-flushes-per-op X] [--max-fences-per-op X] \
+             [--max-flip-pause-us N]"
         );
         return ExitCode::FAILURE;
     }
@@ -506,6 +522,37 @@ mod tests {
         assert_eq!(errs.len(), 1);
         assert!(
             errs[0].contains("persist.fences_per_op = 0.86 above required --max-fences-per-op 0.5"),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn max_flip_pause_gate_enforced() {
+        let max = |x| Gates {
+            max_flip_pause_us: Some(x),
+            ..Gates::default()
+        };
+        // No migration block: the gate cannot pass.
+        let plain = parse(&doc(4096)).unwrap();
+        let errs = validate(&plain, max(50_000.0));
+        assert_eq!(errs.len(), 1);
+        assert!(
+            errs[0].contains("missing `migration.flip_pause_us`"),
+            "{errs:?}"
+        );
+        let migrated = doc(4096).replace(
+            r#""max_in_flight": 4096,"#,
+            r#""max_in_flight": 4096, "migration": {"flip_pause_us": 12500.5},"#,
+        );
+        let v = parse(&migrated).unwrap();
+        assert!(validate(&v, Gates::default()).is_empty());
+        assert!(validate(&v, max(50_000.0)).is_empty());
+        let errs = validate(&v, max(10_000.0));
+        assert_eq!(errs.len(), 1);
+        assert!(
+            errs[0].contains(
+                "migration.flip_pause_us = 12500.5 above required --max-flip-pause-us 10000"
+            ),
             "{errs:?}"
         );
     }

@@ -246,13 +246,12 @@ fn migration_spanning_histories_stay_durably_linearizable() {
                             Err(ServeError::Overloaded { retry_after }) => {
                                 std::thread::sleep(retry_after)
                             }
-                            // Never acked — shed, rerouted mid-flip, or
-                            // caught in a drained queue — so retrying the
-                            // identical batch is sound.
+                            // Never acked — shed, or caught in a drained
+                            // queue — so retrying the identical batch is
+                            // sound.
                             Err(ServeError::Aborted)
                             | Err(ServeError::Timeout)
-                            | Err(ServeError::Stopped)
-                            | Err(ServeError::Rerouted) => {
+                            | Err(ServeError::Stopped) => {
                                 std::thread::sleep(std::time::Duration::from_micros(100))
                             }
                             Err(e) => panic!("client {c}: {e}"),
@@ -351,10 +350,7 @@ fn network_spanning_histories_stay_durably_linearizable() {
             match client.batch(ops) {
                 Ok(vals) => return Some(vals),
                 Err(NetError::Serve(
-                    ServeError::Aborted
-                    | ServeError::Timeout
-                    | ServeError::Stopped
-                    | ServeError::Rerouted,
+                    ServeError::Aborted | ServeError::Timeout | ServeError::Stopped,
                 )) => std::thread::sleep(std::time::Duration::from_micros(100)),
                 Err(NetError::Serve(e)) => panic!("client {c}: unexpected verdict: {e}"),
                 Err(_) => return None,

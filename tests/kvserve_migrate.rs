@@ -312,12 +312,10 @@ fn split_under_traffic(cfg: ServiceConfig) -> MigrateReport {
                             cell.lock().unwrap().0 = v;
                             v += 1;
                         }
-                        // The flip window: rerouted, shed, or caught in
-                        // the husk's queues — never acked, so retrying
-                        // the same value is legal.
-                        Err(ServeError::Rerouted)
-                        | Err(ServeError::Timeout)
-                        | Err(ServeError::Stopped) => {}
+                        // The flip window: shed, or caught in the husk's
+                        // queues — never acked, so retrying the same
+                        // value is legal.
+                        Err(ServeError::Timeout) | Err(ServeError::Stopped) => {}
                         Err(ServeError::Overloaded { retry_after }) => {
                             std::thread::sleep(retry_after)
                         }

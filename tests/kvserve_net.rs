@@ -382,8 +382,7 @@ fn collect_acks(
                     // load stays under both caps).
                     Err(ServeError::Timeout)
                     | Err(ServeError::Aborted)
-                    | Err(ServeError::Stopped)
-                    | Err(ServeError::Rerouted) => {}
+                    | Err(ServeError::Stopped) => {}
                     Err(e) => panic!("cycle {cycle}: indefinite wire verdict {e}"),
                 }
             }

@@ -22,13 +22,17 @@
 //! persist-order sanitizer recording and asserts zero correctness
 //! diagnostics on the ship, apply, and promotion paths. A fifth keeps
 //! one promoted service through repeated crash/recover cycles, and a
-//! sixth turns a small heap over many times with op-log entries.
+//! sixth turns a small heap over many times with op-log entries, and a
+//! seventh holds a cross-shard batch answered `Timeout` whole across a
+//! failover that follows the next round.
 
 mod common;
 
 use common::{drain, fire_at, keys_per_shard, model_apply, step_rotation, verify, Lcg};
 use kvserve::{MapOp, Point, ServeError, Service, ServiceConfig};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn cfg() -> ServiceConfig {
@@ -487,4 +491,44 @@ fn op_log_heap_turns_over_across_restart_and_failover() {
     }
     let (promoted, _) = Service::promote(svc.fail_over(), None).expect("no probe installed");
     verify(&promoted, &keys, &expected, v);
+}
+
+/// A cross-shard batch answered `Timeout` stays whole across a failover.
+/// Batch X spans shards a and b while a's follower is lost just before
+/// it receives X's Prepare entry, so X is answered `Timeout`; batch Y
+/// then spans b and c on the same (only) 2PC driver. Had Y overwritten
+/// the slot's decision record, the promoted followers would hold X's
+/// b-half only: b's follower applied it, a's never will, and replay
+/// would see only Y's record. The driver holds Y until a's follower
+/// covers X's Prepare entry, so the record still names X and replay
+/// completes it on a.
+#[test]
+fn timed_out_cross_shard_batch_stays_whole_across_failover() {
+    let mut c = cfg();
+    c.coordinators = 1;
+    let svc = Service::new(c);
+    let keys = keys_per_shard(&svc);
+    let (ka, kb, kc) = (keys[0], keys[1], keys[2]);
+    let kb2 = (kb + 1..).find(|&k| svc.shard_of(k) == 1).unwrap();
+    let fired = AtomicBool::new(false);
+    svc.set_probe(Some(Arc::new(move |p| {
+        p == Point::BeforeReceive
+            && std::thread::current().name() == Some("kvserve-ship-0")
+            && !fired.swap(true, Ordering::SeqCst)
+    })));
+    let x = vec![MapOp::Insert(ka, 100), MapOp::Insert(kb, 200)];
+    assert_eq!(svc.batch(x), Err(ServeError::Timeout));
+    let y = vec![MapOp::Insert(kb2, 300), MapOp::Insert(kc, 400)];
+    let y_acked = svc.batch(y).is_ok();
+
+    let (promoted, _) = Service::promote(svc.fail_over(), None).expect("no probe installed");
+    let x_state = (promoted.get(ka).unwrap(), promoted.get(kb).unwrap());
+    assert!(
+        x_state == (Some(100), Some(200)) || x_state == (None, None),
+        "X torn by the failover: (a-key, b-key) = {x_state:?}"
+    );
+    if y_acked {
+        assert_eq!(promoted.get(kb2).unwrap(), Some(300), "acked Y lost");
+        assert_eq!(promoted.get(kc).unwrap(), Some(400), "acked Y lost");
+    }
 }

@@ -12,7 +12,12 @@
 //! | backend | flushes | fences | why |
 //! |---------|---------|--------|-----|
 //! | NV-HALT | 2       | 1      | one coalesced entry-line pass + the counted commit marker, one post-marker fence |
-//! | Trinity | 2       | 1      | same counted one-fence protocol over its redo entries |
+//! | NV-HALT software path (`hw_attempts = 0`) | 2 | 1 | the same `AnnotPmem::{stage, commit}` as the hardware path |
+//! | NV-HALT two-word software put | 3 | 1 | two entry lines + the counted marker, still one fence |
+//! | NV-HALT `prepare` + `commit_prepared`, one write | 2 | 2 | staged entry fenced at prepare; the decision is a trusted marker + fence (`AnnotPmem::mark`) |
+//! | NV-HALT `prepare` + `abort_prepared`, one write | 3 | 3 | as above, plus the re-staged old value's line and fence before the marker |
+//! | NV-HALT put right after that abort | 2 | 1 | the aborted generation is consumed, so the next commit is counted again |
+//! | Trinity | 2       | 1      | same counted one-fence protocol over its undo entries |
 //! | SPHT    | 4       | 3      | record body+truncation pass, validity marker (fence each), marker-word advance (fence) — the paper's 2-fence-per-commit baseline plus marker traffic |
 //! | kvserve 2PC put, 2 shards | 14 | 5 | three TM commits: two prepared participants (staged, then committed: a fence each) and one decision-record write; nothing after the fan-out |
 //! | kvserve 2PC, 1 parked + 8 queued puts, 2 shards | 60 | 10 | two rounds of three TM commits each: the 8 queued puts share one round (measured 59 flushes; one round per put would pay 45 fences and 27 commits) |
@@ -71,6 +76,58 @@ fn spht_put_budget() {
         "SPHT no-conflict put: {flushes} flushes / {fences} fences \
          (budget 4 / 3)"
     );
+}
+
+/// Flush/fence deltas of `f` on `tm`.
+fn cost_of<T: Tm>(tm: &T, f: impl FnOnce()) -> (u64, u64) {
+    let before = tm.stats();
+    f();
+    let after = tm.stats();
+    (
+        after.get(Counter::Flush) - before.get(Counter::Flush),
+        after.get(Counter::Fence) - before.get(Counter::Fence),
+    )
+}
+
+/// The software path commits through the same staging pass and counted
+/// marker as the hardware path: exact counts, one fence however many
+/// entry lines.
+#[test]
+fn nvhalt_software_path_budget() {
+    let mut cfg = NvHaltConfig::test(1 << 10, 1);
+    cfg.policy.hw_attempts = 0;
+    let tm = NvHalt::new(cfg);
+    assert_eq!(put_cost(&tm, 2), (2, 1), "software-path put");
+    let two_words = cost_of(&tm, || {
+        txn(&tm, 0, |tx| {
+            tx.write(Addr(200), 1)?;
+            tx.write(Addr(300), 2)
+        })
+        .unwrap()
+    });
+    assert_eq!(two_words, (3, 1), "two-word software put");
+    assert_eq!(tm.stats().get(Counter::HwCommit), 0, "software path only");
+}
+
+/// A prepared transaction's decision is a trusted marker and a fence
+/// over its already-fenced entries; an abort re-stages the old value
+/// first and consumes the generation, so the next put is counted again.
+#[test]
+fn nvhalt_prepared_budget() {
+    let tm = NvHalt::new(NvHaltConfig::test(1 << 10, 1));
+    put_cost(&tm, 2);
+    let commit = cost_of(&tm, || {
+        tm.prepare(0, |tx| tx.write(Addr(100), 8)).unwrap();
+        tm.commit_prepared(0);
+    });
+    assert_eq!(commit, (2, 2), "prepare + commit_prepared");
+    let abort = cost_of(&tm, || {
+        tm.prepare(0, |tx| tx.write(Addr(100), 9)).unwrap();
+        tm.abort_prepared(0);
+    });
+    assert_eq!(abort, (3, 3), "prepare + abort_prepared");
+    let next = cost_of(&tm, || txn(&tm, 0, |tx| tx.write(Addr(100), 10)).unwrap());
+    assert_eq!(next, (2, 1), "the put right after the abort");
 }
 
 /// The warm-up commit itself is allowed the legacy two-fence path, but
